@@ -54,6 +54,7 @@ from .fourier import (
     laplacian,
     oscillatory_part,
     spatial_derivative,
+    spectral_sum,
     time_derivative,
     time_mean_part,
 )
@@ -131,6 +132,7 @@ __all__ = [
     "laplacian",
     "oscillatory_part",
     "spatial_derivative",
+    "spectral_sum",
     "time_derivative",
     "time_mean_part",
     "MultiplierReport",

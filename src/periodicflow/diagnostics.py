@@ -17,11 +17,13 @@ from .domain import Grid, Params
 from .fourier import (
     PhysicalField,
     SpectralField,
-    forward,
+    _abs_sq,
+    _lattice_norm,
+    _nodes,
     gradient,
     inverse,
     oscillatory_part,
-    time_mean_part,
+    spectral_sum,
 )
 from .multipliers import (
     _regularity_factor,
@@ -29,6 +31,7 @@ from .multipliers import (
     regularity_multiplier_bound,
 )
 from .nonlinear import dealiased_tensor_product
+from .solver import _as_spectral
 
 __all__ = [
     "OseenTerms",
@@ -47,14 +50,6 @@ __all__ = [
 _FLOOR = 1e-300
 
 
-def _as_spectral(f: SpectralField | PhysicalField) -> SpectralField:
-    return f if isinstance(f, SpectralField) else forward(f)
-
-
-def _as_physical(f: SpectralField | PhysicalField) -> PhysicalField:
-    return f if isinstance(f, PhysicalField) else inverse(f)
-
-
 def _magnitude(values: np.ndarray) -> np.ndarray:
     """Euclidean magnitude over the leading component axis."""
     if values.shape[0] == 1:
@@ -63,18 +58,12 @@ def _magnitude(values: np.ndarray) -> np.ndarray:
 
 
 def _lq_spacetime(mag: np.ndarray, q: float, grid: Grid) -> float:
+    """L^q norm of node magnitudes; a single time slice gives the norm over the box alone."""
     return float((grid.volume * np.mean(mag**q)) ** (1.0 / q))
 
 
-def _lq_spatial(mag: np.ndarray, q: float, grid: Grid) -> float:
-    """Norm over the box alone; ``mag`` has shape (N3, N2, N1)."""
-    return float((grid.volume * np.mean(mag**q)) ** (1.0 / q))
-
-
-def _derivative_coeffs(spec: SpectralField, alpha: tuple[int, int, int]) -> np.ndarray:
-    g = spec.grid
-    factor = (1j * g.xi1) ** alpha[0] * (1j * g.xi2) ** alpha[1] * (1j * g.xi3) ** alpha[2]
-    return spec.coeffs * factor
+def _derivative_factor(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
+    return (1j * grid.xi1) ** alpha[0] * (1j * grid.xi2) ** alpha[1] * (1j * grid.xi3) ** alpha[2]
 
 
 _MULTI_INDICES = (
@@ -147,55 +136,78 @@ class NormReport:
         return rows
 
 
-def _w21q(w: SpectralField, q: float, grid: Grid) -> float:
-    total = 0.0
-    for alpha in _MULTI_INDICES:
-        deriv = inverse(SpectralField(grid, _derivative_coeffs(w, alpha))).values
-        total += _lq_spacetime(_magnitude(deriv), q, grid) ** q
-    dt = inverse(SpectralField(grid, w.coeffs * (1j * grid.omega))).values
-    total += _lq_spacetime(_magnitude(dt), q, grid) ** q
-    return float(total ** (1.0 / q))
+def _w21q(w: SpectralField, q_list: tuple[float, ...], grid: Grid) -> dict[float, float]:
+    """Anisotropic Sobolev norms of ``w``: each derivative field is inverted once for all q."""
+    totals = dict.fromkeys(q_list, 0.0)
+    factors = [_derivative_factor(grid, alpha) for alpha in _MULTI_INDICES]
+    for factor in factors + [1j * grid.omega]:
+        mag = _magnitude(inverse(SpectralField(grid, w.coeffs * factor)).values)
+        for q in totals:
+            totals[q] += _lq_spacetime(mag, q, grid) ** q
+    return {q: float(total ** (1.0 / q)) for q, total in totals.items()}
 
 
-def _xoseen(v: SpectralField, q: float, lam: float, grid: Grid) -> OseenTerms:
-    if not 1.0 < q < 2.0:
-        raise ValueError(f"steady-part norm exponent q must lie in the open interval (1, 2), got {q}")
-    v_spatial = inverse(v).values[:, 0]
-    grads = [
-        inverse(SpectralField(grid, _derivative_coeffs(v, a))).values[:, 0]
-        for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ]
-    grad_stack = np.concatenate(grads, axis=0)
-    hess = [
-        inverse(SpectralField(grid, _derivative_coeffs(v, tuple(np.add(a, b))))).values[:, 0]
-        for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        for b in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ]
-    hess_stack = np.concatenate(hess, axis=0)
+_UNIT_INDICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _xoseen(
+    steady: np.ndarray, q_list: tuple[float, ...], lam: float, grid: Grid
+) -> dict[float, OseenTerms]:
+    """Drift-weighted steady-part norms from the k = 0 plane ``steady`` of a velocity spectrum.
+
+    The steady part is constant in time, so its node values and derivatives
+    come from 3-d transforms of that plane alone.  Each derivative field is
+    inverted once; the gradient and Hessian magnitudes are accumulated as
+    sums of squares, the Hessian's mixed entries counting twice.
+    """
+    shape = grid.shape[1:]
+
+    def sq_nodes(alpha):
+        # [0] drops the time axis of the factor; the plane has none
+        d = _nodes(steady * _derivative_factor(grid, alpha)[0], shape)
+        return np.einsum("c...,c...->...", d, d)
+
+    amplitude = _magnitude(_nodes(steady, shape))
+    grad_sq = [sq_nodes(alpha) for alpha in _UNIT_INDICES]
+    drift = np.sqrt(grad_sq[0])
+    gradient_mag = np.sqrt(sum(grad_sq))
+    del grad_sq
+    hess_sq = np.zeros(shape)
+    for i, a in enumerate(_UNIT_INDICES):
+        for j in range(i, 3):
+            hess_sq += (1.0 if i == j else 2.0) * sq_nodes(tuple(np.add(a, _UNIT_INDICES[j])))
+    hessian_mag = np.sqrt(hess_sq)
+
     abs_lam = abs(lam)
-    return OseenTerms(
-        amplitude=abs_lam**0.5 * _lq_spatial(_magnitude(v_spatial), 2.0 * q / (2.0 - q), grid),
-        gradient=abs_lam**0.25 * _lq_spatial(_magnitude(grad_stack), 4.0 / (4.0 - q), grid),
-        drift=abs_lam * _lq_spatial(_magnitude(grads[0]), q, grid),
-        hessian=_lq_spatial(_magnitude(hess_stack), q, grid),
-    )
+    return {
+        q: OseenTerms(
+            amplitude=abs_lam**0.5 * _lq_spacetime(amplitude, 2.0 * q / (2.0 - q), grid),
+            gradient=abs_lam**0.25 * _lq_spacetime(gradient_mag, 4.0 / (4.0 - q), grid),
+            drift=abs_lam * _lq_spacetime(drift, q, grid),
+            hessian=_lq_spacetime(hessian_mag, q, grid),
+        )
+        for q in q_list
+    }
 
 
-def _xpres(p: SpectralField, q: float, r: float, grid: Grid) -> float:
-    if not 1.0 < q < 3.0:
-        raise ValueError(f"pressure norm exponent q must lie in the open interval (1, 3), got {q}")
-    if not (1.0 < r and math.isfinite(r)):
-        raise ValueError(f"pressure gradient exponent r must lie in (1, inf), got {r}")
-    p_phys = inverse(p).values
-    gp_phys = inverse(gradient(p)).values
-    s = 3.0 * q / (3.0 - q)
+def _xpres(
+    p: SpectralField, q_list: tuple[float, ...], r_list: tuple[float, ...], grid: Grid
+) -> dict[tuple[float, float], float]:
+    """Mixed time-space pressure norms for every (q, r); p and grad p are inverted once."""
+    mag_p = _magnitude(inverse(p).values)
+    mag_gp = _magnitude(inverse(gradient(p)).values)
     dt_weight = grid.period / grid.n_time
-    inner = 0.0
-    for it in range(grid.n_time):
-        slice_p = _lq_spatial(_magnitude(p_phys[:, it]), s, grid)
-        slice_gp = _lq_spatial(_magnitude(gp_phys[:, it]), q, grid)
-        inner += dt_weight * (slice_p**q + slice_gp**q)
-    return float(inner ** (1.0 / q)) + _lq_spacetime(_magnitude(gp_phys), r, grid)
+    volume = grid.volume
+    out = {}
+    for q in q_list:
+        s = 3.0 * q / (3.0 - q)
+        # per-slice norms over the box, one per time node
+        slice_p = (volume * np.mean(mag_p**s, axis=(1, 2, 3))) ** (1.0 / s)
+        slice_gp = (volume * np.mean(mag_gp**q, axis=(1, 2, 3))) ** (1.0 / q)
+        inner = float(np.sum(dt_weight * (slice_p**q + slice_gp**q)))
+        for r in r_list:
+            out[(q, r)] = float(inner ** (1.0 / q)) + _lq_spacetime(mag_gp, r, grid)
+    return out
 
 
 def norms(
@@ -209,29 +221,25 @@ def norms(
 
     Each q must lie in (1, 2) because the steady-part family is evaluated for
     all of them; each r must lie in (1, inf).  Without a pressure the xpres
-    entries are left empty.
+    entries are left empty.  Every field is transformed once per call,
+    however many exponents are requested.
     """
-    u_hat = _as_spectral(u)
-    grid = u_hat.grid
-    v, w = time_mean_part(u_hat), oscillatory_part(u_hat)
-    u_phys = inverse(u_hat).values
-
-    lq: dict[float, float] = {}
-    w21q: dict[float, float] = {}
-    xoseen: dict[float, OseenTerms] = {}
     for q in q_list:
         if not 1.0 < q < 2.0:
             raise ValueError(f"norm exponent q must lie in the open interval (1, 2), got {q}")
-        lq[q] = _lq_spacetime(_magnitude(u_phys), q, grid)
-        w21q[q] = _w21q(w, q, grid)
-        xoseen[q] = _xoseen(v, q, params.lam, grid)
-
-    xpres: dict[tuple[float, float], float] = {}
     if p is not None:
-        p_hat = _as_spectral(p)
-        for q in q_list:
-            for r in r_list:
-                xpres[(q, r)] = _xpres(p_hat, q, r, grid)
+        for r in r_list:
+            if not (1.0 < r and math.isfinite(r)):
+                raise ValueError(f"pressure gradient exponent r must lie in (1, inf), got {r}")
+
+    u_hat = _as_spectral(u)
+    grid = u_hat.grid
+    mag = _magnitude(inverse(u_hat).values)
+    lq = {q: _lq_spacetime(mag, q, grid) for q in q_list}
+    del mag
+    w21q = _w21q(oscillatory_part(u_hat), q_list, grid)
+    xoseen = _xoseen(u_hat.coeffs[:, 0], q_list, params.lam, grid)
+    xpres = _xpres(_as_spectral(p), q_list, r_list, grid) if p is not None else {}
 
     return NormReport(
         lam=params.lam,
@@ -271,8 +279,8 @@ def energy_balance(
     u_hat = _as_spectral(u)
     f_hat = _as_spectral(f)
     grid = u_hat.grid
-    dissipation = float(grid.volume * np.sum(grid.xi_sq * np.sum(np.abs(u_hat.coeffs) ** 2, axis=0)))
-    power = float(grid.volume * np.real(np.vdot(f_hat.coeffs.ravel(), u_hat.coeffs.ravel())))
+    dissipation = grid.volume * spectral_sum(grid.xi_sq * _abs_sq(u_hat.coeffs).sum(axis=0), grid)
+    power = grid.volume * spectral_sum(np.real(np.conj(f_hat.coeffs) * u_hat.coeffs), grid)
     gap = abs(dissipation - power) / max(abs(dissipation), abs(power), _FLOOR)
     return EnergyReport(dissipation=dissipation, power_in=power, relative_gap=gap)
 
@@ -287,7 +295,7 @@ def cross_orthogonality(v: SpectralField, w: SpectralField) -> float:
         raise ValueError("fields live on different grids")
     grid = v.grid
     prod = np.real(np.einsum("c...,c...->...", np.conj(v.coeffs), w.coeffs))
-    return float(grid.volume * np.sum(grid.xi_sq * prod))
+    return grid.volume * spectral_sum(grid.xi_sq * prod, grid)
 
 
 def energy_inequality_check(
@@ -334,19 +342,30 @@ class SpectrumTable:
 def spectrum_decay(spec: SpectralField) -> SpectrumTable:
     """Bin coefficient magnitudes by integer shells of sqrt(|n|^2 + k^2).
 
-    Nyquist rows are excluded (their coefficients are pinned to zero).  The
-    monotone flag records whether shell maxima never increase beyond the
-    peak shell; maxima within rounding of zero (1e-14 of the peak) count as
-    flat, so transform noise in empty shells does not flip the flag.
+    Nyquist planes are excluded (their coefficients are pinned to zero).
+    Counts and means cover the whole lattice: each stored mode off the
+    n1 = 0 plane also stands for its conjugate partner, which has the same
+    radius and magnitude.  The monotone flag records whether shell maxima
+    never increase beyond the peak shell; maxima within rounding of zero
+    (1e-14 of the peak) count as flat, so transform noise in empty shells
+    does not flip the flag.
     """
     grid = spec.grid
     mag = _magnitude(np.abs(spec.coeffs))
-    keep = ~grid.nyquist_mask
-    radii = np.rint(np.sqrt(grid.mode_radius_sq[keep].astype(np.float64))).astype(np.int64)
+    axes = (
+        (grid.k_modes, grid.n_time),
+        (grid.n_modes[2], grid.n_space[2]),
+        (grid.n_modes[1], grid.n_space[1]),
+        (grid.n_modes[0], grid.n_space[0]),
+    )
+    keep = np.ix_(*(np.flatnonzero(2 * np.abs(modes) != n) for modes, n in axes))
+    radii = np.rint(np.sqrt(grid.mode_radius_sq()[keep])).astype(np.int64).ravel()
     values = mag[keep]
+    weights = np.broadcast_to(grid.x1_weight[keep[3]], values.shape).ravel()
+    values = values.ravel()
     n_shells = int(radii.max()) + 1
-    counts = np.bincount(radii, minlength=n_shells)
-    sums = np.bincount(radii, weights=values, minlength=n_shells)
+    counts = np.rint(np.bincount(radii, weights=weights, minlength=n_shells)).astype(np.int64)
+    sums = np.bincount(radii, weights=values * weights, minlength=n_shells)
     maxima = np.zeros(n_shells)
     np.maximum.at(maxima, radii, values)
     means = sums / np.maximum(counts, 1)
@@ -373,11 +392,9 @@ class RegularityReport:
     branch: str
 
 
-def _rel_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(
-        float(np.linalg.norm(lhs.ravel())), float(np.linalg.norm(rhs.ravel())), _FLOOR
-    )
-    return float(np.linalg.norm((lhs - rhs).ravel())) / scale
+def _rel_mismatch(lhs: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
+    scale = max(_lattice_norm(lhs, grid), _lattice_norm(rhs, grid), _FLOOR)
+    return _lattice_norm(lhs - rhs, grid) / scale
 
 
 def regularity_bootstrap_check(sol, branch: str = "principal") -> RegularityReport:
@@ -403,7 +420,7 @@ def regularity_bootstrap_check(sol, branch: str = "principal") -> RegularityRepo
     for axis in (1, 2, 3):
         lhs_mixed.append(w.coeffs * (1j * grid.omega) * (1j * grid.xi[axis - 1]))
         rhs_mixed.append(_regularity_factor(grid, axis) * (heat_symbol * half_w))
-    mismatch_mixed = _rel_mismatch(np.stack(lhs_mixed), np.stack(rhs_mixed))
+    mismatch_mixed = _rel_mismatch(np.stack(lhs_mixed), np.stack(rhs_mixed), grid)
 
     tensor = dealiased_tensor_product(w)
     ixi = (1j * grid.xi1, 1j * grid.xi2, 1j * grid.xi3)
@@ -419,7 +436,7 @@ def regularity_bootstrap_check(sol, branch: str = "principal") -> RegularityRepo
             for i in range(3)
         ]
     )
-    mismatch_fact = _rel_mismatch(lhs_fact, rhs_fact)
+    mismatch_fact = _rel_mismatch(lhs_fact, rhs_fact, grid)
 
     params_unused = Params(lam=0.0, period=grid.period)
     sup = max(regularity_multiplier_bound(grid, axis, params_unused) for axis in (1, 2, 3))

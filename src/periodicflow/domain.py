@@ -5,6 +5,11 @@ wavenumbers are xi_j = 2*pi*n_j/L_j with integer n_j in [-N_j/2, N_j/2),
 temporal frequencies are omega = (2*pi/T)*k with integer k in [-M/2, M/2).
 Arrays are laid out time-major, then x3, x2, x1, so a scalar field has shape
 (M, N3, N2, N1) and component arrays carry a leading axis.
+
+Coefficients of real fields are stored as a half spectrum: the x1 axis holds
+only the modes n1 = 0..N1/2, so a scalar spectrum has shape
+(M, N3, N2, N1/2 + 1).  Every other mode is the complex conjugate of a stored
+one, c(-k, -n) = conj(c(k, n)).
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ def _int_modes(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform space-time grid with precomputed frequency lattices.
+    """Uniform space-time grid with precomputed frequency factors.
 
     Parameters
     ----------
@@ -80,13 +85,15 @@ class Grid:
     period : positive float
         Time period T.
 
-    Derived arrays (set once, treated as immutable):
-    ``k_modes`` and ``n_modes`` hold integer mode numbers in FFT order;
-    ``omega``, ``xi1``, ``xi2``, ``xi3`` and ``xi_sq`` are broadcastable
-    against coefficient arrays of shape (M, N3, N2, N1); ``nyquist_mask``
-    marks rows where any direction sits on its Nyquist mode and
-    ``dealias_mask`` marks modes kept by the 2/3 rule in all four
-    frequency directions.
+    Derived arrays (set once, treated as immutable), all 1-d factors or
+    broadcastable against half-spectrum coefficients of shape
+    ``spectral_shape`` = (M, N3, N2, N1/2 + 1): ``k_modes`` and ``n_modes``
+    hold integer mode numbers in storage order (n1 runs 0..N1/2, the other
+    axes follow FFT order with the Nyquist mode stored as -N/2); ``omega``,
+    ``xi1``, ``xi2``, ``xi3`` and ``xi_sq`` are the frequency factors;
+    ``x1_weight`` counts how many lattice modes each stored x1 plane stands
+    for (1 on the n1 = 0 and n1 = N1/2 planes, 2 elsewhere).  No array here
+    spans all four axes.
     """
 
     box: tuple[float, float, float]
@@ -118,7 +125,7 @@ class Grid:
         n1, n2, n3 = self.n_space
         m = self.n_time
         k_modes = _int_modes(m)
-        n_modes = (_int_modes(n1), _int_modes(n2), _int_modes(n3))
+        n_modes = (np.arange(n1 // 2 + 1, dtype=np.int64), _int_modes(n2), _int_modes(n3))
         object.__setattr__(self, "k_modes", k_modes)
         object.__setattr__(self, "n_modes", n_modes)
 
@@ -127,40 +134,37 @@ class Grid:
         xi1 = (TWO_PI / box[0]) * n_modes[0].astype(np.float64)
         xi2 = (TWO_PI / box[1]) * n_modes[1].astype(np.float64)
         xi3 = (TWO_PI / box[2]) * n_modes[2].astype(np.float64)
-        object.__setattr__(self, "xi1", xi1.reshape(1, 1, 1, n1))
+        object.__setattr__(self, "xi1", xi1.reshape(1, 1, 1, n1 // 2 + 1))
         object.__setattr__(self, "xi2", xi2.reshape(1, 1, n2, 1))
         object.__setattr__(self, "xi3", xi3.reshape(1, n3, 1, 1))
         object.__setattr__(self, "xi_sq", self.xi1**2 + self.xi2**2 + self.xi3**2)
 
-        nyq = (
-            (np.abs(k_modes).reshape(m, 1, 1, 1) == m // 2)
-            | (np.abs(n_modes[2]).reshape(1, n3, 1, 1) == n3 // 2)
-            | (np.abs(n_modes[1]).reshape(1, 1, n2, 1) == n2 // 2)
-            | (np.abs(n_modes[0]).reshape(1, 1, 1, n1) == n1 // 2)
-        )
-        object.__setattr__(self, "nyquist_mask", nyq)
+        weight = np.full(n1 // 2 + 1, 2.0)
+        weight[0] = weight[-1] = 1.0
+        object.__setattr__(self, "x1_weight", weight)
 
-        keep = (
-            (np.abs(k_modes).reshape(m, 1, 1, 1) * 3 <= m)
-            & (np.abs(n_modes[2]).reshape(1, n3, 1, 1) * 3 <= n3)
-            & (np.abs(n_modes[1]).reshape(1, 1, n2, 1) * 3 <= n2)
-            & (np.abs(n_modes[0]).reshape(1, 1, 1, n1) * 3 <= n1)
+    def mode_radius_sq(self) -> np.ndarray:
+        """Squared integer radius k^2 + |n|^2 of every stored mode, built on each call."""
+        m = self.n_time
+        n1h, n2, n3 = (len(modes) for modes in self.n_modes)
+        return (
+            self.k_modes.reshape(m, 1, 1, 1) ** 2
+            + self.n_modes[2].reshape(1, n3, 1, 1) ** 2
+            + self.n_modes[1].reshape(1, 1, n2, 1) ** 2
+            + self.n_modes[0].reshape(1, 1, 1, n1h) ** 2
         )
-        object.__setattr__(self, "dealias_mask", keep)
-
-        radius_sq = (
-            k_modes.reshape(m, 1, 1, 1) ** 2
-            + n_modes[2].reshape(1, n3, 1, 1) ** 2
-            + n_modes[1].reshape(1, 1, n2, 1) ** 2
-            + n_modes[0].reshape(1, 1, 1, n1) ** 2
-        )
-        object.__setattr__(self, "mode_radius_sq", radius_sq)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
         """(M, N3, N2, N1): the storage shape of one scalar field."""
         n1, n2, n3 = self.n_space
         return (self.n_time, n3, n2, n1)
+
+    @property
+    def spectral_shape(self) -> tuple[int, int, int, int]:
+        """(M, N3, N2, N1/2 + 1): the storage shape of one scalar half spectrum."""
+        n1, n2, n3 = self.n_space
+        return (self.n_time, n3, n2, n1 // 2 + 1)
 
     @property
     def size(self) -> int:

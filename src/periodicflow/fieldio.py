@@ -21,6 +21,7 @@ sections, with no nesting.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,15 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
     if endian != "little":
         raise FieldFormatError(f"{path}: unsupported endianness {endian!r}")
 
+    # The payload length is checked against the header's own integers before
+    # a Grid exists, so a corrupt header cannot trigger a large allocation.
+    payload = blob[head_end + len(marker):]
+    count = components * math.prod(n_space) * n_time
+    if len(payload) != count * 8:
+        raise FieldFormatError(
+            f"{path}: payload holds {len(payload)} bytes, header declares {count * 8}"
+        )
+
     try:
         grid = Grid(box=box, n_space=n_space, n_time=n_time, period=period)
     except ValueError as exc:
@@ -114,12 +124,6 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
             f"does not match the expected grid"
         )
 
-    payload = blob[head_end + len(marker):]
-    count = components * grid.size
-    if len(payload) != count * 8:
-        raise FieldFormatError(
-            f"{path}: payload holds {len(payload)} bytes, expected {count * 8}"
-        )
     values = np.frombuffer(payload, dtype="<f8").reshape((components,) + grid.shape)
     try:
         return PhysicalField(grid, values.astype(np.float64))

@@ -21,6 +21,7 @@ from .errors import NotSolenoidal
 from .fourier import (
     PhysicalField,
     SpectralField,
+    coeff_norm,
     divergence,
     forward,
     gradient,
@@ -230,12 +231,12 @@ def random_smooth(seed: int, amplitude: float, cutoff_shell: int, grid: Grid) ->
     rng = np.random.Generator(np.random.Philox(seed))
     noise = rng.standard_normal(size=(3,) + grid.shape)
     c = forward(PhysicalField(grid, noise))
-    keep = grid.mode_radius_sq <= cutoff_shell * cutoff_shell
+    keep = grid.mode_radius_sq() <= cutoff_shell * cutoff_shell
 
     coeffs = np.where(keep, c.coeffs, 0.0)
     coeffs[:, 0, 0, 0, 0] = 0.0
     sol = helmholtz(SpectralField(grid, coeffs))
-    norm = float(np.linalg.norm(sol.coeffs.ravel()))
+    norm = coeff_norm(sol)
     if norm == 0.0:
         raise ValueError("random field vanished after projection; enlarge cutoff_shell")
     return inverse(SpectralField(grid, sol.coeffs * (float(amplitude) / norm)))

@@ -1,16 +1,45 @@
 """Fields on the space-time grid and the transform between node values and modes.
 
-The forward transform divides by the total node count, so the (0,0) mode
-coefficient is the plain space-time grid mean and the inverse transform is an
-unweighted exponential sum.  With that normalization the sum over modes of
-|coeffs|^2 equals the grid average of |u|^2.  Nyquist rows are zeroed on every
-forward transform so that each surviving mode has an exact conjugate partner
-on the lattice.
+Layout.  Node values are real, so their spectrum is conjugate-symmetric,
+c(-m) = conj(c(m)), and only half of it is stored: a real-to-complex
+transform (Frigo & Johnson 2005) keeps the x1 modes n1 = 0..N1/2 and the full
+range of every other axis, so a scalar spectrum has shape
+``grid.spectral_shape`` = (M, N3, N2, N1/2 + 1).  Each stored mode off the
+n1 = 0 and n1 = N1/2 planes stands for itself and its conjugate partner, so a
+sum over the whole lattice of a symmetric quantity such as |c|^2 is the
+half-spectrum sum weighted by 2 off those two planes (``spectral_sum``, with
+the weights ``grid.x1_weight``).  Every whole-spectrum sum of the package
+uses those weights, so it returns the full-lattice value to rounding.
+
+Normalization.  The forward transform divides by the total node count, so
+the (0,0) mode coefficient is the plain space-time grid mean and the inverse
+transform is an unweighted exponential sum.  With that normalization the
+weighted sum over modes of |coeffs|^2 equals the grid average of |u|^2.
+Nyquist planes of every axis are zeroed on each forward transform so that
+each surviving mode has an exact conjugate partner on the lattice.
+
+Real-ness.  A half spectrum is real by construction everywhere except on the
+n1 = 0 and n1 = N1/2 planes, whose modes pair with modes of the same plane.
+Those two planes are the only place an input can break the symmetry, so
+``inverse`` checks them alone and raises ``NotHermitian`` when their
+conjugate pairs disagree by more than ``imag_tol`` of the largest
+coefficient.  ``forward`` makes the n1 = 0 plane exactly symmetric and every
+multiplier of the package preserves that bit for bit, so computed spectra
+pass with no defect at all.
+
+Transport.  The nonlinear term keeps its convective form (u . grad) u, three
+components times four inverse transforms plus one forward transform per
+Picard step.  The divergence form would need fewer inverse transforms, but
+the two forms differ by aliasing of unresolved tails, and ``pde_residual``
+evaluates the convective form, so it certifies the discrete system the solver
+actually iterates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy import fft as _fft
@@ -31,11 +60,15 @@ __all__ = [
     "divergence",
     "laplacian",
     "hermitian_defect",
+    "spectral_sum",
     "coeff_norm",
 ]
 
 _AXES = (-4, -3, -2, -1)
 _FLOOR = 1e-300
+# Index pairs (m, -m) along one full axis: index 0 is its own partner, index i
+# pairs with N - i, which is the reversed view of 1..N-1.
+_MIRROR = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
 
 
 def _with_component_axis(values: np.ndarray) -> np.ndarray:
@@ -59,7 +92,8 @@ class PhysicalField:
             raise ValueError(f"values shape {values.shape} does not match grid {self.grid.shape}")
         if values.shape[0] not in (1, 3):
             raise ValueError(f"fields carry 1 or 3 components, got {values.shape[0]}")
-        if not np.isfinite(values).all():
+        # max propagates NaN and shows +inf; min shows -inf; neither allocates
+        if not (np.isfinite(values.max()) and np.isfinite(values.min())):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -83,15 +117,17 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients on the dual lattice, same storage layout as samples."""
+    """Half-spectrum Fourier coefficients, shape (components,) + grid.spectral_shape."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         coeffs = _with_component_axis(np.asarray(self.coeffs, dtype=np.complex128))
-        if coeffs.shape[1:] != self.grid.shape:
-            raise ValueError(f"coeffs shape {coeffs.shape} does not match grid {self.grid.shape}")
+        if coeffs.shape[1:] != self.grid.spectral_shape:
+            raise ValueError(
+                f"coeffs shape {coeffs.shape} does not match grid {self.grid.spectral_shape}"
+            )
         if coeffs.shape[0] not in (1, 3):
             raise ValueError(f"fields carry 1 or 3 components, got {coeffs.shape[0]}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -119,47 +155,94 @@ def _check_same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
+def _partner(plane: np.ndarray) -> np.ndarray:
+    """conj(c(-m)) at every m of a plane shaped (components, full frequency axes...)."""
+    out = np.empty_like(plane)
+    for pairs in product(_MIRROR, repeat=plane.ndim - 1):
+        here = (slice(None),) + tuple(p[0] for p in pairs)
+        there = (slice(None),) + tuple(p[1] for p in pairs)
+        out[here] = np.conj(plane[there])
+    return out
+
+
 def forward(field: PhysicalField) -> SpectralField:
-    """Transform node values to mode coefficients; Nyquist rows are zeroed."""
-    coeffs = _fft.fftn(field.values, axes=_AXES, workers=-1) / field.grid.size
-    coeffs[:, field.grid.nyquist_mask] = 0.0
+    """Transform node values to half-spectrum coefficients.
+
+    Nyquist planes are zeroed, and the n1 = 0 plane is made exactly
+    conjugate-symmetric (the transform leaves it so only to rounding).  Every
+    multiplier of the package maps conjugate pairs to conjugate pairs
+    bit for bit, so spectra computed from forward transforms stay exactly
+    symmetric and ``inverse`` finds no defect in them.
+    """
+    coeffs = _fft.rfftn(field.values, axes=_AXES, norm="forward", workers=-1)
+    m, n3, n2, n1h = field.grid.spectral_shape
+    coeffs[:, m // 2] = 0.0
+    coeffs[:, :, n3 // 2] = 0.0
+    coeffs[:, :, :, n2 // 2] = 0.0
+    coeffs[..., n1h - 1] = 0.0
+    plane = coeffs[..., 0]
+    plane += _partner(plane)
+    plane *= 0.5
     return SpectralField(field.grid, coeffs)
 
 
+def _plane_defect(coeffs: np.ndarray) -> float:
+    """Largest |c(m) - conj(c(-m))| over the n1 = 0 and n1 = N1/2 planes.
+
+    ``coeffs`` has a leading component axis, then full frequency axes, then
+    the half x1 axis.
+    """
+    return max(
+        float(np.abs(plane - _partner(plane)).max(initial=0.0))
+        for plane in (coeffs[..., 0], coeffs[..., -1])
+    )
+
+
+def _nodes(coeffs: np.ndarray, shape: tuple[int, ...], imag_tol: float = 1e-10) -> np.ndarray:
+    """Real node values of half-spectrum ``coeffs`` on a grid of ``shape``, symmetry checked.
+
+    The transform runs over the trailing ``len(shape)`` axes, so the same
+    helper inverts a space-time spectrum or a single spatial plane of one.
+    Only a nonzero defect costs a pass over the whole spectrum, for the
+    scale it is judged against.
+    """
+    defect = _plane_defect(coeffs)
+    if defect > 0.0:
+        scale = float(np.abs(coeffs).max(initial=0.0))
+        if defect > imag_tol * max(scale, _FLOOR):
+            raise NotHermitian(
+                f"conjugate-pair defect {defect:.3e} on the n1 = 0 or n1 = N1/2 plane "
+                f"exceeds {imag_tol:.1e} of coefficient magnitude {scale:.3e}"
+            )
+    axes = tuple(range(-len(shape), 0))
+    return _fft.irfftn(coeffs, s=shape, axes=axes, norm="forward", workers=-1)
+
+
 def inverse(spec: SpectralField, imag_tol: float = 1e-10) -> PhysicalField:
-    """Transform coefficients back to real node values.
+    """Transform half-spectrum coefficients back to real node values.
 
     Raises
     ------
     NotHermitian
-        If the imaginary residue of the reconstruction exceeds ``imag_tol``
-        times the field magnitude, which means the coefficients were not
-        conjugate-symmetric.
+        If a conjugate pair on the n1 = 0 or n1 = N1/2 plane disagrees by
+        more than ``imag_tol`` times the largest coefficient, which means the
+        coefficients are not the spectrum of a real field.
     """
-    u = _fft.ifftn(spec.coeffs, axes=_AXES, workers=-1) * spec.grid.size
-    scale = np.abs(u).max(initial=0.0)
-    resid = np.abs(u.imag).max(initial=0.0)
-    if resid > imag_tol * max(scale, _FLOOR):
-        raise NotHermitian(
-            f"imaginary residue {resid:.3e} exceeds {imag_tol:.1e} of field magnitude {scale:.3e}"
-        )
-    return PhysicalField(spec.grid, np.ascontiguousarray(u.real))
-
-
-def _time_mean_mask(grid: Grid) -> np.ndarray:
-    return (grid.k_modes == 0).reshape(grid.n_time, 1, 1, 1)
+    return PhysicalField(spec.grid, _nodes(spec.coeffs, spec.grid.shape, imag_tol))
 
 
 def time_mean_part(spec: SpectralField) -> SpectralField:
     """Projection onto the k = 0 plane: the time-averaged (steady) part."""
-    keep = _time_mean_mask(spec.grid)
-    return SpectralField(spec.grid, np.where(keep, spec.coeffs, 0.0))
+    out = np.zeros_like(spec.coeffs)
+    out[:, 0] = spec.coeffs[:, 0]
+    return SpectralField(spec.grid, out)
 
 
 def oscillatory_part(spec: SpectralField) -> SpectralField:
     """Complementary projection onto k != 0: the zero-time-mean part."""
-    keep = _time_mean_mask(spec.grid)
-    return SpectralField(spec.grid, np.where(keep, 0.0, spec.coeffs))
+    out = spec.coeffs.copy()
+    out[:, 0] = 0.0
+    return SpectralField(spec.grid, out)
 
 
 def spatial_derivative(spec: SpectralField, axis: int, order: int = 1) -> SpectralField:
@@ -198,19 +281,36 @@ def laplacian(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, spec.coeffs * (-spec.grid.xi_sq))
 
 
-def _negate_modes(coeffs: np.ndarray) -> np.ndarray:
-    """Index map m -> -m (mod lattice) on the four frequency axes."""
-    out = coeffs
-    for ax in _AXES:
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
-
-
 def hermitian_defect(spec: SpectralField) -> float:
-    """Largest absolute deviation from conjugate symmetry coeffs(-m) = conj(coeffs(m))."""
-    return float(np.abs(spec.coeffs - np.conj(_negate_modes(spec.coeffs))).max(initial=0.0))
+    """Largest absolute deviation from conjugate symmetry coeffs(-m) = conj(coeffs(m)).
+
+    Off the n1 = 0 and n1 = N1/2 planes the partner of a stored mode is not
+    stored, so the symmetry holds there by construction and only those two
+    planes are compared.
+    """
+    return _plane_defect(spec.coeffs)
+
+
+def spectral_sum(values: np.ndarray, grid: Grid) -> float:
+    """Full-lattice sum of a real quantity given on the half spectrum.
+
+    ``values`` ends in the half x1 axis and must be even under m -> -m, as
+    |c|^2 or Re(conj(a) b) are for spectra of real fields; each stored plane
+    then counts ``grid.x1_weight`` times (twice off n1 = 0 and n1 = N1/2).
+    """
+    per_plane = values.sum(axis=tuple(range(values.ndim - 1)))
+    return float(per_plane @ grid.x1_weight)
+
+
+def _abs_sq(coeffs: np.ndarray) -> np.ndarray:
+    """|coeffs|^2 elementwise, without the square root of np.abs."""
+    return np.square(coeffs.real) + np.square(coeffs.imag)
+
+
+def _lattice_norm(coeffs: np.ndarray, grid: Grid) -> float:
+    return math.sqrt(spectral_sum(_abs_sq(coeffs), grid))
 
 
 def coeff_norm(spec: SpectralField) -> float:
-    """Plain 2-norm of the coefficient array (grid-mean normalized by Parseval)."""
-    return float(np.linalg.norm(spec.coeffs.ravel()))
+    """2-norm of the coefficients over the whole lattice (the grid rms by Parseval)."""
+    return _lattice_norm(spec.coeffs, spec.grid)

@@ -44,9 +44,11 @@ def helmholtz(spec: SpectralField) -> SpectralField:
     g = spec.grid
     c = spec.coeffs
     dot = c[0] * g.xi1 + c[1] * g.xi2 + c[2] * g.xi3
-    safe = np.where(g.xi_sq > 0.0, g.xi_sq, 1.0)
-    scale = np.where(g.xi_sq > 0.0, dot / safe, 0.0)
-    out = np.stack([c[0] - g.xi1 * scale, c[1] - g.xi2 * scale, c[2] - g.xi3 * scale])
+    # dot vanishes wherever xi does, so dividing by 1 there leaves a zero
+    scale = dot / np.where(g.xi_sq > 0.0, g.xi_sq, 1.0)
+    out = np.empty_like(c)
+    for j, xi in enumerate(g.xi):
+        out[j] = c[j] - xi * scale
     return SpectralField(g, out)
 
 
@@ -86,7 +88,6 @@ def oseen_inverse(spec: SpectralField, params: Params, tol_mean: float = 1e-12) 
             "absorb a mean solenoidal forcing"
         )
     sym = oseen_symbol(spec.grid, params)
-    sym = sym.copy()
     sym[0, 0, 0, 0] = 1.0
     out = c / sym
     out[:, 0, 0, 0, 0] = 0.0

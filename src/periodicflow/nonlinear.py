@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .domain import Grid
 from .errors import NotSolenoidal
 from .fourier import (
     PhysicalField,
     SpectralField,
+    coeff_norm,
     divergence,
     forward,
     inverse,
     spatial_derivative,
+    spectral_sum,
 )
 
 __all__ = [
@@ -32,10 +35,19 @@ __all__ = [
 _FLOOR = 1e-300
 
 
+def _dealias_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Zero the modes outside the 2/3 band of every axis, by slicing, in place."""
+    m, n3, n2, _ = grid.spectral_shape
+    coeffs[:, m // 3 + 1 : m - m // 3] = 0.0
+    coeffs[:, :, n3 // 3 + 1 : n3 - n3 // 3] = 0.0
+    coeffs[:, :, :, n2 // 3 + 1 : n2 - n2 // 3] = 0.0
+    coeffs[..., grid.n_space[0] // 3 + 1 :] = 0.0
+    return coeffs
+
+
 def dealias(spec: SpectralField) -> SpectralField:
     """Zero every mode with |n_j| > N_j/3 or |k| > M/3 (2/3 rule, idempotent)."""
-    keep = spec.grid.dealias_mask
-    return SpectralField(spec.grid, np.where(keep, spec.coeffs, 0.0))
+    return SpectralField(spec.grid, _dealias_in_place(spec.coeffs.copy(), spec.grid))
 
 
 def convective_bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -49,8 +61,10 @@ def convective_bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
     out = np.zeros((3,) + g.shape, dtype=np.float64)
     for j in range(3):
         dv_j = inverse(spatial_derivative(v, axis=j + 1)).values
-        out += u_phys[j] * dv_j
-    return dealias(forward(PhysicalField(g, out)))
+        dv_j *= u_phys[j]
+        out += dv_j
+    spec = forward(PhysicalField(g, out))
+    return SpectralField(g, _dealias_in_place(spec.coeffs, g))
 
 
 def convective(u: SpectralField) -> SpectralField:
@@ -65,10 +79,10 @@ def _solenoidal_defect(w: SpectralField) -> float:
 
 
 def dealiased_tensor_product(w: SpectralField) -> np.ndarray:
-    """Coefficients of the dealiased outer product w_i w_j, shape (3, 3) + grid.shape."""
+    """Coefficients of the dealiased outer product w_i w_j, shape (3, 3) + grid.spectral_shape."""
     g = w.grid
     w_phys = inverse(w).values
-    out = np.empty((3, 3) + g.shape, dtype=np.complex128)
+    out = np.empty((3, 3) + g.spectral_shape, dtype=np.complex128)
     for i in range(3):
         for j in range(i, 3):
             prod = forward(PhysicalField(g, w_phys[i] * w_phys[j]))
@@ -108,11 +122,10 @@ def divergence_form(w: SpectralField, tol: float = 1e-10) -> SpectralField:
 def energy_neutrality_defect(u: SpectralField) -> float:
     """Normalized energy injection of the dealiased transport term.
 
-    Returns |<convective(u), u>| / (|u| |convective(u)| + floor) with plain
-    coefficient 2-norms; exactly zero transport orthogonality gives zero.
+    Returns |<convective(u), u>| / (|u| |convective(u)| + floor) with
+    full-lattice coefficient sums; exactly zero transport orthogonality gives
+    zero.
     """
     conv = convective(u)
-    ip = float(np.real(np.vdot(u.coeffs.ravel(), conv.coeffs.ravel())))
-    nu = float(np.linalg.norm(u.coeffs.ravel()))
-    nc = float(np.linalg.norm(conv.coeffs.ravel()))
-    return abs(ip) / (nu * nc + _FLOOR)
+    ip = spectral_sum(np.real(np.conj(u.coeffs) * conv.coeffs), u.grid)
+    return abs(ip) / (coeff_norm(u) * coeff_norm(conv) + _FLOOR)

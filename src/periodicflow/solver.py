@@ -22,6 +22,8 @@ from .errors import Diverging, NoConvergence, NotAGradient
 from .fourier import (
     PhysicalField,
     SpectralField,
+    _lattice_norm,
+    coeff_norm,
     forward,
     gradient,
     oscillatory_part,
@@ -90,9 +92,12 @@ def split(u: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 
 def picard_step(u: SpectralField, f_hat: SpectralField, params: Params) -> SpectralField:
-    """One fixed-point update: resolvent of the projected forcing minus transport."""
-    rhs = helmholtz(f_hat) - helmholtz(convective(u))
-    return oseen_inverse(rhs, params)
+    """One fixed-point update: resolvent of the projected forcing minus transport.
+
+    P_H is linear, so the forcing and the transport are projected together,
+    once per step.
+    """
+    return oseen_inverse(helmholtz(f_hat - convective(u)), params)
 
 
 def _as_spectral(f: SpectralField | PhysicalField) -> SpectralField:
@@ -129,7 +134,7 @@ def solve(
         raise ValueError("forcing grid does not match the requested grid")
 
     if config.initial_guess is None:
-        u = SpectralField(grid, np.zeros((3,) + grid.shape, dtype=np.complex128))
+        u = SpectralField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
     else:
         u = _as_spectral(config.initial_guess)
         if u.grid != grid:
@@ -141,8 +146,8 @@ def solve(
     prev_diff = 0.0
     for _ in range(config.max_iter):
         u_next = picard_step(u, f_hat, params)
-        diff = float(np.linalg.norm((u_next.coeffs - u.coeffs).ravel()))
-        norm = float(np.linalg.norm(u_next.coeffs.ravel()))
+        diff = coeff_norm(u_next - u)
+        norm = coeff_norm(u_next)
         if not (math.isfinite(diff) and math.isfinite(norm)):
             raise Diverging("iterates stopped being finite", tuple(history))
         delta = diff / max(norm, _FLOOR)
@@ -251,5 +256,5 @@ def pde_residual(
         -f_hat.coeffs,
     ]
     residual = sum(terms)
-    denom = max(float(np.linalg.norm(t.ravel())) for t in terms)
-    return float(np.linalg.norm(residual.ravel())) / max(denom, _FLOOR)
+    denom = max(_lattice_norm(t, grid) for t in terms)
+    return _lattice_norm(residual, grid) / max(denom, _FLOOR)

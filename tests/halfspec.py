@@ -1,0 +1,42 @@
+"""Test helpers that relate the half-spectrum layout to the full complex lattice."""
+
+import numpy as np
+
+
+def negate_modes(coeffs, axes=(-4, -3, -2, -1)):
+    """Index map m -> -m (mod lattice) on the given frequency axes."""
+    out = coeffs
+    for ax in axes:
+        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+    return out
+
+
+def full_spectrum(coeffs, grid):
+    """Complete half-spectrum coefficients to the full lattice by conjugate symmetry.
+
+    Stored modes n1 = 0..N1/2 are copied; each mode with n1 < 0 is the
+    conjugate of its stored partner at -m.  The result has the storage
+    layout of ``scipy.fft.fftn`` divided by the node count.
+    """
+    n1 = grid.n_space[0]
+    full = np.zeros(coeffs.shape[:-1] + (n1,), dtype=np.complex128)
+    full[..., : n1 // 2 + 1] = coeffs
+    partners = np.conj(coeffs[..., 1 : n1 // 2][..., ::-1])
+    full[..., n1 // 2 + 1 :] = negate_modes(partners, axes=(-4, -3, -2))
+    return full
+
+
+def full_forward(values, grid):
+    """Reference transform: complex fftn over all four axes, Nyquist planes zeroed."""
+    import scipy.fft
+
+    full = scipy.fft.fftn(values, axes=(-4, -3, -2, -1)) / grid.size
+    for axis, n in zip((-4, -3, -2, -1), grid.shape):
+        index = [slice(None)] * full.ndim
+        index[axis] = n // 2
+        full[tuple(index)] = 0.0
+    return full
+
+
+def spectral_zeros(grid, components=3):
+    return np.zeros((components,) + grid.spectral_shape, dtype=np.complex128)

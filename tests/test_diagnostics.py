@@ -20,7 +20,7 @@ from periodicflow import (
     spectrum_decay,
     split,
 )
-from periodicflow.diagnostics import _lq_spacetime, _xpres
+from periodicflow.diagnostics import _lq_spacetime
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,9 +102,9 @@ def test_invalid_exponents_are_rejected(grid8, params1):
         norms(u, params1, q_list=(2.5,))
     p = forward(zero_field(grid8, components=1))
     with pytest.raises(ValueError, match=r"\(1, inf\)"):
-        _xpres(p, 1.5, 1.0, grid8)
+        norms(u, params1, p=p, q_list=(1.5,), r_list=(1.0,))
     with pytest.raises(ValueError, match="open interval"):
-        _xpres(p, 3.0, 6.0, grid8)
+        norms(u, params1, p=p, q_list=(3.0,), r_list=(6.0,))
 
 
 def test_energy_balance_of_rest_state(grid8):
@@ -164,7 +164,7 @@ def test_dissipation_splits_through_cross_term(grid8):
 
 
 def test_spectrum_decay_single_mode(grid8):
-    coeffs = np.zeros((1,) + grid8.shape, dtype=np.complex128)
+    coeffs = np.zeros((1,) + grid8.spectral_shape, dtype=np.complex128)
     coeffs[0, 0, 0, 0, 2] = 0.25  # |n| = 2, k = 0
     table = spectrum_decay(SpectralField(grid8, coeffs))
     assert table.max_abs[2] == pytest.approx(0.25)
@@ -173,11 +173,12 @@ def test_spectrum_decay_single_mode(grid8):
     assert table.top_shell_max == table.max_abs[-1]
     assert table.monotone_from_peak
     assert len(table.csv_rows()) == len(table.shells)
-    assert table.counts.sum() == (~grid8.nyquist_mask).sum()
+    # counts cover the whole lattice less its Nyquist planes, 7 modes per axis
+    assert table.counts.sum() == 7**4
 
 
 def test_spectrum_decay_flags_rising_tail(grid8):
-    coeffs = np.zeros((1,) + grid8.shape, dtype=np.complex128)
+    coeffs = np.zeros((1,) + grid8.spectral_shape, dtype=np.complex128)
     coeffs[0, 0, 0, 0, 1] = 1.0  # shell 1
     coeffs[0, 0, 0, 0, 3] = 0.5  # shell 3, after an empty shell 2
     table = spectrum_decay(SpectralField(grid8, coeffs))
@@ -221,3 +222,43 @@ def test_norm_report_csv(grid8, params1):
     rows = without_p.csv_rows()
     assert len(rows) == 2
     assert all(row.count(",") == header_fields for row in rows)
+
+
+def test_norms_batched_over_exponents_match_single_calls(grid8, params1):
+    rng = np.random.default_rng(107)
+    u = forward(PhysicalField(grid8, rng.standard_normal((3,) + grid8.shape)))
+    p = forward(PhysicalField(grid8, rng.standard_normal((1,) + grid8.shape)))
+    q_list, r_list = (1.2, 1.5, 1.8), (4.0, 6.0)
+    batched = norms(u, params1, p=p, q_list=q_list, r_list=r_list)
+    for q in q_list:
+        single = norms(u, params1, p=p, q_list=(q,), r_list=r_list)
+        assert batched.lq[q] == pytest.approx(single.lq[q], rel=1e-12)
+        assert batched.w21q[q] == pytest.approx(single.w21q[q], rel=1e-12)
+        for field in ("amplitude", "gradient", "drift", "hessian"):
+            got = getattr(batched.xoseen[q], field)
+            assert got == pytest.approx(getattr(single.xoseen[q], field), rel=1e-12)
+        for r in r_list:
+            assert batched.xpres[(q, r)] == pytest.approx(single.xpres[(q, r)], rel=1e-12)
+
+
+def test_norms_transform_count_does_not_grow_with_exponents(grid8, params1, monkeypatch):
+    import periodicflow.diagnostics as diagnostics
+
+    calls = []
+    original = diagnostics.inverse
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.components)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "inverse", counting)
+    rng = np.random.default_rng(108)
+    u = forward(PhysicalField(grid8, rng.standard_normal((3,) + grid8.shape)))
+    p = forward(PhysicalField(grid8, rng.standard_normal((1,) + grid8.shape)))
+    counts = []
+    for q_list in ((1.2,), (1.2, 1.5, 1.8), (1.1, 1.2, 1.3, 1.4, 1.5, 1.6)):
+        calls.clear()
+        norms(u, params1, p=p, q_list=q_list, r_list=(4.0, 6.0))
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * len(counts)

@@ -102,3 +102,29 @@ def test_load_config_rejects_garbage(tmp_path):
         load_config(path)
     with pytest.raises(FieldFormatError):
         load_config(tmp_path / "missing.cfg")
+
+
+def test_oversized_header_is_rejected_before_any_grid_is_built(tmp_path, monkeypatch):
+    import periodicflow.fieldio
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a Grid was built for a header whose payload does not match")
+
+    monkeypatch.setattr(periodicflow.fieldio, "Grid", no_grid)
+    header = "\n".join(
+        [
+            "PERIODICFLOW-FIELD 1",
+            "components 3",
+            "n_space 4096 4096 4096",
+            "n_time 4096",
+            "box 1.0 1.0 1.0",
+            "period 1.0",
+            "endian little",
+            "data",
+            "",
+        ]
+    )
+    path = tmp_path / "huge.field"
+    path.write_bytes(header.encode("ascii") + b"\0" * 8)
+    with pytest.raises(FieldFormatError, match="payload"):
+        read_field(path)

@@ -143,7 +143,7 @@ def test_random_smooth_amplitude_is_exact_and_linear(grid8):
 def test_random_smooth_respects_cutoff(grid16):
     u = random_smooth(seed=11, amplitude=1.0, cutoff_shell=2, grid=grid16)
     spec = forward(u)
-    outside = spec.coeffs[:, grid16.mode_radius_sq > 4]
+    outside = spec.coeffs[:, grid16.mode_radius_sq() > 4]
     assert np.abs(outside).max() <= 1e-14
     with pytest.raises(ValueError):
         random_smooth(seed=11, amplitude=1.0, cutoff_shell=0, grid=grid16)

@@ -18,6 +18,7 @@ from periodicflow import (
     time_derivative,
     time_mean_part,
 )
+from halfspec import full_spectrum
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,10 +47,12 @@ def test_cosine_transforms_to_half_amplitude(grid8):
     x1 = grid8.coordinate_fields()[0]
     u = PhysicalField(grid8, np.cos(x1)[np.newaxis])
     spec = forward(u)
-    # cos(x1) = (e^{i x1} + e^{-i x1}) / 2 puts 1/2 at n1 = +/-1, k = 0
+    # cos(x1) = (e^{i x1} + e^{-i x1}) / 2 puts 1/2 at n1 = +/-1, k = 0; the
+    # half spectrum stores n1 = +1 and implies its conjugate partner
     assert spec.coeffs[0, 0, 0, 0, 1] == pytest.approx(0.5, abs=1e-14)
-    assert spec.coeffs[0, 0, 0, 0, -1] == pytest.approx(0.5, abs=1e-14)
-    rest = spec.coeffs.copy()
+    full = full_spectrum(spec.coeffs, grid8)
+    assert full[0, 0, 0, 0, -1] == pytest.approx(0.5, abs=1e-14)
+    rest = full.copy()
     rest[0, 0, 0, 0, 1] = 0.0
     rest[0, 0, 0, 0, -1] = 0.0
     assert np.abs(rest).max() <= 1e-14
@@ -65,7 +68,13 @@ def test_round_trip_on_representable_fields(grid16):
 def test_forward_zeroes_nyquist_rows(grid8):
     u = random_field(grid8, seed=3)
     spec = forward(u)
-    assert np.abs(spec.coeffs[:, grid8.nyquist_mask]).max() == 0.0
+    # the Nyquist plane of each axis: index N/2 of the full axes, the last
+    # stored x1 plane (n1 = N1/2) of the half axis
+    assert np.abs(spec.coeffs[:, 4]).max() == 0.0
+    assert np.abs(spec.coeffs[:, :, 4]).max() == 0.0
+    assert np.abs(spec.coeffs[:, :, :, 4]).max() == 0.0
+    assert np.abs(spec.coeffs[..., -1]).max() == 0.0
+    assert spec.coeffs.shape[-1] == grid8.n_space[0] // 2 + 1
 
 
 def test_forward_output_is_hermitian(grid8):
@@ -74,21 +83,33 @@ def test_forward_output_is_hermitian(grid8):
 
 
 def test_inverse_flags_broken_symmetry(grid8):
-    coeffs = np.zeros((1,) + grid8.shape, dtype=np.complex128)
-    coeffs[0, 1, 0, 0, 1] = 1.0  # no conjugate partner
+    # Off the n1 = 0 and n1 = N1/2 planes a stored mode implies its partner,
+    # so only those planes can break the symmetry; a lone mode there must.
+    coeffs = np.zeros((1,) + grid8.spectral_shape, dtype=np.complex128)
+    coeffs[0, 1, 0, 0, 0] = 1.0  # k = 1, n = 0: partner k = -1 left empty
     with pytest.raises(NotHermitian):
         inverse(SpectralField(grid8, coeffs))
+    coeffs = np.zeros((1,) + grid8.spectral_shape, dtype=np.complex128)
+    coeffs[0, 0, 1, 2, -1] = 1.0j  # on the n1 = N1/2 plane, partner left empty
+    with pytest.raises(NotHermitian):
+        inverse(SpectralField(grid8, coeffs))
+    coeffs[0, 0, -1, -2, -1] = -1.0j  # the conjugate partner restores it
+    assert np.abs(inverse(SpectralField(grid8, coeffs)).values).max() > 0.0
 
 
 def test_zero_coefficients_invert_to_zero(grid8):
-    spec = SpectralField(grid8, np.zeros((3,) + grid8.shape, dtype=np.complex128))
+    spec = SpectralField(grid8, np.zeros((3,) + grid8.spectral_shape, dtype=np.complex128))
     assert np.abs(inverse(spec).values).max() == 0.0
 
 
 def test_parseval(grid8):
     u = representable(random_field(grid8, seed=7))
     spec = forward(u)
-    lhs = np.sum(np.abs(spec.coeffs) ** 2)
+    # Full-lattice sum: stored planes off n1 = 0 and n1 = N1/2 stand for two modes.
+    weight = np.full(grid8.spectral_shape[-1], 2.0)
+    weight[0] = weight[-1] = 1.0
+    lhs = np.sum(np.abs(spec.coeffs) ** 2 * weight)
+    assert lhs == pytest.approx(np.sum(np.abs(full_spectrum(spec.coeffs, grid8)) ** 2), rel=1e-12)
     # One grid-mean per component, summed over components.
     rhs = np.sum(np.mean(u.values**2, axis=(1, 2, 3, 4)))
     assert lhs == pytest.approx(rhs, rel=1e-12)

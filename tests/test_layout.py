@@ -1,0 +1,152 @@
+"""The half-spectrum layout against full complex references on an anisotropic grid.
+
+Bugs in the x1 (half) axis hide on cubic grids, so every check here runs on
+a box, resolutions and period that differ per axis, and compares with plain
+``scipy.fft.fftn`` computations written out in the test.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from periodicflow import (
+    Grid,
+    Params,
+    PhysicalField,
+    SpectralField,
+    coeff_norm,
+    cross_orthogonality,
+    energy_balance,
+    forward,
+    inverse,
+    pde_residual,
+    picard_step,
+    random_smooth,
+    solve,
+    spectral_sum,
+)
+from halfspec import full_forward, full_spectrum
+
+AXES = (-4, -3, -2, -1)
+LAMS = (0.0, -1.5)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return Grid(box=(2.5, 1.0, 7.0), n_space=(8, 12, 16), n_time=10, period=0.7)
+
+
+def full_frequencies(grid):
+    """Broadcastable (omega, xi1, xi2, xi3) over the full lattice, FFT storage order."""
+    m, n3, n2, n1 = grid.shape
+    omega = 2 * math.pi / grid.period * np.fft.fftfreq(m, 1.0 / m).reshape(m, 1, 1, 1)
+    xi1 = 2 * math.pi / grid.box[0] * np.fft.fftfreq(n1, 1.0 / n1).reshape(1, 1, 1, n1)
+    xi2 = 2 * math.pi / grid.box[1] * np.fft.fftfreq(n2, 1.0 / n2).reshape(1, 1, n2, 1)
+    xi3 = 2 * math.pi / grid.box[2] * np.fft.fftfreq(n3, 1.0 / n3).reshape(1, n3, 1, 1)
+    return omega, xi1, xi2, xi3
+
+
+def reference_step(u_full, f_full, grid, lam):
+    """One Picard step on full complex spectra, written out independently of the package."""
+    omega, xi1, xi2, xi3 = full_frequencies(grid)
+    xi = (xi1, xi2, xi3)
+    size = grid.size
+    u_phys = (scipy.fft.ifftn(u_full, axes=AXES) * size).real
+    transport = sum(
+        u_phys[j] * (scipy.fft.ifftn(1j * xi[j] * u_full, axes=AXES) * size).real for j in range(3)
+    )
+    t_full = scipy.fft.fftn(transport, axes=AXES) / size
+    modes = [np.fft.fftfreq(n, 1.0 / n) for n in grid.shape]
+    for axis, (n, k) in enumerate(zip(grid.shape, modes)):
+        shape = [1, 1, 1, 1]
+        shape[axis] = n
+        keep = ((np.abs(k) * 3 <= n) & (2 * np.abs(k) != n)).reshape(shape)
+        t_full = t_full * keep
+    rhs = f_full - t_full
+    xi_sq = xi1**2 + xi2**2 + xi3**2
+    dot = rhs[0] * xi1 + rhs[1] * xi2 + rhs[2] * xi3
+    scale = np.where(xi_sq > 0, dot / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
+    projected = np.stack([rhs[j] - xi[j] * scale for j in range(3)])
+    symbol = xi_sq + 1j * (omega - lam * xi1)
+    symbol[0, 0, 0, 0] = 1.0
+    out = projected / symbol
+    out[:, 0, 0, 0, 0] = 0.0
+    return out
+
+
+def random_values(grid, seed, components=3):
+    return np.random.default_rng(seed).standard_normal((components,) + grid.shape)
+
+
+def test_round_trip(grid):
+    u = inverse(forward(PhysicalField(grid, random_values(grid, 1))))
+    back = inverse(forward(u))
+    assert np.abs(back.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
+    # the stored half equals the full reference transform on n1 = 0..N1/2
+    full = full_forward(u.values, grid)
+    spec = forward(u)
+    assert np.abs(spec.coeffs - full[..., : grid.n_space[0] // 2 + 1]).max() <= 1e-15
+    assert np.abs(full_spectrum(spec.coeffs, grid) - full).max() <= 1e-15
+
+
+def test_sums_match_the_full_lattice(grid):
+    u_values = inverse(forward(PhysicalField(grid, random_values(grid, 2)))).values
+    f_values = inverse(forward(PhysicalField(grid, random_values(grid, 3)))).values
+    u, f = forward(PhysicalField(grid, u_values)), forward(PhysicalField(grid, f_values))
+    u_full, f_full = full_forward(u_values, grid), full_forward(f_values, grid)
+    _, xi1, xi2, xi3 = full_frequencies(grid)
+    xi_sq = xi1**2 + xi2**2 + xi3**2
+
+    assert coeff_norm(u) == pytest.approx(np.linalg.norm(u_full.ravel()), rel=1e-13)
+
+    report = energy_balance(u, f)
+    dissipation = grid.volume * np.sum(xi_sq * np.sum(np.abs(u_full) ** 2, axis=0))
+    power = grid.volume * np.real(np.vdot(f_full.ravel(), u_full.ravel()))
+    assert report.dissipation == pytest.approx(dissipation, rel=1e-13)
+    assert report.power_in == pytest.approx(power, rel=1e-12)
+
+    cross = grid.volume * np.sum(xi_sq * np.real(np.sum(np.conj(u_full) * f_full, axis=0)))
+    assert cross_orthogonality(u, f) == pytest.approx(cross, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_picard_step_matches_full_complex_reference(grid, lam):
+    params = Params(lam=lam, period=grid.period)
+    u = forward(random_smooth(seed=5, amplitude=0.6, cutoff_shell=3, grid=grid))
+    f = forward(random_smooth(seed=6, amplitude=2.0, cutoff_shell=3, grid=grid))
+    expected = reference_step(
+        full_spectrum(u.coeffs, grid), full_spectrum(f.coeffs, grid), grid, lam
+    )
+    got = full_spectrum(picard_step(u, f, params).coeffs, grid)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_solve_certifies_the_discrete_system(grid, lam):
+    params = Params(lam=lam, period=grid.period)
+    f = random_smooth(seed=7, amplitude=2.0, cutoff_shell=3, grid=grid)
+    sol = solve(f, params, grid)
+    assert sol.iterations >= 3
+    assert pde_residual(sol.u, sol.p, f, params) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.tuples(*[st.sampled_from((4, 6, 8, 10)) for _ in range(4)]),
+    box=st.tuples(*[st.floats(0.5, 8.0) for _ in range(3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parseval_on_random_even_shapes(n, box, seed):
+    grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=1.3)
+    u = inverse(forward(PhysicalField(grid, random_values(grid, seed))))
+    spec = forward(u)
+    mean_sq = float(np.sum(np.mean(u.values**2, axis=(1, 2, 3, 4))))
+    assert coeff_norm(spec) ** 2 == pytest.approx(mean_sq, rel=1e-12)
+    full = full_forward(u.values, grid)
+    total = spectral_sum(np.abs(spec.coeffs) ** 2, grid)
+    assert total == pytest.approx(float(np.sum(np.abs(full) ** 2)), rel=1e-12)
+    assert isinstance(spec, SpectralField) and spec.coeffs.shape[1:] == grid.spectral_shape

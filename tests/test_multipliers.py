@@ -82,7 +82,7 @@ def test_helmholtz_is_idempotent_and_solenoidal(grid8):
 
 def test_helmholtz_keeps_spatially_constant_modes():
     grid = Grid(box=(2 * math.pi,) * 3, n_space=(4, 4, 4), n_time=4, period=2 * math.pi)
-    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
     coeffs[:, 1, 0, 0, 0] = 2.0 - 1.0j
     coeffs[:, -1, 0, 0, 0] = 2.0 + 1.0j
     spec = SpectralField(grid, coeffs)
@@ -117,7 +117,7 @@ def test_oseen_round_trips():
 
 
 def test_oseen_inverse_rejects_mean_mode(grid8, params1):
-    coeffs = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    coeffs = np.zeros((3,) + grid8.spectral_shape, dtype=np.complex128)
     coeffs[:, 0, 0, 0, 0] = 1.0
     with pytest.raises(MeanModeNonzero):
         oseen_inverse(SpectralField(grid8, coeffs), params1)
@@ -130,7 +130,7 @@ def test_oseen_inverse_preserves_conjugate_symmetry(grid8, params1):
 
 
 def test_half_derivative_factor_hand_values(grid8):
-    u = np.zeros((1,) + grid8.shape, dtype=np.complex128)
+    u = np.zeros((1,) + grid8.spectral_shape, dtype=np.complex128)
     u[0, 1, 0, 0, 0] = 1.0
     u[0, -1, 0, 0, 0] = 1.0
     out = half_time_derivative(SpectralField(grid8, u)).coeffs
@@ -172,7 +172,7 @@ def test_half_derivative_commutes_with_helmholtz(grid8):
 
 
 def test_regularity_multiplier_hand_value(grid8, params1):
-    coeffs = np.zeros((1,) + grid8.shape, dtype=np.complex128)
+    coeffs = np.zeros((1,) + grid8.spectral_shape, dtype=np.complex128)
     coeffs[0, 1, 0, 0, 1] = 1.0  # k = 1, xi = (1, 0, 0)
     out = regularity_multiplier(SpectralField(grid8, coeffs), axis=1, params=params1)
     expected = np.exp(1j * math.pi / 4.0) * 1j / (1.0 + 1.0j)

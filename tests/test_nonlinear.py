@@ -108,24 +108,30 @@ def test_dealias_is_idempotent_and_interior_safe(grid8):
 
 
 def test_dealias_removes_outer_band(grid8):
-    coeffs = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    # |n| = 3 > N/3 on each axis: n1 = 3 is stored at index 3 of the half
+    # axis, n2 = +/-3 and k = -3 at their FFT positions on the full axes
+    coeffs = np.zeros((3,) + grid8.spectral_shape, dtype=np.complex128)
     coeffs[0, 0, 0, 0, 3] = 1.0
-    coeffs[0, 0, 0, 0, -3] = 1.0
+    coeffs[1, 0, 0, 3, 0] = 1.0
+    coeffs[1, 0, 0, -3, 0] = 1.0
+    coeffs[2, -3, 0, 0, 1] = 1.0
     out = dealias(SpectralField(grid8, coeffs))
     assert np.abs(out.coeffs).max() == 0.0
+    coeffs[2, -2, 2, -2, 2] = 1.0  # inside the band on every axis
+    assert np.abs(dealias(SpectralField(grid8, coeffs)).coeffs).sum() == 1.0
 
 
 def test_tensor_product_is_symmetric(grid8):
     w = smooth_solenoidal(grid8, seed=80)
     tensor = dealiased_tensor_product(w)
-    assert tensor.shape == (3, 3) + grid8.shape
+    assert tensor.shape == (3, 3) + grid8.spectral_shape
     for i in range(3):
         for j in range(3):
             assert np.array_equal(tensor[i, j], tensor[j, i])
 
 
 def test_energy_neutrality(grid16):
-    zero = SpectralField(grid16, np.zeros((3,) + grid16.shape, dtype=np.complex128))
+    zero = SpectralField(grid16, np.zeros((3,) + grid16.spectral_shape, dtype=np.complex128))
     assert energy_neutrality_defect(zero) == 0.0
     u = smooth_solenoidal(grid16, seed=81)
     assert energy_neutrality_defect(u) <= 1e-8

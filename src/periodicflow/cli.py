@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fieldio import load_config, read_field, write_field
 from .forcing import PRESET_NAMES, manufactured, manufactured_preset, random_smooth
-from .fourier import PhysicalField, forward, inverse
+from .fourier import PhysicalField, _nodes, forward, inverse
 from .multipliers import PROBE_SYMBOLS, MultiplierReport, marcinkiewicz_probe
 from .solver import SolverConfig, pde_residual, solve
 
@@ -50,31 +50,20 @@ class UsageError(Exception):
     pass
 
 
-def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
+def _parse_numbers(text: str, count: int, what: str, kind: type = float) -> tuple:
+    """``count`` values of type ``kind`` from comma or space separated text; one value repeats."""
     parts = text.replace(",", " ").split()
     if len(parts) == 1:
         parts = parts * count
     if len(parts) != count:
-        raise UsageError(f"{what} needs 1 or {count} integers, got {text!r}")
+        raise UsageError(f"{what} needs 1 or {count} values, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(kind(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from exc
 
 
-def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
-    parts = text.replace(",", " ").split()
-    if len(parts) == 1:
-        parts = parts * count
-    if len(parts) != count:
-        raise UsageError(f"{what} needs 1 or {count} numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"{what}: {exc}") from exc
-
-
-def _setting(args, flag_value, config, section, key):
+def _setting(flag_value, config, section, key):
     """Flag beats config; returns None when neither is present."""
     if flag_value is not None:
         return flag_value
@@ -88,23 +77,23 @@ def _require(value, what):
 
 
 def _build_grid_params(args, config) -> tuple[Grid, Params]:
-    grid_text = _setting(args, args.grid, config, "grid", "resolution")
+    grid_text = _setting(args.grid, config, "grid", "resolution")
     if grid_text is None:
         n_space_text = config.get("grid", {}).get("n_space")
         n_time_text = config.get("grid", {}).get("n_time")
         if n_space_text is None or n_time_text is None:
             raise UsageError("missing required setting: grid resolution (--grid or [grid] n_space/n_time)")
-        n_space = _parse_ints(n_space_text, 3, "[grid] n_space")
+        n_space = _parse_numbers(n_space_text, 3, "[grid] n_space", int)
         n_time = int(n_time_text)
     else:
-        values = _parse_ints(str(grid_text), 4, "--grid N1,N2,N3,M")
+        values = _parse_numbers(str(grid_text), 4, "--grid N1,N2,N3,M", int)
         n_space, n_time = values[:3], values[3]
 
-    box_text = _setting(args, args.box, config, "grid", "box")
-    box = _parse_floats(str(box_text), 3, "--box") if box_text is not None else (2 * np.pi,) * 3
-    period_text = _setting(args, args.period, config, "params", "period")
+    box_text = _setting(args.box, config, "grid", "box")
+    box = _parse_numbers(str(box_text), 3, "--box") if box_text is not None else (2 * np.pi,) * 3
+    period_text = _setting(args.period, config, "params", "period")
     period = float(period_text) if period_text is not None else 2 * np.pi
-    lam_text = _setting(args, args.lam, config, "params", "lambda")
+    lam_text = _setting(args.lam, config, "params", "lambda")
     lam = float(lam_text) if lam_text is not None else 1.0
 
     try:
@@ -116,11 +105,11 @@ def _build_grid_params(args, config) -> tuple[Grid, Params]:
 
 
 def _build_forcing(args, config, grid: Grid, params: Params) -> PhysicalField:
-    preset = _setting(args, args.preset, config, "forcing", "preset")
-    forcing_file = _setting(args, getattr(args, "forcing_file", None), config, "forcing", "field")
-    amplitude_text = _setting(args, args.amplitude, config, "forcing", "amplitude")
+    preset = _setting(args.preset, config, "forcing", "preset")
+    forcing_file = _setting(getattr(args, "forcing_file", None), config, "forcing", "field")
+    amplitude_text = _setting(args.amplitude, config, "forcing", "amplitude")
     amplitude = float(amplitude_text) if amplitude_text is not None else 1e-2
-    scale_text = _setting(args, args.scale, config, "forcing", "scale")
+    scale_text = _setting(args.scale, config, "forcing", "scale")
     scale = float(scale_text) if scale_text is not None else 1.0
 
     if forcing_file is not None:
@@ -128,9 +117,9 @@ def _build_forcing(args, config, grid: Grid, params: Params) -> PhysicalField:
         if f.components != 3:
             raise UsageError(f"forcing file must hold 3 components, found {f.components}")
     elif preset == "random":
-        seed_text = _setting(args, args.seed, config, "forcing", "seed")
+        seed_text = _setting(args.seed, config, "forcing", "seed")
         seed = int(seed_text) if seed_text is not None else 0
-        cutoff_text = _setting(args, getattr(args, "cutoff", None), config, "forcing", "cutoff_shell")
+        cutoff_text = _setting(getattr(args, "cutoff", None), config, "forcing", "cutoff_shell")
         cutoff = int(cutoff_text) if cutoff_text is not None else 3
         f = random_smooth(seed=seed, amplitude=amplitude, cutoff_shell=cutoff, grid=grid)
     elif preset is not None:
@@ -156,29 +145,35 @@ def _run_solve(args) -> int:
     grid, params = _build_grid_params(args, config)
     f = _build_forcing(args, config, grid, params)
 
-    tol_text = _setting(args, args.tol, config, "solver", "tol")
-    max_iter_text = _setting(args, args.max_iter, config, "solver", "max_iter")
+    tol_text = _setting(args.tol, config, "solver", "tol")
+    max_iter_text = _setting(args.max_iter, config, "solver", "max_iter")
     solver_config = SolverConfig(
         tol=float(tol_text) if tol_text is not None else 1e-10,
         max_iter=int(max_iter_text) if max_iter_text is not None else 200,
     )
 
-    out_text = _setting(args, args.out_dir, config, "output", "out_dir")
+    out_text = _setting(args.out_dir, config, "output", "out_dir")
     out_dir = Path(out_text) if out_text is not None else Path("periodicflow_out")
 
-    sol = solve(f, params, grid, solver_config)
+    f_hat = forward(f)
+    sol = solve(f_hat, params, grid, solver_config)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     u = sol.u
-    write_field(out_dir / "u.field", inverse(u))
-    write_field(out_dir / "v.field", inverse(sol.v))
-    write_field(out_dir / "w.field", inverse(sol.w))
+    u_nodes = inverse(u).values
+    # v is constant in time: invert its k = 0 plane over space alone
+    v_nodes = _nodes(sol.v.coeffs[:, 0], grid.shape[1:])[:, np.newaxis]
+    write_field(out_dir / "u.field", PhysicalField(grid, u_nodes))
+    write_field(out_dir / "v.field", PhysicalField(grid, np.broadcast_to(v_nodes, u_nodes.shape)))
+    u_nodes -= v_nodes
+    write_field(out_dir / "w.field", PhysicalField(grid, u_nodes))
+    del u_nodes
     write_field(out_dir / "p.field", inverse(sol.p))
     write_field(out_dir / "f.field", f)
 
     report = norms(u, params, p=sol.p)
     _write_csv(out_dir / "norms.csv", NormReport.csv_header(), report.csv_rows())
-    energy = energy_balance(u, f)
+    energy = energy_balance(u, f_hat)
     _write_csv(out_dir / "energy.csv", EnergyReport.csv_header(), energy.csv_rows())
     iter_rows = [
         f"{i + 1},{d:.12e}" for i, d in enumerate(sol.update_history)
@@ -187,9 +182,8 @@ def _run_solve(args) -> int:
     table = spectrum_decay(u)
     _write_csv(out_dir / "spectrum.csv", SpectrumTable.csv_header(), table.csv_rows())
 
-    residual = pde_residual(u, sol.p, f, params)
     print(f"converged iterations={sol.iterations} contraction={sol.contraction_estimate:.3e}")
-    print(f"pde_residual={residual:.3e} energy_gap={energy.relative_gap:.3e}")
+    print(f"pde_residual={sol.pde_residual:.3e} energy_gap={energy.relative_gap:.3e}")
     if params.driftless:
         print("note=driftless lambda is zero; drift-weighted norms degenerate")
     print(f"wrote {out_dir}/u.field v.field w.field p.field f.field and CSV reports")
@@ -200,10 +194,10 @@ def _run_verify(args) -> int:
     config = load_config(args.config) if args.config else {}
     grid, params = _build_grid_params(args, config)
     velocity_path = _require(
-        _setting(args, args.velocity, config, "verify", "velocity"), "--velocity"
+        _setting(args.velocity, config, "verify", "velocity"), "--velocity"
     )
     pressure_path = _require(
-        _setting(args, args.pressure, config, "verify", "pressure"), "--pressure"
+        _setting(args.pressure, config, "verify", "pressure"), "--pressure"
     )
     u = read_field(str(velocity_path), expected_grid=grid)
     p = read_field(str(pressure_path), expected_grid=grid)
@@ -266,7 +260,7 @@ def _run_norms(args) -> int:
     config = load_config(args.config) if args.config else {}
     grid, params = _build_grid_params(args, config)
     velocity_path = _require(
-        _setting(args, args.velocity, config, "verify", "velocity"), "--velocity"
+        _setting(args.velocity, config, "verify", "velocity"), "--velocity"
     )
     u = read_field(str(velocity_path), expected_grid=grid)
     p = read_field(str(args.pressure), expected_grid=grid) if args.pressure else None

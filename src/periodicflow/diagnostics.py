@@ -15,12 +15,14 @@ import numpy as np
 
 from .domain import Grid, Params
 from .fourier import (
+    _UNIT_INDICES,
     PhysicalField,
     SpectralField,
     _abs_sq,
+    _derivative_factor,
+    _derivative_nodes,
     _lattice_norm,
     _nodes,
-    gradient,
     inverse,
     oscillatory_part,
     spectral_sum,
@@ -60,10 +62,6 @@ def _magnitude(values: np.ndarray) -> np.ndarray:
 def _lq_spacetime(mag: np.ndarray, q: float, grid: Grid) -> float:
     """L^q norm of node magnitudes; a single time slice gives the norm over the box alone."""
     return float((grid.volume * np.mean(mag**q)) ** (1.0 / q))
-
-
-def _derivative_factor(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
-    return (1j * grid.xi1) ** alpha[0] * (1j * grid.xi2) ** alpha[1] * (1j * grid.xi3) ** alpha[2]
 
 
 _MULTI_INDICES = (
@@ -136,29 +134,48 @@ class NormReport:
         return rows
 
 
-def _w21q(w: SpectralField, q_list: tuple[float, ...], grid: Grid) -> dict[float, float]:
-    """Anisotropic Sobolev norms of ``w``: each derivative field is inverted once for all q."""
+def _w21q(
+    w: SpectralField, steady_nodes: np.ndarray, q_list: tuple[float, ...], grid: Grid
+) -> tuple[dict[float, float], dict[float, float]]:
+    """Anisotropic Sobolev norms of ``w``, and the L^q norms of u = v + w on the way.
+
+    The derivative fields of ``w`` come one at a time from shared transform
+    passes and serve every q.  The undifferentiated one plus
+    ``steady_nodes``, the node values of the steady part v on one time slice,
+    gives the nodes of u.  Returns (lq of u, w21q of w).
+    """
+
+    def fields():
+        yield from _derivative_nodes(w, _MULTI_INDICES)
+        yield None, inverse(SpectralField(grid, w.coeffs * (1j * grid.omega))).values
+
     totals = dict.fromkeys(q_list, 0.0)
-    factors = [_derivative_factor(grid, alpha) for alpha in _MULTI_INDICES]
-    for factor in factors + [1j * grid.omega]:
-        mag = _magnitude(inverse(SpectralField(grid, w.coeffs * factor)).values)
+    lq = {}
+    for alpha, values in fields():
+        mag = _magnitude(values)
         for q in totals:
             totals[q] += _lq_spacetime(mag, q, grid) ** q
-    return {q: float(total ** (1.0 / q)) for q, total in totals.items()}
-
-
-_UNIT_INDICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        if alpha == (0, 0, 0):
+            values += steady_nodes[:, np.newaxis]
+            mag = _magnitude(values)
+            lq = {q: _lq_spacetime(mag, q, grid) for q in q_list}
+    return lq, {q: float(total ** (1.0 / q)) for q, total in totals.items()}
 
 
 def _xoseen(
-    steady: np.ndarray, q_list: tuple[float, ...], lam: float, grid: Grid
+    steady: np.ndarray,
+    steady_nodes: np.ndarray,
+    q_list: tuple[float, ...],
+    lam: float,
+    grid: Grid,
 ) -> dict[float, OseenTerms]:
     """Drift-weighted steady-part norms from the k = 0 plane ``steady`` of a velocity spectrum.
 
-    The steady part is constant in time, so its node values and derivatives
-    come from 3-d transforms of that plane alone.  Each derivative field is
-    inverted once; the gradient and Hessian magnitudes are accumulated as
-    sums of squares, the Hessian's mixed entries counting twice.
+    The steady part is constant in time, so its node values (``steady_nodes``)
+    and derivatives come from 3-d transforms of that plane alone.  Each
+    derivative field is inverted once; the gradient and Hessian magnitudes
+    are accumulated as sums of squares, the Hessian's mixed entries counting
+    twice.
     """
     shape = grid.shape[1:]
 
@@ -167,7 +184,7 @@ def _xoseen(
         d = _nodes(steady * _derivative_factor(grid, alpha)[0], shape)
         return np.einsum("c...,c...->...", d, d)
 
-    amplitude = _magnitude(_nodes(steady, shape))
+    amplitude = _magnitude(steady_nodes)
     grad_sq = [sq_nodes(alpha) for alpha in _UNIT_INDICES]
     drift = np.sqrt(grad_sq[0])
     gradient_mag = np.sqrt(sum(grad_sq))
@@ -193,9 +210,13 @@ def _xoseen(
 def _xpres(
     p: SpectralField, q_list: tuple[float, ...], r_list: tuple[float, ...], grid: Grid
 ) -> dict[tuple[float, float], float]:
-    """Mixed time-space pressure norms for every (q, r); p and grad p are inverted once."""
-    mag_p = _magnitude(inverse(p).values)
-    mag_gp = _magnitude(inverse(gradient(p)).values)
+    """Mixed time-space pressure norms for every (q, r); p and grad p share one set of passes."""
+    fields = _derivative_nodes(p, ((0, 0, 0),) + _UNIT_INDICES)
+    mag_p = _magnitude(next(fields)[1])
+    mag_gp = np.zeros(grid.shape)
+    for _, values in fields:
+        mag_gp += np.square(values[0])
+    np.sqrt(mag_gp, out=mag_gp)
     dt_weight = grid.period / grid.n_time
     volume = grid.volume
     out = {}
@@ -222,7 +243,8 @@ def norms(
     Each q must lie in (1, 2) because the steady-part family is evaluated for
     all of them; each r must lie in (1, inf).  Without a pressure the xpres
     entries are left empty.  Every field is transformed once per call,
-    however many exponents are requested.
+    however many exponents are requested, and the derivative fields of one
+    spectrum share their transform passes.
     """
     for q in q_list:
         if not 1.0 < q < 2.0:
@@ -234,11 +256,10 @@ def norms(
 
     u_hat = _as_spectral(u)
     grid = u_hat.grid
-    mag = _magnitude(inverse(u_hat).values)
-    lq = {q: _lq_spacetime(mag, q, grid) for q in q_list}
-    del mag
-    w21q = _w21q(oscillatory_part(u_hat), q_list, grid)
-    xoseen = _xoseen(u_hat.coeffs[:, 0], q_list, params.lam, grid)
+    steady = u_hat.coeffs[:, 0]
+    steady_nodes = _nodes(steady, grid.shape[1:])
+    lq, w21q = _w21q(oscillatory_part(u_hat), steady_nodes, q_list, grid)
+    xoseen = _xoseen(steady, steady_nodes, q_list, params.lam, grid)
     xpres = _xpres(_as_spectral(p), q_list, r_list, grid) if p is not None else {}
 
     return NormReport(

@@ -19,8 +19,10 @@ import numpy as np
 from .domain import Grid, Params
 from .errors import NotSolenoidal
 from .fourier import (
+    _UNIT_INDICES,
     PhysicalField,
     SpectralField,
+    _derivative_nodes,
     coeff_norm,
     divergence,
     forward,
@@ -47,20 +49,12 @@ PRESET_NAMES = ("trig", "analytic", "steady")
 _FLOOR = 1e-300
 
 
-def _sample_vector(fn: VectorCallable, grid: Grid) -> PhysicalField:
-    x1, x2, x3, t = grid.coordinate_fields()
-    comps = fn(x1, x2, x3, t)
-    values = np.stack([np.broadcast_to(np.asarray(c, dtype=np.float64), grid.shape) for c in comps])
-    return PhysicalField(grid, values)
+def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool, tol: float) -> PhysicalField:
+    """Samples of ``fn`` on the nodes, after checking that it is periodic on the box and period.
 
-
-def _sample_scalar(fn: ScalarCallable, grid: Grid) -> PhysicalField:
-    x1, x2, x3, t = grid.coordinate_fields()
-    values = np.broadcast_to(np.asarray(fn(x1, x2, x3, t), dtype=np.float64), grid.shape)
-    return PhysicalField(grid, values[np.newaxis])
-
-
-def _check_periodic(fn: Callable, grid: Grid, is_vector: bool, tol: float) -> None:
+    The unshifted evaluation of the check is the sample, so each callable
+    runs five times: once on the nodes and once per shifted axis.
+    """
     x1, x2, x3, t = grid.coordinate_fields()
     base = fn(x1, x2, x3, t)
     shifts = (
@@ -87,15 +81,22 @@ def _check_periodic(fn: Callable, grid: Grid, is_vector: bool, tol: float) -> No
                 f"analytic field is not periodic in {name}: boundary mismatch "
                 f"{mismatch:.3e} exceeds {tol:.1e} of scale {scale:.3e}"
             )
+    return PhysicalField(grid, np.stack([np.broadcast_to(a, grid.shape) for a in base_arrs]))
 
 
 def _raw_transport(u_hat: SpectralField, u_phys: np.ndarray) -> SpectralField:
-    """Pointwise (u . grad) u from the samples, no dealiasing truncation."""
+    """Pointwise (u . grad) u from the samples, no dealiasing truncation.
+
+    The advecting velocity is the samples ``u_phys`` themselves, not the
+    nodes of ``u_hat``: ``forward`` zeroes Nyquist planes, so the two differ
+    wherever the samples carry Nyquist content, and ``convective`` would
+    change the forcing there (besides truncating the product).
+    """
     g = u_hat.grid
     out = np.zeros((3,) + g.shape, dtype=np.float64)
-    for j in range(3):
-        du_j = inverse(spatial_derivative(u_hat, axis=j + 1)).values
-        out += u_phys[j] * du_j
+    for alpha, du_j in _derivative_nodes(u_hat, _UNIT_INDICES):
+        du_j *= u_phys[alpha.index(1)]
+        out += du_j
     return forward(PhysicalField(g, out))
 
 
@@ -113,11 +114,8 @@ def manufactured(
     periodic on the box and period, and velocity fields whose spectral
     divergence is not negligible.
     """
-    _check_periodic(u_star, grid, is_vector=True, tol=periodicity_tol)
-    _check_periodic(p_star, grid, is_vector=False, tol=periodicity_tol)
-
-    u_field = _sample_vector(u_star, grid)
-    p_field = _sample_scalar(p_star, grid)
+    u_field = _periodic_samples(u_star, grid, is_vector=True, tol=periodicity_tol)
+    p_field = _periodic_samples(p_star, grid, is_vector=False, tol=periodicity_tol)
     u_hat = forward(u_field)
     p_hat = forward(p_field)
 

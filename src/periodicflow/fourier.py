@@ -27,12 +27,19 @@ coefficient.  ``forward`` makes the n1 = 0 plane exactly symmetric and every
 multiplier of the package preserves that bit for bit, so computed spectra
 pass with no defect at all.
 
-Transport.  The nonlinear term keeps its convective form (u . grad) u, three
-components times four inverse transforms plus one forward transform per
-Picard step.  The divergence form would need fewer inverse transforms, but
-the two forms differ by aliasing of unresolved tails, and ``pde_residual``
-evaluates the convective form, so it certifies the discrete system the solver
-actually iterates.
+Transport.  The nonlinear term keeps its convective form (u . grad) u.  The
+divergence form would need fewer transforms, but the two forms differ by
+aliasing of unresolved tails, and ``pde_residual`` evaluates the convective
+form, so it certifies the discrete system the solver actually iterates.
+
+Shared passes.  A multidimensional transform is a sequence of 1-d passes
+(Frigo & Johnson 2005), and a spatial derivative is a multiplier along the
+space axes only.  ``_derivative_nodes`` therefore inverts several derivative
+fields of one spectrum together: one pass over the time axis for all of
+them, one x3 pass per distinct x3 order, and a 2-d real transform over
+(x2, x1) per field.  The node values of u and its gradient, which the
+transport needs on every Picard step, cost 11 one-dimensional passes per
+component instead of the 16 of four separate inverse transforms.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -66,6 +74,8 @@ __all__ = [
 
 _AXES = (-4, -3, -2, -1)
 _FLOOR = 1e-300
+# Spatial derivative orders (a1, a2, a3) of the gradient, in axis order.
+_UNIT_INDICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # Index pairs (m, -m) along one full axis: index 0 is its own partner, index i
 # pairs with N - i, which is the reversed view of 1..N-1.
 _MIRROR = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
@@ -198,13 +208,11 @@ def _plane_defect(coeffs: np.ndarray) -> float:
     )
 
 
-def _nodes(coeffs: np.ndarray, shape: tuple[int, ...], imag_tol: float = 1e-10) -> np.ndarray:
-    """Real node values of half-spectrum ``coeffs`` on a grid of ``shape``, symmetry checked.
+def _check_real(coeffs: np.ndarray, imag_tol: float) -> None:
+    """Raise ``NotHermitian`` unless ``coeffs`` is, to ``imag_tol``, a real field's half spectrum.
 
-    The transform runs over the trailing ``len(shape)`` axes, so the same
-    helper inverts a space-time spectrum or a single spatial plane of one.
-    Only a nonzero defect costs a pass over the whole spectrum, for the
-    scale it is judged against.
+    Only a nonzero defect costs a pass over the whole spectrum, for the scale
+    it is judged against.
     """
     defect = _plane_defect(coeffs)
     if defect > 0.0:
@@ -214,8 +222,77 @@ def _nodes(coeffs: np.ndarray, shape: tuple[int, ...], imag_tol: float = 1e-10) 
                 f"conjugate-pair defect {defect:.3e} on the n1 = 0 or n1 = N1/2 plane "
                 f"exceeds {imag_tol:.1e} of coefficient magnitude {scale:.3e}"
             )
+
+
+def _nodes(coeffs: np.ndarray, shape: tuple[int, ...], imag_tol: float = 1e-10) -> np.ndarray:
+    """Real node values of half-spectrum ``coeffs`` on a grid of ``shape``, symmetry checked.
+
+    The transform runs over the trailing ``len(shape)`` axes, so the same
+    helper inverts a space-time spectrum or a single spatial plane of one.
+    """
+    _check_real(coeffs, imag_tol)
     axes = tuple(range(-len(shape), 0))
     return _fft.irfftn(coeffs, s=shape, axes=axes, norm="forward", workers=-1)
+
+
+def _derivative_factor(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
+    """Multiplier of the spatial derivative D^alpha, alpha = (a1, a2, a3)."""
+    return (1j * grid.xi1) ** alpha[0] * (1j * grid.xi2) ** alpha[1] * (1j * grid.xi3) ** alpha[2]
+
+
+def _nyquist_free(coeffs: np.ndarray) -> bool:
+    """True if ``coeffs`` is zero on the n1 = N1/2 plane and the x2, x3 Nyquist rows of n1 = 0."""
+    plane = coeffs[..., 0]
+    n3, n2 = plane.shape[-2:]
+    return not (coeffs[..., -1].any() or plane[:, :, n3 // 2].any() or plane[..., n2 // 2].any())
+
+
+def _derivative_nodes(
+    spec: SpectralField, orders: Sequence[tuple[int, int, int]], imag_tol: float = 1e-10
+) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
+    """Yield ``(alpha, nodes)`` with the real node values of D^alpha ``spec`` for each order.
+
+    The inverse transform of every field shares passes with the others: one
+    complex pass over the time axis for all orders, one x3 pass for each
+    distinct a3, then a 2-d real transform over (x2, x1) per order.  Fields
+    come out grouped by a3, in the given order within a group, one at a
+    time; at most the time-pass array and one x3-pass array are held.
+
+    Each field raises ``NotHermitian`` exactly when ``inverse`` of
+    ``spec.coeffs * factor`` would.  The factor maps conjugate pairs to
+    conjugate pairs bit for bit except where it fails to change sign with the
+    mode: on the n1 = N1/2 plane and on the x2 and x3 Nyquist rows of the
+    n1 = 0 plane.  So an input with no defect and nothing there yields
+    symmetric fields, and only other inputs are checked order by order.
+    """
+    grid = spec.grid
+    coeffs = spec.coeffs
+    if _plane_defect(coeffs) > 0.0 or not _nyquist_free(coeffs):
+        for alpha in orders:
+            _check_real(coeffs * _derivative_factor(grid, alpha), imag_tol)
+    n1, n2, _ = grid.n_space
+    timed = _fft.ifft(coeffs, axis=1, norm="forward", workers=-1)
+    for a3 in dict.fromkeys(alpha[2] for alpha in orders):
+        along_x3 = _fft.ifft(
+            timed * _derivative_factor(grid, (0, 0, a3)) if a3 else timed,
+            axis=2,
+            norm="forward",
+            overwrite_x=bool(a3),
+            workers=-1,
+        )
+        for alpha in orders:
+            if alpha[2] != a3:
+                continue
+            # a scaled field is a temporary, which the 2-d transform may overwrite
+            scaled = alpha[:2] != (0, 0)
+            yield alpha, _fft.irfft2(
+                along_x3 * _derivative_factor(grid, alpha[:2] + (0,)) if scaled else along_x3,
+                s=(n2, n1),
+                norm="forward",
+                overwrite_x=scaled,
+                workers=-1,
+            )
+        del along_x3
 
 
 def inverse(spec: SpectralField, imag_tol: float = 1e-10) -> PhysicalField:

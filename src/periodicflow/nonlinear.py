@@ -13,13 +13,14 @@ import numpy as np
 from .domain import Grid
 from .errors import NotSolenoidal
 from .fourier import (
+    _UNIT_INDICES,
     PhysicalField,
     SpectralField,
+    _derivative_nodes,
     coeff_norm,
     divergence,
     forward,
     inverse,
-    spatial_derivative,
     spectral_sum,
 )
 
@@ -51,17 +52,25 @@ def dealias(spec: SpectralField) -> SpectralField:
 
 
 def convective_bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased transport term (u . grad) v in convective form."""
+    """Dealiased transport term (u . grad) v in convective form.
+
+    For self-transport (``u is v``) the node values of u share the transform
+    passes of its gradient.
+    """
     if u.components != 3 or v.components != 3:
         raise ValueError("convective term expects 3-component fields")
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
-    u_phys = inverse(u).values
+    if u is v:
+        fields = _derivative_nodes(v, ((0, 0, 0),) + _UNIT_INDICES)
+        u_phys = next(fields)[1]
+    else:
+        u_phys = inverse(u).values
+        fields = _derivative_nodes(v, _UNIT_INDICES)
     out = np.zeros((3,) + g.shape, dtype=np.float64)
-    for j in range(3):
-        dv_j = inverse(spatial_derivative(v, axis=j + 1)).values
-        dv_j *= u_phys[j]
+    for alpha, dv_j in fields:
+        dv_j *= u_phys[alpha.index(1)]
         out += dv_j
     spec = forward(PhysicalField(g, out))
     return SpectralField(g, _dealias_in_place(spec.coeffs, g))

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _FLOOR = 1e-300
+_GRADIENT_TOL = 1e-9
 _GUARD_STREAK = 3
 _BLOWUP = 1e120
 
@@ -72,7 +73,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged steady part, oscillatory part, pressure and iteration record."""
+    """Converged steady part, oscillatory part, pressure and iteration record.
+
+    ``pde_residual`` is ``pde_residual(u, p, f, params)`` of the returned
+    velocity and pressure.
+    """
 
     v: SpectralField
     w: SpectralField
@@ -80,6 +85,7 @@ class Solution:
     iterations: int
     update_history: tuple[float, ...] = field(repr=False)
     contraction_estimate: float
+    pde_residual: float
 
     @property
     def u(self) -> SpectralField:
@@ -119,6 +125,9 @@ def solve(
     config: SolverConfig = SolverConfig(),
 ) -> Solution:
     """Iterate to the time-periodic solution driven by ``f``.
+
+    The converged iterate is transported once, and both the pressure and the
+    momentum residual are derived from that transport term.
 
     Raises
     ------
@@ -182,7 +191,9 @@ def solve(
 
     ratios = _update_ratios(tuple(history))
     contraction = max(ratios[-3:]) if ratios else 0.0
-    p = recover_pressure(u, f_hat)
+    transport = convective(u)
+    p = _pressure(f_hat - transport, _GRADIENT_TOL)
+    residual = _residual(u, p, f_hat, transport, params)
     v, w = split(u)
     return Solution(
         v=v,
@@ -191,11 +202,12 @@ def solve(
         iterations=len(history),
         update_history=tuple(history),
         contraction_estimate=contraction,
+        pde_residual=residual,
     )
 
 
 def recover_pressure(
-    u: SpectralField, f_hat: SpectralField, gradient_tol: float = 1e-9
+    u: SpectralField, f_hat: SpectralField, gradient_tol: float = _GRADIENT_TOL
 ) -> SpectralField:
     """Pressure from the gradient part of f - (u . grad) u.
 
@@ -212,8 +224,12 @@ def recover_pressure(
         for finite input).  The residue is measured against the full data,
         not against g: for solenoidal data g itself is rounding noise.
     """
-    g_grid = u.grid
-    rhs = f_hat - convective(u)
+    return _pressure(f_hat - convective(u), gradient_tol)
+
+
+def _pressure(rhs: SpectralField, gradient_tol: float) -> SpectralField:
+    """``recover_pressure`` from the data rhs = f - (u . grad) u."""
+    g_grid = rhs.grid
     grad_part = rhs - helmholtz(rhs)
     c = grad_part.coeffs
     dot = c[0] * g_grid.xi1 + c[1] * g_grid.xi2 + c[2] * g_grid.xi3
@@ -245,16 +261,34 @@ def pde_residual(
     system it actually solved.  The residual is normalized by the largest
     term magnitude; identically zero data gives zero.
     """
+    return _residual(u, p, _as_spectral(f), convective(u), params)
+
+
+def _residual(
+    u: SpectralField,
+    p: SpectralField,
+    f_hat: SpectralField,
+    transport: SpectralField,
+    params: Params,
+) -> float:
+    """``pde_residual`` with the transport term (u . grad) u given.
+
+    The terms are added into one array as they are formed, so at most one
+    of them is held besides the sum.
+    """
     grid = u.grid
-    f_hat = _as_spectral(f)
-    terms = [
-        u.coeffs * (1j * grid.omega),
-        u.coeffs * grid.xi_sq,
-        -params.lam * (1j * grid.xi1) * u.coeffs,
-        gradient(p).coeffs,
-        convective(u).coeffs,
-        -f_hat.coeffs,
-    ]
-    residual = sum(terms)
-    denom = max(_lattice_norm(t, grid) for t in terms)
+
+    def terms():
+        yield u.coeffs * (1j * grid.omega)
+        yield u.coeffs * grid.xi_sq
+        yield -params.lam * (1j * grid.xi1) * u.coeffs
+        yield gradient(p).coeffs
+        yield transport.coeffs
+        yield -f_hat.coeffs
+
+    residual = np.zeros_like(u.coeffs)
+    denom = 0.0
+    for term in terms():
+        residual += term
+        denom = max(denom, _lattice_norm(term, grid))
     return _lattice_norm(residual, grid) / max(denom, _FLOOR)

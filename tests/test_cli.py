@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from periodicflow import PhysicalField, write_field
+from periodicflow import PhysicalField, read_field, write_field
 from periodicflow.cli import main
 
 GRID8 = "--grid", "8"
@@ -35,6 +35,15 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "converged iterations=" in stdout
     assert "pde_residual=" in stdout
+
+
+def test_solve_writes_steady_and_oscillatory_parts(tmp_path):
+    out = tmp_path / "run"
+    assert run("solve", *GRID8, "--preset", "random", "--seed", "4", "--out-dir", str(out)) == 0
+    u, v, w = (read_field(out / f"{name}.field").values for name in ("u", "v", "w"))
+    assert np.abs(v).max() > 0.0 and np.abs(w).max() > 0.0
+    assert np.array_equal(v, np.broadcast_to(v[:, :1], v.shape))
+    assert np.abs(v + w - u).max() <= 1e-14 * np.abs(u).max()
 
 
 def test_solve_is_deterministic(tmp_path):

@@ -245,13 +245,16 @@ def test_norms_transform_count_does_not_grow_with_exponents(grid8, params1, monk
     import periodicflow.diagnostics as diagnostics
 
     calls = []
-    original = diagnostics.inverse
 
-    def counting(spec, *args, **kwargs):
-        calls.append(spec.components)
-        return original(spec, *args, **kwargs)
+    def counting(original):
+        def wrapper(spec, *args, **kwargs):
+            calls.append(spec.components)
+            return original(spec, *args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "inverse", counting)
+        return wrapper
+
+    for name in ("inverse", "_derivative_nodes"):
+        monkeypatch.setattr(diagnostics, name, counting(getattr(diagnostics, name)))
     rng = np.random.default_rng(108)
     u = forward(PhysicalField(grid8, rng.standard_normal((3,) + grid8.shape)))
     p = forward(PhysicalField(grid8, rng.standard_normal((1,) + grid8.shape)))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from periodicflow import (
     Grid,
+    NotHermitian,
     Params,
     PhysicalField,
     SpectralField,
@@ -29,6 +30,8 @@ from periodicflow import (
     solve,
     spectral_sum,
 )
+from periodicflow.diagnostics import _MULTI_INDICES
+from periodicflow.fourier import _derivative_factor, _derivative_nodes
 from halfspec import full_forward, full_spectrum
 
 AXES = (-4, -3, -2, -1)
@@ -131,7 +134,9 @@ def test_solve_certifies_the_discrete_system(grid, lam):
     f = random_smooth(seed=7, amplitude=2.0, cutoff_shell=3, grid=grid)
     sol = solve(f, params, grid)
     assert sol.iterations >= 3
-    assert pde_residual(sol.u, sol.p, f, params) <= 1e-10
+    residual = pde_residual(sol.u, sol.p, f, params)
+    assert residual <= 1e-10
+    assert abs(sol.pde_residual - residual) <= 1e-15 * residual
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,3 +155,78 @@ def test_parseval_on_random_even_shapes(n, box, seed):
     total = spectral_sum(np.abs(spec.coeffs) ** 2, grid)
     assert total == pytest.approx(float(np.sum(np.abs(full) ** 2)), rel=1e-12)
     assert isinstance(spec, SpectralField) and spec.coeffs.shape[1:] == grid.spectral_shape
+
+
+def assert_derivative_nodes_match_inverse(spec):
+    """Every order of ``_MULTI_INDICES`` against its own inverse transform, to 1e-14 relative."""
+    grid = spec.grid
+    got = dict(_derivative_nodes(spec, _MULTI_INDICES))
+    assert sorted(got) == sorted(_MULTI_INDICES)
+    for alpha in _MULTI_INDICES:
+        factor = _derivative_factor(grid, alpha)
+        expected = inverse(SpectralField(grid, spec.coeffs * factor)).values
+        assert got[alpha].shape == expected.shape
+        assert np.abs(got[alpha] - expected).max() <= 1e-14 * np.abs(expected).max(), alpha
+
+
+def test_derivative_nodes_match_separate_inverses(grid):
+    assert_derivative_nodes_match_inverse(forward(PhysicalField(grid, random_values(grid, 8))))
+    assert_derivative_nodes_match_inverse(forward(PhysicalField(grid, random_values(grid, 9, 1))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.tuples(*[st.sampled_from((4, 6, 8, 10)) for _ in range(4)]),
+    box=st.tuples(*[st.floats(0.5, 8.0) for _ in range(3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derivative_nodes_on_random_even_shapes(n, box, seed):
+    grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=1.3)
+    assert_derivative_nodes_match_inverse(forward(PhysicalField(grid, random_values(grid, seed))))
+
+
+def spectrum_with(grid, entries):
+    """A 3-component half spectrum holding one conjugate pair of a low mode plus ``entries``."""
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs[0, 1, 0, 1, 0] = 1.0 + 0.5j
+    coeffs[0, -1, 0, -1, 0] = 1.0 - 0.5j
+    for index, value in entries:
+        coeffs[index] = value
+    return SpectralField(grid, coeffs)
+
+
+def raises_not_hermitian(action):
+    try:
+        action()
+    except NotHermitian:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "case, entries, flagged",
+    [
+        ("clean", [], False),
+        # an unpaired mode on the n1 = 0 plane far above the tolerance
+        ("input defect above tolerance", [((1, 0, 0, 5, 0), 1e-6)], True),
+        # below the tolerance for the field itself, above it once multiplied
+        # by xi2 or xi2^2 at n2 = 5 against a largest coefficient at n2 = 1
+        ("input defect below tolerance", [((1, 0, 0, 5, 0), 5e-11)], True),
+        # no defect, but i xi1 does not change sign on the n1 = N1/2 plane
+        ("content on the n1 = N1/2 plane", [((2, 0, 0, 0, -1), 0.5)], True),
+        # no defect, but i xi2 does not change sign on the x2 Nyquist row
+        ("content on the x2 Nyquist row", [((2, 0, 0, 6, 0), 0.5)], True),
+    ],
+)
+def test_derivative_nodes_flag_what_separate_inverses_flag(grid, case, entries, flagged):
+    spec = spectrum_with(grid, entries)
+    if case == "input defect below tolerance":
+        inverse(spec)  # the field itself passes
+    per_field = any(
+        raises_not_hermitian(
+            lambda: inverse(SpectralField(grid, spec.coeffs * _derivative_factor(grid, alpha)))
+        )
+        for alpha in _MULTI_INDICES
+    )
+    shared = raises_not_hermitian(lambda: list(_derivative_nodes(spec, _MULTI_INDICES)))
+    assert per_field == shared == flagged

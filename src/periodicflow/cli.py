@@ -207,12 +207,13 @@ def _run_verify(args) -> int:
 
     u_hat = forward(u)
     p_hat = forward(p)
-    residual = pde_residual(u_hat, p_hat, f, params)
+    f_hat = forward(f)
+    residual = pde_residual(u_hat, p_hat, f_hat, params)
     residual_tol = float(args.residual_tol)
     # The discrete energy gap of a converged run sits near 1e-8 on either
     # side of zero, so the inequality is checked with a matching slack.
-    lhs, rhs, holds = energy_inequality_check(u_hat, f, tol=float(args.energy_tol))
-    gap = energy_balance(u_hat, f).relative_gap
+    lhs, rhs, holds = energy_inequality_check(u_hat, f_hat, tol=float(args.energy_tol))
+    gap = energy_balance(u_hat, f_hat).relative_gap
 
     rows = [
         f"pde_residual,{residual:.12e},{residual_tol:.3e},{residual <= residual_tol}",

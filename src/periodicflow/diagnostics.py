@@ -15,6 +15,7 @@ import numpy as np
 
 from .domain import Grid, Params
 from .fourier import (
+    _FLOOR,
     _UNIT_INDICES,
     PhysicalField,
     SpectralField,
@@ -32,7 +33,7 @@ from .multipliers import (
     half_time_derivative,
     regularity_multiplier_bound,
 )
-from .nonlinear import dealiased_tensor_product
+from .nonlinear import _tensor_divergence, dealiased_tensor_product
 from .solver import _as_spectral
 
 __all__ = [
@@ -48,8 +49,6 @@ __all__ = [
     "spectrum_decay",
     "regularity_bootstrap_check",
 ]
-
-_FLOOR = 1e-300
 
 
 def _magnitude(values: np.ndarray) -> np.ndarray:
@@ -341,7 +340,6 @@ class SpectrumTable:
     shells: np.ndarray
     counts: np.ndarray
     max_abs: np.ndarray
-    mean_abs: np.ndarray
     monotone_from_peak: bool
 
     @staticmethod
@@ -364,7 +362,7 @@ def spectrum_decay(spec: SpectralField) -> SpectrumTable:
     """Bin coefficient magnitudes by integer shells of sqrt(|n|^2 + k^2).
 
     Nyquist planes are excluded (their coefficients are pinned to zero).
-    Counts and means cover the whole lattice: each stored mode off the
+    Counts cover the whole lattice: each stored mode off the
     n1 = 0 plane also stands for its conjugate partner, which has the same
     radius and magnitude.  The monotone flag records whether shell maxima
     never increase beyond the peak shell; maxima within rounding of zero
@@ -386,10 +384,8 @@ def spectrum_decay(spec: SpectralField) -> SpectrumTable:
     values = values.ravel()
     n_shells = int(radii.max()) + 1
     counts = np.rint(np.bincount(radii, weights=weights, minlength=n_shells)).astype(np.int64)
-    sums = np.bincount(radii, weights=values * weights, minlength=n_shells)
     maxima = np.zeros(n_shells)
     np.maximum.at(maxima, radii, values)
-    means = sums / np.maximum(counts, 1)
     peak_idx = int(np.argmax(maxima))
     floor = maxima[peak_idx] * 1e-14
     tail = np.maximum(maxima[peak_idx:], floor)
@@ -398,7 +394,6 @@ def spectrum_decay(spec: SpectralField) -> SpectrumTable:
         shells=np.arange(n_shells),
         counts=counts,
         max_abs=maxima,
-        mean_abs=means,
         monotone_from_peak=monotone,
     )
 
@@ -410,7 +405,6 @@ class RegularityReport:
     mixed_derivative_mismatch: float
     factorization_mismatch: float
     multiplier_sup: float
-    branch: str
 
 
 def _rel_mismatch(lhs: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
@@ -418,7 +412,7 @@ def _rel_mismatch(lhs: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
     return _lattice_norm(lhs - rhs, grid) / scale
 
 
-def regularity_bootstrap_check(sol, branch: str = "principal") -> RegularityReport:
+def regularity_bootstrap_check(sol) -> RegularityReport:
     """Verify the multiplier identities that trade half time derivatives for space.
 
     Identity one: for the oscillatory part w, the mixed derivative
@@ -435,7 +429,7 @@ def regularity_bootstrap_check(sol, branch: str = "principal") -> RegularityRepo
     grid = w.grid
     heat_symbol = grid.xi_sq + 1j * grid.omega
 
-    half_w = half_time_derivative(w, branch=branch).coeffs
+    half_w = half_time_derivative(w).coeffs
     lhs_mixed = []
     rhs_mixed = []
     for axis in (1, 2, 3):
@@ -444,10 +438,8 @@ def regularity_bootstrap_check(sol, branch: str = "principal") -> RegularityRepo
     mismatch_mixed = _rel_mismatch(np.stack(lhs_mixed), np.stack(rhs_mixed), grid)
 
     tensor = dealiased_tensor_product(w)
-    ixi = (1j * grid.xi1, 1j * grid.xi2, 1j * grid.xi3)
-    transport = np.stack([sum(ixi[l] * tensor[i, l] for l in range(3)) for i in range(3)])
-    osc = oscillatory_part(SpectralField(grid, transport))
-    lhs_fact = half_time_derivative(osc, branch=branch).coeffs
+    osc = oscillatory_part(SpectralField(grid, _tensor_divergence(tensor, grid)))
+    lhs_fact = half_time_derivative(osc).coeffs
     rhs_fact = np.stack(
         [
             sum(
@@ -459,11 +451,9 @@ def regularity_bootstrap_check(sol, branch: str = "principal") -> RegularityRepo
     )
     mismatch_fact = _rel_mismatch(lhs_fact, rhs_fact, grid)
 
-    params_unused = Params(lam=0.0, period=grid.period)
-    sup = max(regularity_multiplier_bound(grid, axis, params_unused) for axis in (1, 2, 3))
+    sup = max(regularity_multiplier_bound(grid, axis) for axis in (1, 2, 3))
     return RegularityReport(
         mixed_derivative_mismatch=mismatch_mixed,
         factorization_mismatch=mismatch_fact,
         multiplier_sup=sup,
-        branch=branch,
     )

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Params", "Grid", "FreqIndex", "make_grid", "frequencies"]
+__all__ = ["Params", "Grid"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,22 +44,6 @@ class Params:
     @property
     def driftless(self) -> bool:
         return self.lam == 0.0
-
-
-@dataclass(frozen=True)
-class FreqIndex:
-    """One point of the dual lattice: integer spatial modes and temporal mode."""
-
-    n: tuple[int, int, int]
-    k: int
-
-    def xi(self, box: tuple[float, float, float]) -> tuple[float, float, float]:
-        """Spatial frequency vector xi_j = 2*pi*n_j / L_j."""
-        return tuple(TWO_PI * nj / lj for nj, lj in zip(self.n, box))
-
-    def omega(self, period: float) -> float:
-        """Temporal frequency omega = (2*pi/T) * k."""
-        return TWO_PI * self.k / period
 
 
 def _int_modes(n: int) -> np.ndarray:
@@ -180,50 +163,14 @@ class Grid:
     def xi(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.xi1, self.xi2, self.xi3)
 
-    def node_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """1-d node coordinates (x1, x2, x3, t)."""
-        n1, n2, n3 = self.n_space
-        x1 = np.arange(n1) * (self.box[0] / n1)
-        x2 = np.arange(n2) * (self.box[1] / n2)
-        x3 = np.arange(n3) * (self.box[2] / n3)
-        t = np.arange(self.n_time) * (self.period / self.n_time)
-        return x1, x2, x3, t
-
     def coordinate_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Full-shape coordinate arrays (X1, X2, X3, T) for sampling callables."""
-        x1, x2, x3, t = self.node_coords()
         m = self.n_time
         n1, n2, n3 = self.n_space
         shape = self.shape
         return (
-            np.broadcast_to(x1.reshape(1, 1, 1, n1), shape),
-            np.broadcast_to(x2.reshape(1, 1, n2, 1), shape),
-            np.broadcast_to(x3.reshape(1, n3, 1, 1), shape),
-            np.broadcast_to(t.reshape(m, 1, 1, 1), shape),
+            np.broadcast_to((np.arange(n1) * (self.box[0] / n1)).reshape(1, 1, 1, n1), shape),
+            np.broadcast_to((np.arange(n2) * (self.box[1] / n2)).reshape(1, 1, n2, 1), shape),
+            np.broadcast_to((np.arange(n3) * (self.box[2] / n3)).reshape(1, n3, 1, 1), shape),
+            np.broadcast_to((np.arange(m) * (self.period / m)).reshape(m, 1, 1, 1), shape),
         )
-
-
-def make_grid(
-    box: tuple[float, float, float],
-    n_space: tuple[int, int, int],
-    n_time: int,
-    params: Params,
-) -> Grid:
-    """Build the grid for the given box, resolutions and time period."""
-    return Grid(box=tuple(box), n_space=tuple(n_space), n_time=n_time, period=params.period)
-
-
-def frequencies(grid: Grid) -> Iterator[FreqIndex]:
-    """Enumerate all modes once, in canonical order.
-
-    Canonical order is time-major, then x3, x2, x1, each index ascending
-    from its lattice minimum, so the first entry of an
-    N=(4,4,4), M=4 grid is n=(-2,-2,-2), k=-2.
-    """
-    n1, n2, n3 = grid.n_space
-    m = grid.n_time
-    for k in range(-m // 2, m // 2):
-        for i3 in range(-n3 // 2, n3 // 2):
-            for i2 in range(-n2 // 2, n2 // 2):
-                for i1 in range(-n1 // 2, n1 // 2):
-                    yield FreqIndex(n=(i1, i2, i3), k=k)

@@ -24,7 +24,6 @@ from .fourier import (
     SpectralField,
     _derivative_nodes,
     coeff_norm,
-    divergence,
     forward,
     gradient,
     inverse,
@@ -33,6 +32,7 @@ from .fourier import (
     time_derivative,
 )
 from .multipliers import helmholtz
+from .nonlinear import _solenoidal_defect
 
 __all__ = [
     "manufactured",
@@ -46,10 +46,10 @@ ScalarCallable = Callable[..., np.ndarray]
 
 PRESET_NAMES = ("trig", "analytic", "steady")
 
-_FLOOR = 1e-300
+_PERIODICITY_TOL = 1e-10
 
 
-def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool, tol: float) -> PhysicalField:
+def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool) -> PhysicalField:
     """Samples of ``fn`` on the nodes, after checking that it is periodic on the box and period.
 
     The unshifted evaluation of the check is the sample, so each callable
@@ -76,10 +76,10 @@ def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool, tol: float) -> 
         mismatch = max(
             float(np.abs(a - b).max(initial=0.0)) for a, b in zip(base_arrs, moved_arrs)
         )
-        if mismatch > tol * max(scale, 1.0):
+        if mismatch > _PERIODICITY_TOL * max(scale, 1.0):
             raise ValueError(
                 f"analytic field is not periodic in {name}: boundary mismatch "
-                f"{mismatch:.3e} exceeds {tol:.1e} of scale {scale:.3e}"
+                f"{mismatch:.3e} exceeds {_PERIODICITY_TOL:.1e} of scale {scale:.3e}"
             )
     return PhysicalField(grid, np.stack([np.broadcast_to(a, grid.shape) for a in base_arrs]))
 
@@ -105,7 +105,6 @@ def manufactured(
     p_star: ScalarCallable,
     params: Params,
     grid: Grid,
-    periodicity_tol: float = 1e-10,
     solenoidal_tol: float = 1e-10,
 ) -> tuple[PhysicalField, PhysicalField, PhysicalField]:
     """Assemble the forcing that makes (u*, p*) an exact solution.
@@ -114,17 +113,16 @@ def manufactured(
     periodic on the box and period, and velocity fields whose spectral
     divergence is not negligible.
     """
-    u_field = _periodic_samples(u_star, grid, is_vector=True, tol=periodicity_tol)
-    p_field = _periodic_samples(p_star, grid, is_vector=False, tol=periodicity_tol)
+    u_field = _periodic_samples(u_star, grid, is_vector=True)
+    p_field = _periodic_samples(p_star, grid, is_vector=False)
     u_hat = forward(u_field)
     p_hat = forward(p_field)
 
-    scale = float(np.abs(u_hat.coeffs).max(initial=0.0))
-    div_max = float(np.abs(divergence(u_hat).coeffs).max(initial=0.0))
-    if div_max > solenoidal_tol * max(scale, _FLOOR):
+    defect = _solenoidal_defect(u_hat)
+    if defect > solenoidal_tol:
         raise NotSolenoidal(
             f"manufactured velocity has relative spectral divergence "
-            f"{div_max / max(scale, _FLOOR):.3e}, above {solenoidal_tol:.1e}; "
+            f"{defect:.3e}, above {solenoidal_tol:.1e}; "
             "use a curl-based recipe"
         )
 

@@ -22,10 +22,11 @@ Real-ness.  A half spectrum is real by construction everywhere except on the
 n1 = 0 and n1 = N1/2 planes, whose modes pair with modes of the same plane.
 Those two planes are the only place an input can break the symmetry, so
 ``inverse`` checks them alone and raises ``NotHermitian`` when their
-conjugate pairs disagree by more than ``imag_tol`` of the largest
+conjugate pairs disagree by more than a fixed 1e-10 of the largest
 coefficient.  ``forward`` makes the n1 = 0 plane exactly symmetric and every
 multiplier of the package preserves that bit for bit, so computed spectra
-pass with no defect at all.
+pass with no defect at all.  ``_FLOOR`` (1e-300), the floor under every data
+scale the package divides by, is defined here once.
 
 Transport.  The nonlinear term keeps its convective form (u . grad) u.  The
 divergence form would need fewer transforms, but the two forms differ by
@@ -74,6 +75,7 @@ __all__ = [
 
 _AXES = (-4, -3, -2, -1)
 _FLOOR = 1e-300
+_IMAG_TOL = 1e-10
 # Spatial derivative orders (a1, a2, a3) of the gradient, in axis order.
 _UNIT_INDICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # Index pairs (m, -m) along one full axis: index 0 is its own partner, index i
@@ -208,8 +210,8 @@ def _plane_defect(coeffs: np.ndarray) -> float:
     )
 
 
-def _check_real(coeffs: np.ndarray, imag_tol: float) -> None:
-    """Raise ``NotHermitian`` unless ``coeffs`` is, to ``imag_tol``, a real field's half spectrum.
+def _check_real(coeffs: np.ndarray) -> None:
+    """Raise ``NotHermitian`` unless ``coeffs`` is, to ``_IMAG_TOL``, a real field's half spectrum.
 
     Only a nonzero defect costs a pass over the whole spectrum, for the scale
     it is judged against.
@@ -217,20 +219,20 @@ def _check_real(coeffs: np.ndarray, imag_tol: float) -> None:
     defect = _plane_defect(coeffs)
     if defect > 0.0:
         scale = float(np.abs(coeffs).max(initial=0.0))
-        if defect > imag_tol * max(scale, _FLOOR):
+        if defect > _IMAG_TOL * max(scale, _FLOOR):
             raise NotHermitian(
                 f"conjugate-pair defect {defect:.3e} on the n1 = 0 or n1 = N1/2 plane "
-                f"exceeds {imag_tol:.1e} of coefficient magnitude {scale:.3e}"
+                f"exceeds {_IMAG_TOL:.1e} of coefficient magnitude {scale:.3e}"
             )
 
 
-def _nodes(coeffs: np.ndarray, shape: tuple[int, ...], imag_tol: float = 1e-10) -> np.ndarray:
+def _nodes(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Real node values of half-spectrum ``coeffs`` on a grid of ``shape``, symmetry checked.
 
     The transform runs over the trailing ``len(shape)`` axes, so the same
     helper inverts a space-time spectrum or a single spatial plane of one.
     """
-    _check_real(coeffs, imag_tol)
+    _check_real(coeffs)
     axes = tuple(range(-len(shape), 0))
     return _fft.irfftn(coeffs, s=shape, axes=axes, norm="forward", workers=-1)
 
@@ -248,7 +250,7 @@ def _nyquist_free(coeffs: np.ndarray) -> bool:
 
 
 def _derivative_nodes(
-    spec: SpectralField, orders: Sequence[tuple[int, int, int]], imag_tol: float = 1e-10
+    spec: SpectralField, orders: Sequence[tuple[int, int, int]]
 ) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
     """Yield ``(alpha, nodes)`` with the real node values of D^alpha ``spec`` for each order.
 
@@ -269,7 +271,7 @@ def _derivative_nodes(
     coeffs = spec.coeffs
     if _plane_defect(coeffs) > 0.0 or not _nyquist_free(coeffs):
         for alpha in orders:
-            _check_real(coeffs * _derivative_factor(grid, alpha), imag_tol)
+            _check_real(coeffs * _derivative_factor(grid, alpha))
     n1, n2, _ = grid.n_space
     timed = _fft.ifft(coeffs, axis=1, norm="forward", workers=-1)
     for a3 in dict.fromkeys(alpha[2] for alpha in orders):
@@ -295,17 +297,17 @@ def _derivative_nodes(
         del along_x3
 
 
-def inverse(spec: SpectralField, imag_tol: float = 1e-10) -> PhysicalField:
+def inverse(spec: SpectralField) -> PhysicalField:
     """Transform half-spectrum coefficients back to real node values.
 
     Raises
     ------
     NotHermitian
         If a conjugate pair on the n1 = 0 or n1 = N1/2 plane disagrees by
-        more than ``imag_tol`` times the largest coefficient, which means the
+        more than 1e-10 times the largest coefficient, which means the
         coefficients are not the spectrum of a real field.
     """
-    return PhysicalField(spec.grid, _nodes(spec.coeffs, spec.grid.shape, imag_tol))
+    return PhysicalField(spec.grid, _nodes(spec.coeffs, spec.grid.shape))
 
 
 def time_mean_part(spec: SpectralField) -> SpectralField:

@@ -30,7 +30,18 @@ __all__ = [
     "PROBE_SYMBOLS",
 ]
 
-_FLOOR = 1e-300
+_MEAN_TOL = 1e-12
+_PROBE_REL_STEP = 1e-4
+
+
+def _longitudinal(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """xi . c / |xi|^2 of a 3-component spectrum, mode-wise; zero where xi = 0.
+
+    The dot product vanishes wherever xi does, so dividing by 1 there leaves
+    a zero.
+    """
+    dot = c[0] * grid.xi1 + c[1] * grid.xi2 + c[2] * grid.xi3
+    return dot / np.where(grid.xi_sq > 0.0, grid.xi_sq, 1.0)
 
 
 def helmholtz(spec: SpectralField) -> SpectralField:
@@ -43,9 +54,7 @@ def helmholtz(spec: SpectralField) -> SpectralField:
         raise ValueError("helmholtz projection expects a 3-component field")
     g = spec.grid
     c = spec.coeffs
-    dot = c[0] * g.xi1 + c[1] * g.xi2 + c[2] * g.xi3
-    # dot vanishes wherever xi does, so dividing by 1 there leaves a zero
-    scale = dot / np.where(g.xi_sq > 0.0, g.xi_sq, 1.0)
+    scale = _longitudinal(c, g)
     out = np.empty_like(c)
     for j, xi in enumerate(g.xi):
         out[j] = c[j] - xi * scale
@@ -66,7 +75,7 @@ def oseen_apply(spec: SpectralField, params: Params) -> SpectralField:
     return SpectralField(spec.grid, spec.coeffs * oseen_symbol(spec.grid, params))
 
 
-def oseen_inverse(spec: SpectralField, params: Params, tol_mean: float = 1e-12) -> SpectralField:
+def oseen_inverse(spec: SpectralField, params: Params) -> SpectralField:
     """Invert d/dt - Lap - lam*d/dx1 on fields with no space-time mean.
 
     The (0,0) mode is annihilated by the operator, so it must be absent from
@@ -75,16 +84,16 @@ def oseen_inverse(spec: SpectralField, params: Params, tol_mean: float = 1e-12) 
     Raises
     ------
     MeanModeNonzero
-        If the magnitude of the input's (0,0) mode exceeds ``tol_mean`` times
+        If the magnitude of the input's (0,0) mode exceeds 1e-12 times
         the largest coefficient magnitude.
     """
     c = spec.coeffs
     scale = float(np.abs(c).max(initial=0.0))
     mean_mode = float(np.abs(c[:, 0, 0, 0, 0]).max(initial=0.0))
-    if mean_mode > tol_mean * scale:
+    if mean_mode > _MEAN_TOL * scale:
         raise MeanModeNonzero(
             f"space-time mean mode magnitude {mean_mode:.3e} exceeds "
-            f"{tol_mean:.1e} x field scale {scale:.3e}; the periodic box cannot "
+            f"{_MEAN_TOL:.1e} x field scale {scale:.3e}; the periodic box cannot "
             "absorb a mean solenoidal forcing"
         )
     sym = oseen_symbol(spec.grid, params)
@@ -94,24 +103,14 @@ def oseen_inverse(spec: SpectralField, params: Params, tol_mean: float = 1e-12) 
     return SpectralField(spec.grid, out)
 
 
-def _half_derivative_factor(grid: Grid, branch: str) -> np.ndarray:
-    if branch == "principal":
-        return np.sqrt(1j * grid.omega)
-    if branch == "upper":
-        # Deliberately wrong branch, kept for negative controls: always the
-        # root in the upper half plane, which breaks conjugate symmetry.
-        return np.exp(1j * math.pi / 4.0) * np.sqrt(np.abs(grid.omega))
-    raise ValueError(f"branch must be 'principal' or 'upper', got {branch!r}")
-
-
-def half_time_derivative(spec: SpectralField, branch: str = "principal") -> SpectralField:
+def half_time_derivative(spec: SpectralField) -> SpectralField:
     """Half-order time derivative: multiply by the principal root of (i*omega).
 
     The k = 0 plane maps to zero.  Applying the operator twice reproduces the
     full time derivative.  The principal branch pairs e^{+i pi/4} with k > 0
     and e^{-i pi/4} with k < 0, preserving conjugate symmetry.
     """
-    return SpectralField(spec.grid, spec.coeffs * _half_derivative_factor(spec.grid, branch))
+    return SpectralField(spec.grid, spec.coeffs * np.sqrt(1j * spec.grid.omega))
 
 
 def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
@@ -124,20 +123,18 @@ def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
     return np.where(osc, numer / safe, 0.0)
 
 
-def regularity_multiplier(spec: SpectralField, axis: int, params: Params) -> SpectralField:
+def regularity_multiplier(spec: SpectralField, axis: int) -> SpectralField:
     """Multiplier carrying (d/dt - Lap)g to the half time derivative of d/dx_axis g.
 
     Mode-wise the factor is (i*omega)^(1/2) * (i*xi_axis) / (|xi|^2 + i*omega)
     on oscillatory modes (k != 0) and zero on the whole k = 0 plane, where the
     joint zero mode would otherwise divide zero by zero.
     """
-    del params  # frequencies come precomputed on the grid
     return SpectralField(spec.grid, spec.coeffs * _regularity_factor(spec.grid, axis))
 
 
-def regularity_multiplier_bound(grid: Grid, axis: int, params: Params) -> float:
+def regularity_multiplier_bound(grid: Grid, axis: int) -> float:
     """Sup over the lattice of the multiplier magnitude; finite by construction."""
-    del params
     return float(np.abs(_regularity_factor(grid, axis)).max())
 
 
@@ -230,9 +227,9 @@ def _symbol_function(name: str, params: Params) -> Callable[..., np.ndarray]:
     raise ValueError(f"unknown probe symbol {name!r}; choose from {PROBE_SYMBOLS}")
 
 
-def _mixed_central_difference(m, coords, active, rel_step):
+def _mixed_central_difference(m, coords, active):
     """Nested central differences along the axes listed in ``active``."""
-    steps = [rel_step * np.abs(coords[ax]) for ax in active]
+    steps = [_PROBE_REL_STEP * np.abs(coords[ax]) for ax in active]
     total = np.zeros(np.broadcast(*coords).shape, dtype=np.complex128)
     for signs in product((-1.0, 1.0), repeat=len(active)):
         shifted = list(coords)
@@ -247,25 +244,20 @@ def _mixed_central_difference(m, coords, active, rel_step):
     return total / denom
 
 
-def marcinkiewicz_probe(
-    symbol: str,
-    params: Params,
-    resolution: int = 8,
-    span: tuple[float, float] = (1e-2, 1e2),
-    rel_step: float = 1e-4,
-) -> MultiplierReport:
+def marcinkiewicz_probe(symbol: str, params: Params, resolution: int = 8) -> MultiplierReport:
     """Sample the mixed-derivative boundedness quantity for a continuous symbol.
 
     For every subset of the four frequency axes, central finite differences
     approximate the mixed first derivative of the symbol and the report
     records the sampled sup of |xi1^e1 xi2^e2 xi3^e3 eta^e4 d^e m| together
-    with the plain sup of |m|.  Sample points are log-spaced over ``span``
-    on both sign branches of each axis, which keeps clear of the origin.
+    with the plain sup of |m|.  Sample points are log-spaced over
+    [1e-2, 1e2] on both sign branches of each axis, which keeps clear of the
+    origin.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     m = _symbol_function(symbol, params)
-    half = np.logspace(math.log10(span[0]), math.log10(span[1]), resolution)
+    half = np.logspace(-2.0, 2.0, resolution)
     pts = np.concatenate([-half[::-1], half])
     coords = np.meshgrid(pts, pts, pts, pts, indexing="ij")
     base = m(*coords)
@@ -275,7 +267,7 @@ def marcinkiewicz_probe(
         active = [ax for ax, e in enumerate(eps) if e]
         if not active:
             continue
-        deriv = _mixed_central_difference(m, coords, active, rel_step)
+        deriv = _mixed_central_difference(m, coords, active)
         weight = np.ones_like(coords[0])
         for ax in active:
             weight = weight * np.abs(coords[ax])

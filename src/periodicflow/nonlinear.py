@@ -13,6 +13,7 @@ import numpy as np
 from .domain import Grid
 from .errors import NotSolenoidal
 from .fourier import (
+    _FLOOR,
     _UNIT_INDICES,
     PhysicalField,
     SpectralField,
@@ -33,7 +34,7 @@ __all__ = [
     "energy_neutrality_defect",
 ]
 
-_FLOOR = 1e-300
+_SOLENOIDAL_TOL = 1e-10
 
 
 def _dealias_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -82,6 +83,7 @@ def convective(u: SpectralField) -> SpectralField:
 
 
 def _solenoidal_defect(w: SpectralField) -> float:
+    """Largest spectral divergence of ``w`` relative to its largest coefficient."""
     scale = float(np.abs(w.coeffs).max(initial=0.0))
     div_max = float(np.abs(divergence(w).coeffs).max(initial=0.0))
     return div_max / max(scale, _FLOOR)
@@ -101,7 +103,13 @@ def dealiased_tensor_product(w: SpectralField) -> np.ndarray:
     return out
 
 
-def divergence_form(w: SpectralField, tol: float = 1e-10) -> SpectralField:
+def _tensor_divergence(tensor: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients of the divergence sum_l d/dx_l T_il of a (3, 3) tensor spectrum."""
+    ixi = (1j * grid.xi1, 1j * grid.xi2, 1j * grid.xi3)
+    return np.stack([sum(ixi[l] * tensor[i, l] for l in range(3)) for i in range(3)])
+
+
+def divergence_form(w: SpectralField) -> SpectralField:
     """Transport term written as the divergence of w (x) w.
 
     Valid only for divergence-free fields; for those it agrees with the
@@ -110,22 +118,18 @@ def divergence_form(w: SpectralField, tol: float = 1e-10) -> SpectralField:
     Raises
     ------
     NotSolenoidal
-        If the spectral divergence of ``w`` exceeds ``tol`` relative to the
+        If the spectral divergence of ``w`` exceeds 1e-10 relative to the
         largest coefficient.
     """
     if w.components != 3:
         raise ValueError("divergence form expects a 3-component field")
     defect = _solenoidal_defect(w)
-    if defect > tol:
+    if defect > _SOLENOIDAL_TOL:
         raise NotSolenoidal(
-            f"relative spectral divergence {defect:.3e} exceeds {tol:.1e}; "
+            f"relative spectral divergence {defect:.3e} exceeds {_SOLENOIDAL_TOL:.1e}; "
             "the divergence form of the transport term requires a solenoidal field"
         )
-    g = w.grid
-    tensor = dealiased_tensor_product(w)
-    ixi = (1j * g.xi1, 1j * g.xi2, 1j * g.xi3)
-    out = np.stack([sum(ixi[j] * tensor[i, j] for j in range(3)) for i in range(3)])
-    return SpectralField(g, out)
+    return SpectralField(w.grid, _tensor_divergence(dealiased_tensor_product(w), w.grid))
 
 
 def energy_neutrality_defect(u: SpectralField) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 from .domain import Grid, Params
 from .errors import Diverging, NoConvergence, NotAGradient
 from .fourier import (
+    _FLOOR,
     PhysicalField,
     SpectralField,
     _lattice_norm,
@@ -29,7 +30,7 @@ from .fourier import (
     oscillatory_part,
     time_mean_part,
 )
-from .multipliers import helmholtz, oseen_inverse
+from .multipliers import _longitudinal, helmholtz, oseen_inverse
 from .nonlinear import convective
 
 __all__ = [
@@ -42,8 +43,8 @@ __all__ = [
     "pde_residual",
 ]
 
-_FLOOR = 1e-300
 _GRADIENT_TOL = 1e-9
+_GROWTH_LIMIT = 10.0
 _GUARD_STREAK = 3
 _BLOWUP = 1e120
 
@@ -53,13 +54,12 @@ class SolverConfig:
     """Iteration controls.
 
     ``initial_guess`` of None starts from rest; a field starts from there.
-    The divergence guard aborts once the ratio of consecutive update norms
-    exceeds ``divergence_guard`` for three steps in a row.
+    The solve aborts with ``Diverging`` once the ratio of consecutive update
+    norms exceeds 10 for three steps in a row.
     """
 
     tol: float = 1e-10
     max_iter: int = 200
-    divergence_guard: float = 10.0
     initial_guess: SpectralField | PhysicalField | None = None
 
     def __post_init__(self):
@@ -67,8 +67,6 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if not (math.isfinite(self.divergence_guard) and self.divergence_guard > 1.0):
-            raise ValueError(f"divergence_guard must exceed 1, got {self.divergence_guard!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def solve(
         delta = diff / max(norm, _FLOOR)
         # The guard watches absolute update norms: during blow-up the relative
         # update saturates near 1 while the absolute one keeps multiplying.
-        if prev_diff > 0.0 and diff / prev_diff > config.divergence_guard:
+        if prev_diff > 0.0 and diff / prev_diff > _GROWTH_LIMIT:
             growth_streak += 1
         else:
             growth_streak = 0
@@ -171,7 +169,7 @@ def solve(
         u = u_next
         if growth_streak >= _GUARD_STREAK:
             raise Diverging(
-                f"update norm grew by more than x{config.divergence_guard:g} for "
+                f"update norm grew by more than x{_GROWTH_LIMIT:g} for "
                 f"{_GUARD_STREAK} consecutive steps; forcing is outside the contraction regime",
                 tuple(history),
             )
@@ -192,7 +190,7 @@ def solve(
     ratios = _update_ratios(tuple(history))
     contraction = max(ratios[-3:]) if ratios else 0.0
     transport = convective(u)
-    p = _pressure(f_hat - transport, _GRADIENT_TOL)
+    p = _pressure(f_hat - transport)
     residual = _residual(u, p, f_hat, transport, params)
     v, w = split(u)
     return Solution(
@@ -206,9 +204,7 @@ def solve(
     )
 
 
-def recover_pressure(
-    u: SpectralField, f_hat: SpectralField, gradient_tol: float = _GRADIENT_TOL
-) -> SpectralField:
+def recover_pressure(u: SpectralField, f_hat: SpectralField) -> SpectralField:
     """Pressure from the gradient part of f - (u . grad) u.
 
     The complementary projection I - P_H maps every mode onto the span of
@@ -219,30 +215,23 @@ def recover_pressure(
     Raises
     ------
     NotAGradient
-        If the transverse residue of g exceeds ``gradient_tol`` relative to
+        If the transverse residue of g exceeds 1e-9 relative to
         the magnitude of f - transport (numerical corruption; cannot happen
         for finite input).  The residue is measured against the full data,
         not against g: for solenoidal data g itself is rounding noise.
     """
-    return _pressure(f_hat - convective(u), gradient_tol)
+    return _pressure(f_hat - convective(u))
 
 
-def _pressure(rhs: SpectralField, gradient_tol: float) -> SpectralField:
+def _pressure(rhs: SpectralField) -> SpectralField:
     """``recover_pressure`` from the data rhs = f - (u . grad) u."""
-    g_grid = rhs.grid
-    grad_part = rhs - helmholtz(rhs)
-    c = grad_part.coeffs
-    dot = c[0] * g_grid.xi1 + c[1] * g_grid.xi2 + c[2] * g_grid.xi3
-    safe = np.where(g_grid.xi_sq > 0.0, g_grid.xi_sq, 1.0)
-    p_hat = np.where(g_grid.xi_sq > 0.0, -1j * dot / safe, 0.0)
-
-    p_field = SpectralField(g_grid, p_hat[np.newaxis])
-    regenerated = gradient(p_field)
+    c = (rhs - helmholtz(rhs)).coeffs
+    p_field = SpectralField(rhs.grid, -1j * _longitudinal(c, rhs.grid)[np.newaxis])
     scale = float(np.abs(rhs.coeffs).max(initial=0.0))
-    residue = float(np.abs(regenerated.coeffs - c).max(initial=0.0))
-    if residue > gradient_tol * max(scale, _FLOOR):
+    residue = float(np.abs(gradient(p_field).coeffs - c).max(initial=0.0))
+    if residue > _GRADIENT_TOL * max(scale, _FLOOR):
         raise NotAGradient(
-            f"transverse residue {residue:.3e} exceeds {gradient_tol:.1e} "
+            f"transverse residue {residue:.3e} exceeds {_GRADIENT_TOL:.1e} "
             f"of data scale {scale:.3e}"
         )
     return p_field

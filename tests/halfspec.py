@@ -1,6 +1,10 @@
 """Test helpers that relate the half-spectrum layout to the full complex lattice."""
 
+import math
+
 import numpy as np
+
+from periodicflow import SpectralField
 
 
 def negate_modes(coeffs, axes=(-4, -3, -2, -1)):
@@ -40,3 +44,13 @@ def full_forward(values, grid):
 
 def spectral_zeros(grid, components=3):
     return np.zeros((components,) + grid.spectral_shape, dtype=np.complex128)
+
+
+def wrong_branch_half_derivative(spec):
+    """Negative control for ``half_time_derivative``: the root of (i*omega) in the upper half plane.
+
+    On k < 0 this picks e^{+i pi/4} instead of the principal e^{-i pi/4}, so
+    conjugate pairs stop mapping to conjugate pairs.
+    """
+    factor = np.exp(1j * math.pi / 4.0) * np.sqrt(np.abs(spec.grid.omega))
+    return SpectralField(spec.grid, spec.coeffs * factor)

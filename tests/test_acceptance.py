@@ -41,7 +41,7 @@ from periodicflow import (
     time_derivative,
     time_mean_part,
 )
-from halfspec import full_spectrum
+from halfspec import full_spectrum, wrong_branch_half_derivative
 
 TWO_PI = 2.0 * math.pi
 AMPLITUDE = 1e-2
@@ -287,10 +287,13 @@ def test_criterion_09_failure_honesty(tmp_path):
     )
 
 
-def test_criterion_10_regularity_identities(trig_run):
+def test_criterion_10_regularity_identities(trig_run, monkeypatch):
     _, _, _, _, sol = trig_run
-    good = regularity_bootstrap_check(sol, branch="principal")
-    bad = regularity_bootstrap_check(sol, branch="upper")
+    good = regularity_bootstrap_check(sol)
+    monkeypatch.setattr(
+        "periodicflow.diagnostics.half_time_derivative", wrong_branch_half_derivative
+    )
+    bad = regularity_bootstrap_check(sol)
     good_worst = max(good.mixed_derivative_mismatch, good.factorization_mismatch)
     bad_best = min(bad.mixed_derivative_mismatch, bad.factorization_mismatch)
     ok = good_worst <= 1e-9 and bad_best >= 1e-2

@@ -21,6 +21,7 @@ from periodicflow import (
     split,
 )
 from periodicflow.diagnostics import _lq_spacetime
+from halfspec import wrong_branch_half_derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,13 +201,15 @@ def test_regularity_identities_on_rest_state(grid8, params1):
     assert math.isfinite(report.multiplier_sup)
 
 
-def test_regularity_identities_on_converged_solution(trig_solution):
+def test_regularity_identities_on_converged_solution(trig_solution, monkeypatch):
     sol, _ = trig_solution
     good = regularity_bootstrap_check(sol)
-    assert good.branch == "principal"
     assert good.mixed_derivative_mismatch <= 1e-9
     assert good.factorization_mismatch <= 1e-9
-    bad = regularity_bootstrap_check(sol, branch="upper")
+    monkeypatch.setattr(
+        "periodicflow.diagnostics.half_time_derivative", wrong_branch_half_derivative
+    )
+    bad = regularity_bootstrap_check(sol)
     assert bad.mixed_derivative_mismatch >= 1e-2
     assert bad.factorization_mismatch >= 1e-2
 

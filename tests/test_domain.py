@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from periodicflow import Grid, Params, make_grid
-from periodicflow.domain import FreqIndex, frequencies
+from periodicflow import Grid, Params
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,39 +60,12 @@ def test_grid_rejects_bad_box_and_period():
 
 def test_make_grid_uses_params_period():
     params = Params(lam=0.5, period=3.0)
-    grid = make_grid((1, 2, 3), (4, 6, 8), 4, params)
+    grid = Grid(box=(1, 2, 3), n_space=(4, 6, 8), n_time=4, period=params.period)
     assert grid.period == 3.0
     assert grid.shape == (4, 8, 6, 4)
     assert grid.spectral_shape == (4, 8, 6, 3)
     assert grid.size == 4 * 6 * 8 * 4
     assert grid.volume == pytest.approx(6.0)
-
-
-def test_frequency_enumeration_canonical_order():
-    grid = Grid(box=(1, 1, 1), n_space=(4, 4, 4), n_time=4, period=1.0)
-    seq = list(frequencies(grid))
-    assert len(seq) == 256
-    assert seq[0] == FreqIndex(n=(-2, -2, -2), k=-2)
-    assert seq.count(FreqIndex(n=(0, 0, 0), k=0)) == 1
-    assert len(set(seq)) == 256
-
-
-def test_frequency_conjugates_exist_off_nyquist():
-    grid = Grid(box=(1, 1, 1), n_space=(4, 4, 4), n_time=4, period=1.0)
-    all_modes = set(frequencies(grid))
-    for f in all_modes:
-        on_nyquist = any(2 * abs(nj) == nres for nj, nres in zip(f.n, grid.n_space))
-        on_nyquist = on_nyquist or 2 * abs(f.k) == grid.n_time
-        mirror = FreqIndex(n=tuple(-nj for nj in f.n), k=-f.k)
-        if not on_nyquist:
-            assert mirror in all_modes
-
-
-def test_freqindex_xi_and_omega():
-    f = FreqIndex(n=(1, -2, 3), k=2)
-    xi = f.xi((2.0, 1.0, 0.5))
-    assert xi == pytest.approx((math.pi, -4 * math.pi, 12 * math.pi))
-    assert f.omega(4.0) == pytest.approx(math.pi)
 
 
 def test_integer_reconstruction_is_exact():

@@ -83,6 +83,24 @@ def test_non_periodic_callable_is_rejected(grid8, params1):
         manufactured(u_zero, p_bad, params1, grid8)
 
 
+@pytest.mark.parametrize("jump, raises", [(2e-10, True), (5e-11, False)])
+def test_periodicity_threshold(grid8, params1, jump, raises):
+    """A boundary mismatch counts once it exceeds 1e-10 of max(field scale, 1)."""
+
+    def u_star(x1, x2, x3, t):
+        # zero on the nodes, ``jump`` once x2 is shifted by a box length
+        return (jump * (x2 >= grid8.box[1]), 0.0 * x2, 0.0 * x3)
+
+    def p_star(x1, x2, x3, t):
+        return 0.0 * x1
+
+    if raises:
+        with pytest.raises(ValueError, match="x2"):
+            manufactured(u_star, p_star, params1, grid8)
+    else:
+        manufactured(u_star, p_star, params1, grid8)
+
+
 def test_analytic_preset_divergence_defect_decays(params1):
     defects = {}
     for n in (8, 16):

@@ -20,19 +20,25 @@ from periodicflow import (
     PhysicalField,
     SpectralField,
     coeff_norm,
+    convective,
     cross_orthogonality,
+    divergence,
     energy_balance,
     forward,
+    gradient,
+    helmholtz,
     inverse,
+    oseen_symbol,
     pde_residual,
     picard_step,
     random_smooth,
+    recover_pressure,
     solve,
     spectral_sum,
 )
 from periodicflow.diagnostics import _MULTI_INDICES
 from periodicflow.fourier import _derivative_factor, _derivative_nodes
-from halfspec import full_forward, full_spectrum
+from halfspec import full_forward, full_spectrum, negate_modes
 
 AXES = (-4, -3, -2, -1)
 LAMS = (0.0, -1.5)
@@ -216,12 +222,17 @@ def raises_not_hermitian(action):
         ("content on the n1 = N1/2 plane", [((2, 0, 0, 0, -1), 0.5)], True),
         # no defect, but i xi2 does not change sign on the x2 Nyquist row
         ("content on the x2 Nyquist row", [((2, 0, 0, 6, 0), 0.5)], True),
+        # just above the 1e-10 tolerance against a largest coefficient of 1.118
+        ("input defect just above tolerance", [((1, 0, 0, 5, 0), 2e-10)], True),
     ],
 )
 def test_derivative_nodes_flag_what_separate_inverses_flag(grid, case, entries, flagged):
     spec = spectrum_with(grid, entries)
     if case == "input defect below tolerance":
         inverse(spec)  # the field itself passes
+    if case == "input defect just above tolerance":
+        with pytest.raises(NotHermitian):
+            inverse(spec)
     per_field = any(
         raises_not_hermitian(
             lambda: inverse(SpectralField(grid, spec.coeffs * _derivative_factor(grid, alpha)))
@@ -230,3 +241,46 @@ def test_derivative_nodes_flag_what_separate_inverses_flag(grid, case, entries, 
     )
     shared = raises_not_hermitian(lambda: list(_derivative_nodes(spec, _MULTI_INDICES)))
     assert per_field == shared == flagged
+
+
+RANDOM_GRIDS = dict(
+    n=st.tuples(*[st.sampled_from((4, 6, 8, 10)) for _ in range(4)]),
+    box=st.tuples(*[st.floats(0.5, 8.0) for _ in range(3)]),
+    period=st.floats(0.3, 8.0),
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**RANDOM_GRIDS, seed=SEEDS)
+def test_projection_on_random_even_shapes(n, box, period, seed):
+    grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=period)
+    c = forward(PhysicalField(grid, random_values(grid, seed)))
+    once = helmholtz(c)
+    scale = np.abs(c.coeffs).max()
+    assert np.abs(helmholtz(once).coeffs - once.coeffs).max() <= 1e-14 * scale
+    xi_max = math.sqrt(grid.xi_sq.max())
+    assert np.abs(divergence(once).coeffs).max() <= 1e-14 * xi_max * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(**RANDOM_GRIDS, seed=SEEDS)
+def test_pressure_recovers_the_gradient_part_on_random_even_shapes(n, box, period, seed):
+    grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=period)
+    u = forward(PhysicalField(grid, random_values(grid, seed)))
+    f_hat = forward(PhysicalField(grid, random_values(grid, seed + 1)))
+    rhs = f_hat - convective(u)
+    rebuilt = gradient(recover_pressure(u, f_hat)) + helmholtz(rhs)
+    assert np.abs(rebuilt.coeffs - rhs.coeffs).max() <= 1e-13 * np.abs(rhs.coeffs).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**RANDOM_GRIDS, lam=st.floats(-3.0, 3.0))
+def test_oseen_symbol_is_conjugate_symmetric_on_the_n1_zero_plane(n, box, period, lam):
+    grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=period)
+    plane = oseen_symbol(grid, Params(lam=lam, period=period))[..., 0]
+    partner = np.conj(negate_modes(plane, axes=(-3, -2, -1)))
+    # a Nyquist mode is its own partner, and forward keeps none
+    axes = (grid.k_modes, grid.n_modes[2], grid.n_modes[1])
+    keep = np.ix_(*(modes != -len(modes) // 2 for modes in axes))
+    assert np.array_equal(plane[keep], partner[keep])

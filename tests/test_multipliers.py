@@ -25,6 +25,7 @@ from periodicflow import (
     regularity_multiplier_bound,
     time_derivative,
 )
+from halfspec import wrong_branch_half_derivative
 
 # Hand values below assume the 2*pi box and 2*pi period of the grid8/grid16
 # fixtures, where wavenumbers and frequencies are plain integers.
@@ -123,6 +124,19 @@ def test_oseen_inverse_rejects_mean_mode(grid8, params1):
         oseen_inverse(SpectralField(grid8, coeffs), params1)
 
 
+@pytest.mark.parametrize("ratio, raises", [(2e-12, True), (5e-13, False)])
+def test_oseen_inverse_mean_mode_threshold(grid8, params1, ratio, raises):
+    """A mean mode counts once it exceeds 1e-12 of the largest coefficient."""
+    coeffs = random_spectrum(grid8, seed=67, mean_free=True).coeffs
+    coeffs[:, 0, 0, 0, 0] = ratio * np.abs(coeffs).max()
+    spec = SpectralField(grid8, coeffs)
+    if raises:
+        with pytest.raises(MeanModeNonzero):
+            oseen_inverse(spec, params1)
+    else:
+        assert np.all(oseen_inverse(spec, params1).coeffs[:, 0, 0, 0, 0] == 0.0)
+
+
 def test_oseen_inverse_preserves_conjugate_symmetry(grid8, params1):
     u = random_spectrum(grid8, seed=61, mean_free=True)
     out = oseen_inverse(u, params1)
@@ -156,12 +170,10 @@ def test_half_derivative_kills_time_mean(grid8):
 def test_half_derivative_branches(grid8):
     u = random_spectrum(grid8, seed=64)
     scale = np.abs(u.coeffs).max()
-    good = half_time_derivative(u, branch="principal")
+    good = half_time_derivative(u)
     assert hermitian_defect(good) <= 1e-13 * scale
-    bad = half_time_derivative(u, branch="upper")
+    bad = wrong_branch_half_derivative(u)
     assert hermitian_defect(bad) > 1e-2 * scale
-    with pytest.raises(ValueError):
-        half_time_derivative(u, branch="lower")
 
 
 def test_half_derivative_commutes_with_helmholtz(grid8):
@@ -171,26 +183,26 @@ def test_half_derivative_commutes_with_helmholtz(grid8):
     assert np.abs(lhs - rhs).max() <= 1e-13 * max(np.abs(rhs).max(), 1e-300)
 
 
-def test_regularity_multiplier_hand_value(grid8, params1):
+def test_regularity_multiplier_hand_value(grid8):
     coeffs = np.zeros((1,) + grid8.spectral_shape, dtype=np.complex128)
     coeffs[0, 1, 0, 0, 1] = 1.0  # k = 1, xi = (1, 0, 0)
-    out = regularity_multiplier(SpectralField(grid8, coeffs), axis=1, params=params1)
+    out = regularity_multiplier(SpectralField(grid8, coeffs), axis=1)
     expected = np.exp(1j * math.pi / 4.0) * 1j / (1.0 + 1.0j)
     assert out.coeffs[0, 1, 0, 0, 1] == pytest.approx(expected, abs=1e-14)
 
 
-def test_regularity_multiplier_zero_on_time_mean(grid8, params1):
+def test_regularity_multiplier_zero_on_time_mean(grid8):
     u = random_spectrum(grid8, seed=66)
     for axis in (1, 2, 3):
-        out = regularity_multiplier(u, axis=axis, params=params1)
+        out = regularity_multiplier(u, axis=axis)
         assert np.abs(out.coeffs[:, 0]).max() == 0.0
     with pytest.raises(ValueError):
-        regularity_multiplier(u, axis=0, params=params1)
+        regularity_multiplier(u, axis=0)
 
 
-def test_regularity_multiplier_bound_is_finite(grid16, params1):
+def test_regularity_multiplier_bound_is_finite(grid16):
     for axis in (1, 2, 3):
-        bound = regularity_multiplier_bound(grid16, axis, params1)
+        bound = regularity_multiplier_bound(grid16, axis)
         assert math.isfinite(bound)
         assert bound > 0.0
 

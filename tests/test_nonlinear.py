@@ -91,6 +91,20 @@ def test_divergence_form_rejects_compressible_fields(grid8):
         divergence_form(u)
 
 
+@pytest.mark.parametrize("ratio, raises", [(2e-10, True), (5e-11, False)])
+def test_divergence_form_solenoidal_threshold(grid8, ratio, raises):
+    """A divergence counts once it exceeds 1e-10 of the largest coefficient."""
+    coeffs = np.zeros((3,) + grid8.spectral_shape, dtype=np.complex128)
+    coeffs[1, 0, 0, 0, 1] = 1.0  # u2 = 2 cos x1 is divergence-free
+    coeffs[0, 0, 0, 0, 1] = ratio  # u1 = 2 ratio cos x1 has divergence coefficient i ratio
+    w = SpectralField(grid8, coeffs)
+    if raises:
+        with pytest.raises(NotSolenoidal):
+            divergence_form(w)
+    else:
+        divergence_form(w)
+
+
 def test_divergence_form_mean_mode_is_exactly_zero(grid8):
     out = divergence_form(smooth_solenoidal(grid8, seed=78))
     assert np.abs(out.coeffs[:, 0, 0, 0, 0]).max() == 0.0

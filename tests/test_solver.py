@@ -152,8 +152,6 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(divergence_guard=1.0)
 
 
 def test_grid_mismatch_is_rejected(grid8, grid16, params1):

@@ -3,12 +3,16 @@
 Exit codes: 0 success, 2 usage error, 3 no convergence, 4 divergence,
 5 unremovable mean mode, 6 input/output failure.  Errors print a single
 machine-readable line to stderr of the form ``error=<Kind> detail=...``.
+
+Each setting a config file can hold is one row of ``_SETTINGS``, resolved
+as flag, then config, then default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -34,105 +38,126 @@ from .fieldio import load_config, read_field, write_field
 from .forcing import PRESET_NAMES, manufactured, manufactured_preset, random_smooth
 from .fourier import PhysicalField, _nodes, forward, inverse
 from .multipliers import PROBE_SYMBOLS, MultiplierReport, marcinkiewicz_probe
+from .nonlinear import _band_radius
 from .solver import SolverConfig, pde_residual, solve
 
 __all__ = ["main"]
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_DIVERGING = 4
-EXIT_MEAN_MODE = 5
-EXIT_IO = 6
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_numbers(text: str, count: int, what: str, kind: type = float) -> tuple:
-    """``count`` values of type ``kind`` from comma or space separated text; one value repeats."""
-    parts = text.replace(",", " ").split()
-    if len(parts) == 1:
-        parts = parts * count
-    if len(parts) != count:
-        raise UsageError(f"{what} needs 1 or {count} values, got {text!r}")
+# One row per config-readable setting: attribute, flag (None: config only), [section] key,
+# value type, count (None: one value; n: n values, one value repeats) and default, converted
+# like a flag (None: required, optional or worked out by the subcommand).
+_Setting = namedtuple("_Setting", "name flag section key kind count default help")
+_SETTINGS = (
+    _Setting("grid", "--grid", "grid", "resolution", int, 4, None, "resolutions N1,N2,N3,M (one for all)"),
+    _Setting("n_space", None, "grid", "n_space", int, 3, None, "resolutions N1,N2,N3 without --grid"),
+    _Setting("n_time", None, "grid", "n_time", int, None, None, "resolution M without --grid"),
+    _Setting("box", "--box", "grid", "box", float, 3, repr(2 * np.pi), "box lengths L1,L2,L3"),
+    _Setting("period", "--period", "params", "period", float, None, repr(2 * np.pi), "time period"),
+    _Setting("lam", "--lambda", "params", "lambda", float, None, "1", "drift speed along x1"),
+    _Setting("preset", "--preset", "forcing", "preset", str, None, None,
+             f"forcing preset: {', '.join(PRESET_NAMES)} or random"),
+    _Setting("forcing_file", "--forcing-file", "forcing", "field", str, None, None, "forcing field file"),
+    _Setting("amplitude", "--amplitude", "forcing", "amplitude", float, None, "1e-2", "preset amplitude"),
+    _Setting("scale", "--scale", "forcing", "scale", float, None, "1", "factor on the forcing"),
+    _Setting("seed", "--seed", "forcing", "seed", int, None, "0", "seed for the random preset"),
+    _Setting("cutoff", "--cutoff", "forcing", "cutoff_shell", int, None, None,
+             "shell cutoff for the random preset (default: the largest shell inside the 2/3 band, at most 3)"),
+    _Setting("tol", "--tol", "solver", "tol", float, None, repr(SolverConfig.tol), "relative update tolerance"),
+    _Setting("max_iter", "--max-iter", "solver", "max_iter", int, None, repr(SolverConfig.max_iter),
+             "iteration cap"),
+    _Setting("out_dir", "--out-dir", "output", "out_dir", Path, None, "periodicflow_out", "output directory"),
+    _Setting("velocity", "--velocity", "verify", "velocity", str, None, None, "velocity field file"),
+    _Setting("pressure", "--pressure", "verify", "pressure", str, None, None, "pressure field file"),
+)
+
+
+def _convert(text: str, what: str, kind: type):
     try:
-        return tuple(kind(p) for p in parts)
+        return kind(text)
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from exc
 
 
-def _setting(flag_value, config, section, key):
-    """Flag beats config; returns None when neither is present."""
-    if flag_value is not None:
-        return flag_value
-    return config.get(section, {}).get(key)
+def _parse_numbers(text: str, what: str, kind: type = float, count: int | None = None) -> tuple:
+    """Values of type ``kind`` from comma or space separated text; with a ``count``, one value repeats."""
+    parts = text.replace(",", " ").split()
+    if count is not None and len(parts) == 1:
+        parts = parts * count
+    if count is not None and len(parts) != count:
+        raise UsageError(f"{what} needs 1 or {count} values, got {text!r}")
+    return tuple(_convert(p, what, kind) for p in parts)
 
 
-def _require(value, what):
-    if value is None:
-        raise UsageError(f"missing required setting: {what}")
-    return value
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Add to ``args`` every setting of the subcommand's sections: flag, then config, then default."""
+    config = load_config(args.config) if args.config else {}
+    known = {(s.section, s.key) for s in _SETTINGS}
+    for section, entries in config.items():
+        for key in entries:
+            # A key no subcommand reads is a misspelling, not a setting to ignore.
+            if (section, key) not in known:
+                raise UsageError(f"unknown config key [{section}] {key}")
+    for s in _SETTINGS:
+        if s.section not in args.sections:
+            continue
+        value, what = (getattr(args, s.name), s.flag) if s.flag else (None, None)
+        if value is None:
+            value, what = config.get(s.section, {}).get(s.key, s.default), f"[{s.section}] {s.key}"
+        if value is not None:
+            value = _parse_numbers(value, what, s.kind, s.count) if s.count else _convert(value, what, s.kind)
+        setattr(args, s.name, value)
+    return args
 
 
-def _build_grid_params(args, config) -> tuple[Grid, Params]:
-    grid_text = _setting(args.grid, config, "grid", "resolution")
-    if grid_text is None:
-        n_space_text = config.get("grid", {}).get("n_space")
-        n_time_text = config.get("grid", {}).get("n_time")
-        if n_space_text is None or n_time_text is None:
-            raise UsageError("missing required setting: grid resolution (--grid or [grid] n_space/n_time)")
-        n_space = _parse_numbers(n_space_text, 3, "[grid] n_space", int)
-        n_time = int(n_time_text)
+def _build_grid_params(s: argparse.Namespace) -> tuple[Grid, Params]:
+    if s.grid is not None:
+        n_space, n_time = s.grid[:3], s.grid[3]
+    elif s.n_space is not None and s.n_time is not None:
+        n_space, n_time = s.n_space, s.n_time
     else:
-        values = _parse_numbers(str(grid_text), 4, "--grid N1,N2,N3,M", int)
-        n_space, n_time = values[:3], values[3]
-
-    box_text = _setting(args.box, config, "grid", "box")
-    box = _parse_numbers(str(box_text), 3, "--box") if box_text is not None else (2 * np.pi,) * 3
-    period_text = _setting(args.period, config, "params", "period")
-    period = float(period_text) if period_text is not None else 2 * np.pi
-    lam_text = _setting(args.lam, config, "params", "lambda")
-    lam = float(lam_text) if lam_text is not None else 1.0
-
+        raise UsageError("missing required setting: grid resolution (--grid or [grid] n_space/n_time)")
     try:
-        params = Params(lam=lam, period=period)
-        grid = Grid(box=box, n_space=tuple(n_space), n_time=n_time, period=period)
+        params = Params(lam=s.lam, period=s.period)
+        grid = Grid(box=s.box, n_space=n_space, n_time=n_time, period=s.period)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return grid, params
 
 
-def _build_forcing(args, config, grid: Grid, params: Params) -> PhysicalField:
-    preset = _setting(args.preset, config, "forcing", "preset")
-    forcing_file = _setting(getattr(args, "forcing_file", None), config, "forcing", "field")
-    amplitude_text = _setting(args.amplitude, config, "forcing", "amplitude")
-    amplitude = float(amplitude_text) if amplitude_text is not None else 1e-2
-    scale_text = _setting(args.scale, config, "forcing", "scale")
-    scale = float(scale_text) if scale_text is not None else 1.0
+def _read_checked(path: str | None, grid: Grid, components: int, what: str) -> PhysicalField:
+    """The field stored at ``path``; it must lie on ``grid`` and hold ``components`` components."""
+    if path is None:
+        raise UsageError(f"missing required setting: {what}")
+    field = read_field(path, expected_grid=grid)
+    if field.components != components:
+        raise UsageError(f"{what} must hold {components} component(s), found {field.components}")
+    return field
 
-    if forcing_file is not None:
-        f = read_field(str(forcing_file), expected_grid=grid)
-        if f.components != 3:
-            raise UsageError(f"forcing file must hold 3 components, found {f.components}")
-    elif preset == "random":
-        seed_text = _setting(args.seed, config, "forcing", "seed")
-        seed = int(seed_text) if seed_text is not None else 0
-        cutoff_text = _setting(getattr(args, "cutoff", None), config, "forcing", "cutoff_shell")
-        cutoff = int(cutoff_text) if cutoff_text is not None else 3
-        f = random_smooth(seed=seed, amplitude=amplitude, cutoff_shell=cutoff, grid=grid)
-    elif preset is not None:
-        u_star, p_star = manufactured_preset(str(preset), amplitude, grid)
+
+def _build_forcing(s: argparse.Namespace, grid: Grid, params: Params) -> PhysicalField:
+    if s.forcing_file is not None:
+        f = _read_checked(s.forcing_file, grid, 3, "--forcing-file")
+    elif s.preset == "random":
+        # Inside the 2/3 band the dealiased transport is exactly energy-neutral;
+        # a forcing outside it carries every iterate out of the band too.
+        cutoff = min(3, _band_radius(grid)) if s.cutoff is None else s.cutoff
+        f = random_smooth(seed=s.seed, amplitude=s.amplitude, cutoff_shell=cutoff, grid=grid)
+    elif s.preset is not None:
+        u_star, p_star = manufactured_preset(s.preset, s.amplitude, grid)
         # The entire-function preset is solenoidal in the continuum but its
         # samples carry an aliased divergence that only decays with the grid,
         # so the recipe guard gets a resolution-tolerant threshold there.
-        div_tol = 1e-2 if str(preset) == "analytic" else 1e-10
+        div_tol = 1e-2 if s.preset == "analytic" else 1e-10
         f, _, _ = manufactured(u_star, p_star, params, grid, solenoidal_tol=div_tol)
     else:
         raise UsageError("missing required setting: forcing (--preset, --forcing-file or [forcing])")
-    if scale != 1.0:
-        f = PhysicalField(grid, f.values * scale)
+    if s.scale != 1.0:
+        f = PhysicalField(grid, f.values * s.scale)
     return f
 
 
@@ -140,25 +165,35 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
 
 
-def _run_solve(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    grid, params = _build_grid_params(args, config)
-    f = _build_forcing(args, config, grid, params)
-
-    tol_text = _setting(args.tol, config, "solver", "tol")
-    max_iter_text = _setting(args.max_iter, config, "solver", "max_iter")
-    solver_config = SolverConfig(
-        tol=float(tol_text) if tol_text is not None else 1e-10,
-        max_iter=int(max_iter_text) if max_iter_text is not None else 200,
-    )
-
-    out_text = _setting(args.out_dir, config, "output", "out_dir")
-    out_dir = Path(out_text) if out_text is not None else Path("periodicflow_out")
-
-    f_hat = forward(f)
-    sol = solve(f_hat, params, grid, solver_config)
-
+def _write_iterations(out_dir: Path, update_history: tuple[float, ...]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [f"{i + 1},{d:.12e}" for i, d in enumerate(update_history)]
+    _write_csv(out_dir / "iterations.csv", "iteration,update", rows)
+
+
+def _report(out: str | None, lines: list[str]) -> None:
+    text = "\n".join(lines)
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
+
+
+def _run_solve(s: argparse.Namespace) -> int:
+    grid, params = _build_grid_params(s)
+    f = _build_forcing(s, grid, params)
+    solver_config = SolverConfig(tol=s.tol, max_iter=s.max_iter)
+
+    out_dir = s.out_dir
+    f_hat = forward(f)
+    try:
+        sol = solve(f_hat, params, grid, solver_config)
+    except (Diverging, NoConvergence) as exc:
+        # A failed run still leaves the record of its updates.
+        _write_iterations(out_dir, exc.update_history)
+        raise
+
+    _write_iterations(out_dir, sol.update_history)
     u = sol.u
     u_nodes = inverse(u).values
     # v is constant in time: invert its k = 0 plane over space alone
@@ -175,10 +210,6 @@ def _run_solve(args) -> int:
     _write_csv(out_dir / "norms.csv", NormReport.csv_header(), report.csv_rows())
     energy = energy_balance(u, f_hat)
     _write_csv(out_dir / "energy.csv", EnergyReport.csv_header(), energy.csv_rows())
-    iter_rows = [
-        f"{i + 1},{d:.12e}" for i, d in enumerate(sol.update_history)
-    ]
-    _write_csv(out_dir / "iterations.csv", "iteration,update", iter_rows)
     table = spectrum_decay(u)
     _write_csv(out_dir / "spectrum.csv", SpectrumTable.csv_header(), table.csv_rows())
 
@@ -187,37 +218,24 @@ def _run_solve(args) -> int:
     if params.driftless:
         print("note=driftless lambda is zero; drift-weighted norms degenerate")
     print(f"wrote {out_dir}/u.field v.field w.field p.field f.field and CSV reports")
-    return EXIT_OK
+    return 0
 
 
-def _run_verify(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    grid, params = _build_grid_params(args, config)
-    velocity_path = _require(
-        _setting(args.velocity, config, "verify", "velocity"), "--velocity"
-    )
-    pressure_path = _require(
-        _setting(args.pressure, config, "verify", "pressure"), "--pressure"
-    )
-    u = read_field(str(velocity_path), expected_grid=grid)
-    p = read_field(str(pressure_path), expected_grid=grid)
-    if u.components != 3 or p.components != 1:
-        raise UsageError("verify expects a 3-component velocity and a scalar pressure")
-    f = _build_forcing(args, config, grid, params)
+def _run_verify(s: argparse.Namespace) -> int:
+    grid, params = _build_grid_params(s)
+    u_hat = forward(_read_checked(s.velocity, grid, 3, "--velocity"))
+    p_hat = forward(_read_checked(s.pressure, grid, 1, "--pressure"))
+    f_hat = forward(_build_forcing(s, grid, params))
 
-    u_hat = forward(u)
-    p_hat = forward(p)
-    f_hat = forward(f)
     residual = pde_residual(u_hat, p_hat, f_hat, params)
-    residual_tol = float(args.residual_tol)
     # The discrete energy gap of a converged run sits near 1e-8 on either
     # side of zero, so the inequality is checked with a matching slack.
-    lhs, rhs, holds = energy_inequality_check(u_hat, f_hat, tol=float(args.energy_tol))
+    lhs, rhs, holds = energy_inequality_check(u_hat, f_hat, tol=s.energy_tol)
     gap = energy_balance(u_hat, f_hat).relative_gap
 
     rows = [
-        f"pde_residual,{residual:.12e},{residual_tol:.3e},{residual <= residual_tol}",
-        f"energy_inequality,{lhs - rhs:.12e},{float(args.energy_tol):.3e},{holds}",
+        f"pde_residual,{residual:.12e},{s.residual_tol:.3e},{residual <= s.residual_tol}",
+        f"energy_inequality,{lhs - rhs:.12e},{s.energy_tol:.3e},{holds}",
         f"energy_gap,{gap:.12e},,",
     ]
     report = norms(u_hat, params, p=p_hat)
@@ -227,165 +245,113 @@ def _run_verify(args) -> int:
         rows.append(f"norm_oseen[q={q:g}],{report.xoseen[q].total:.12e},,")
     for (q, r), value in sorted(report.xpres.items()):
         rows.append(f"norm_pressure[q={q:g} r={r:g}],{value:.12e},,")
-    out = "\n".join(["check,value,threshold,passed"] + rows)
-    if args.out:
-        Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
-    all_pass = residual <= residual_tol and holds
-    return EXIT_OK if all_pass else 1
+    _report(s.out, ["check,value,threshold,passed"] + rows)
+    all_pass = residual <= s.residual_tol and holds
+    return 0 if all_pass else 1
 
 
-def _run_probe(args) -> int:
-    params = Params(
-        lam=float(args.lam) if args.lam is not None else 1.0,
-        period=float(args.period) if args.period is not None else 2 * np.pi,
-    )
-    names = args.symbols or list(PROBE_SYMBOLS)
+def _run_probe(s: argparse.Namespace) -> int:
+    params = Params(lam=s.lam, period=s.period)
     rows = []
-    for name in names:
+    for name in s.symbols or PROBE_SYMBOLS:
         try:
-            report = marcinkiewicz_probe(name, params, resolution=args.resolution)
+            report = marcinkiewicz_probe(name, params, resolution=s.resolution)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         rows.append(report.csv_row())
-    out = "\n".join([MultiplierReport.csv_header()] + rows)
-    if args.out:
-        Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
-    return EXIT_OK
+    _report(s.out, [MultiplierReport.csv_header()] + rows)
+    return 0
 
 
-def _run_norms(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    grid, params = _build_grid_params(args, config)
-    velocity_path = _require(
-        _setting(args.velocity, config, "verify", "velocity"), "--velocity"
-    )
-    u = read_field(str(velocity_path), expected_grid=grid)
-    p = read_field(str(args.pressure), expected_grid=grid) if args.pressure else None
-
-    def _float_list(text, fallback):
-        if text is None:
-            return fallback
-        try:
-            return tuple(float(v) for v in text.replace(",", " ").split())
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    q_list = _float_list(args.q, (1.2,))
-    r_list = _float_list(args.r, (6.0,))
+def _run_norms(s: argparse.Namespace) -> int:
+    grid, params = _build_grid_params(s)
+    u_hat = forward(_read_checked(s.velocity, grid, 3, "--velocity"))
+    p_hat = forward(_read_checked(s.pressure, grid, 1, "--pressure")) if s.pressure else None
     try:
-        report = norms(
-            forward(u),
-            params,
-            p=forward(p) if p is not None else None,
-            q_list=q_list,
-            r_list=r_list,
-        )
+        report = norms(u_hat, params, p=p_hat, q_list=_parse_numbers(s.q, "--q"),
+                       r_list=_parse_numbers(s.r, "--r"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = "\n".join([NormReport.csv_header()] + report.csv_rows())
-    if args.out:
-        Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
-    return EXIT_OK
+    _report(s.out, [NormReport.csv_header()] + report.csv_rows())
+    return 0
 
 
-def _add_common_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="sectioned key=value file; flags override it")
-    sub.add_argument("--grid", help="resolutions N1,N2,N3,M (one value applies to all)")
-    sub.add_argument("--box", help="box lengths L1,L2,L3")
-    sub.add_argument("--period", help="time period")
-    sub.add_argument("--lambda", dest="lam", help="drift speed along x1")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # Bad command lines report like every other usage error: one line, exit 2.
+        raise UsageError(message)
 
 
-def _add_forcing_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--preset", help=f"forcing preset: {', '.join(PRESET_NAMES)} or random")
-    sub.add_argument("--forcing-file", dest="forcing_file", help="read the forcing from a field file")
-    sub.add_argument("--amplitude", help="preset amplitude (default 1e-2)")
-    sub.add_argument("--scale", help="multiply the forcing by this factor")
-    sub.add_argument("--seed", help="seed for the random preset")
-    sub.add_argument("--cutoff", help="shell cutoff for the random preset")
+def _add_settings(sub: argparse.ArgumentParser, sections: tuple[str, ...], config_file: bool = True) -> None:
+    """The flags of every setting in ``sections``; the subcommand reads the config unless told otherwise."""
+    if config_file:
+        sub.add_argument("--config", help="sectioned key=value file; flags override it")
+    for s in _SETTINGS:
+        if s.flag is not None and s.section in sections:
+            default = f" (default {s.default})" if s.default is not None else ""
+            sub.add_argument(s.flag, dest=s.name, help=s.help + default)
+    sub.set_defaults(sections=sections, config=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="periodicflow",
         description="Space-time spectral solver for time-periodic flow with a constant drift.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("solve", help="run the fixed-point solver and write reports")
-    _add_common_grid_flags(sub)
-    _add_forcing_flags(sub)
-    sub.add_argument("--tol", help="relative update tolerance (default 1e-10)")
-    sub.add_argument("--max-iter", dest="max_iter", help="iteration cap (default 200)")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
+    _add_settings(sub, ("grid", "params", "forcing", "solver", "output"))
     sub.set_defaults(func=_run_solve)
 
     sub = commands.add_parser("verify", help="check user-supplied fields against a forcing")
-    _add_common_grid_flags(sub)
-    _add_forcing_flags(sub)
-    sub.add_argument("--velocity", help="velocity field file")
-    sub.add_argument("--pressure", help="pressure field file")
-    sub.add_argument("--residual-tol", dest="residual_tol", default="1e-6")
-    sub.add_argument("--energy-tol", dest="energy_tol", default="1e-6")
+    _add_settings(sub, ("grid", "params", "forcing", "verify"))
+    sub.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-6)
+    sub.add_argument("--energy-tol", dest="energy_tol", type=float, default=1e-6)
     sub.add_argument("--out", help="write the verdict CSV here instead of stdout")
     sub.set_defaults(func=_run_verify)
 
     sub = commands.add_parser("probe", help="sample boundedness of the continuous symbols")
     sub.add_argument("symbols", nargs="*", help=f"symbols to probe (default: all of {', '.join(PROBE_SYMBOLS)})")
     sub.add_argument("--resolution", type=int, default=8, help="log-grid points per half axis")
-    sub.add_argument("--period", help="time period (default 2*pi)")
-    sub.add_argument("--lambda", dest="lam", help="drift speed (default 1)")
+    _add_settings(sub, ("params",), config_file=False)
     sub.add_argument("--out", help="write the CSV here instead of stdout")
     sub.set_defaults(func=_run_probe)
 
     sub = commands.add_parser("norms", help="norm report for stored fields")
-    _add_common_grid_flags(sub)
-    sub.add_argument("--velocity", help="velocity field file")
-    sub.add_argument("--pressure", help="optional pressure field file")
-    sub.add_argument("--q", help="Lebesgue exponent in (1, 2), default 1.2")
-    sub.add_argument("--r", help="pressure gradient exponent in (1, inf), default 6")
+    _add_settings(sub, ("grid", "params", "verify"))
+    sub.add_argument("--q", default="1.2", help="Lebesgue exponents in (1, 2) (default %(default)s)")
+    sub.add_argument("--r", default="6", help="pressure gradient exponents in (1, inf) (default %(default)s)")
     sub.add_argument("--out", help="write the CSV here instead of stdout")
     sub.set_defaults(func=_run_norms)
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
+# (exception types, error kind or None for the type's own name, exit code); first match wins.
+_EXITS = (
+    (UsageError, "Usage", 2),
+    (MeanModeNonzero, "MeanModeNonzero", 5),
+    (Diverging, "Diverging", 4),
+    (NoConvergence, "NoConvergence", 3),
+    (FieldFormatError, "FieldFormat", 6),
+    (OSError, "IO", 6),
+    ((SolverError, ValueError), None, 2),
+)
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error=Usage detail={exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MeanModeNonzero as exc:
-        print(f"error=MeanModeNonzero detail={exc}", file=sys.stderr)
-        return EXIT_MEAN_MODE
-    except Diverging as exc:
-        print(f"error=Diverging detail={exc}", file=sys.stderr)
-        return EXIT_DIVERGING
-    except NoConvergence as exc:
-        print(f"error=NoConvergence detail={exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except FieldFormatError as exc:
-        print(f"error=FieldFormat detail={exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error=IO detail={exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SolverError, ValueError) as exc:
-        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(_resolve(args))
+    except SystemExit as exc:  # --help
+        return exc.code
+    except Exception as exc:
+        for types, kind, code in _EXITS:
+            if isinstance(exc, types):
+                print(f"error={kind or type(exc).__name__} detail={exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -47,6 +47,11 @@ def _dealias_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return coeffs
 
 
+def _band_radius(grid: Grid) -> int:
+    """Largest integer radius whose shell lies inside the 2/3 band of every axis."""
+    return min(n // 3 for n in grid.n_space + (grid.n_time,))
+
+
 def dealias(spec: SpectralField) -> SpectralField:
     """Zero every mode with |n_j| > N_j/3 or |k| > M/3 (2/3 rule, idempotent)."""
     return SpectralField(spec.grid, _dealias_in_place(spec.coeffs.copy(), spec.grid))

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from periodicflow import PhysicalField, read_field, write_field
+import periodicflow.cli as cli
+from periodicflow import Diverging, PhysicalField, read_field, write_field
 from periodicflow.cli import main
 
 GRID8 = "--grid", "8"
@@ -73,7 +77,18 @@ def test_solve_rejects_odd_resolution(capsys):
     assert "error=Usage" in capsys.readouterr().err
 
 
-def test_oversized_forcing_exits_diverging(tmp_path, capsys):
+def test_oversized_forcing_exits_diverging(tmp_path, capsys, monkeypatch):
+    raised = []
+    real_solve = cli.solve
+
+    def recording_solve(*args, **kwargs):
+        try:
+            return real_solve(*args, **kwargs)
+        except Diverging as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
     out = tmp_path / "blow"
     code = run(
         "solve",
@@ -89,6 +104,12 @@ def test_oversized_forcing_exits_diverging(tmp_path, capsys):
     )
     assert code == 4
     assert "error=Diverging" in capsys.readouterr().err
+    # the failed run leaves one row per recorded update
+    (exc,) = raised
+    rows = (out / "iterations.csv").read_text().splitlines()
+    assert rows[0] == "iteration,update"
+    assert rows[1:] == [f"{i + 1},{d:.12e}" for i, d in enumerate(exc.update_history)]
+    assert len(rows) > 3
 
 
 def test_mean_mode_forcing_exits_five(tmp_path, capsys, grid8):
@@ -262,4 +283,118 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run("explode") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error=Usage detail=") and "explode" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_help_exits_zero(capsys):
+    assert run("--help") == 0
+    assert run("solve", "--help") == 0
+    assert "--lambda" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (("probe", "--resolution", "x"), None, "argument --resolution"),
+        (("solve", *GRID8, "--preset", "trig", "--lambda", "abc"), None, "--lambda"),
+        (("solve",), "[grid]\nn_space = 8\nn_time = eight\n[forcing]\npreset = trig\n", "[grid] n_time"),
+        (("solve", "--grid", "8,8", "--preset", "trig"), None, "--grid"),
+        (("norms", *GRID8, "--velocity", "u.field", "--q", "1.2,x"), None, "--q"),
+    ],
+)
+def test_bad_value_is_one_usage_line_naming_its_setting(tmp_path, capsys, grid8, monkeypatch, argv, config, named):
+    monkeypatch.chdir(tmp_path)
+    write_field("u.field", PhysicalField(grid8, np.zeros((3,) + grid8.shape)))
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ("--config", str(tmp_path / "run.cfg"))
+    assert run(*argv, "--out-dir" if argv[0] == "solve" else "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error=Usage detail={named}") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_config_key_fails_before_any_work(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[grid]\nn_space = 8,8,8\nn_time = 8\n\n"
+        "[params]\nlamda = 0.5\n\n"
+        "[forcing]\npreset = trig\n\n"
+        "[output]\nout_dir = {}\n".format(tmp_path / "out")
+    )
+    assert run("solve", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == "error=Usage detail=unknown config key [params] lamda\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[grid]\nresolution = 8\n\n"
+        "[forcing]\npreset = trig\n\n"
+        "[solver]\ntol = 1e-11\n\n"
+        f"[output]\nout_dir = {out}\n\n"
+        f"[verify]\nvelocity = {out / 'u.field'}\npressure = {out / 'p.field'}\n"
+    )
+    assert run("solve", "--config", str(cfg)) == 0
+    assert run("verify", "--config", str(cfg), "--out", str(tmp_path / "verdict.csv")) == 0
+    # norms reads [verify] pressure as well as [verify] velocity
+    assert run("norms", "--config", str(cfg), "--out", str(tmp_path / "norms.csv")) == 0
+    assert (tmp_path / "norms.csv").read_text().splitlines()[1].split(",")[-1] != "nan"
+    assert run("norms", *GRID8, "--velocity", str(out / "u.field"), "--pressure", str(out / "p.field"),
+               "--out", str(tmp_path / "flags.csv")) == 0
+    assert (tmp_path / "norms.csv").read_text() == (tmp_path / "flags.csv").read_text()
+    capsys.readouterr()
+
+
+COMMAND_SETTINGS = [
+    (command, setting)
+    for command in ("solve", "verify", "norms")
+    for setting in cli._SETTINGS
+    if setting.section in cli.build_parser().parse_args([command]).sections
+]
+
+
+@pytest.mark.parametrize(
+    "command, setting", COMMAND_SETTINGS, ids=[f"{c}-{s.section}.{s.key}" for c, s in COMMAND_SETTINGS]
+)
+def test_every_config_key_matches_and_loses_to_its_flag(tmp_path, command, setting):
+    cfg = tmp_path / "run.cfg"
+
+    def resolved(config_text, *flags):
+        cfg.write_text(f"[{setting.section}]\n{setting.key} = {config_text}\n" if config_text else "")
+        args = cli.build_parser().parse_args([command, "--config", str(cfg), *flags])
+        return getattr(cli._resolve(args), setting.name)
+
+    def value(text):
+        return setting.kind(text) if setting.count is None else (setting.kind(text),) * setting.count
+
+    assert resolved("3") == value("3")
+    if setting.flag is not None:
+        assert resolved(None, setting.flag, "3") == value("3")
+        assert resolved("3", setting.flag, "5") == value("5")
+
+
+def test_readme_lists_the_cli_settings_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` +\| (\S+) +\| (.*) \|$", readme, re.MULTILINE)
+    assert [(section, key, flag) for section, key, flag, _ in rows] == [
+        (s.section, s.key, f"`{s.flag}`" if s.flag else "none") for s in cli._SETTINGS
+    ]
+    for (_, _, _, default), setting in zip(rows, cli._SETTINGS):
+        assert default.startswith(f"`{setting.default}`" if setting.default else "none"), default
+
+
+def test_random_preset_default_cutoff_keeps_the_energy_inequality(tmp_path, capsys):
+    # The default cutoff stays inside the 2/3 band of the coarsest axis (N1 = 8
+    # allows shell 2), where the dealiased transport is exactly energy-neutral.
+    setup = ("--grid", "8,12,16,10", "--box", "2.5,1,7", "--period", "0.7", "--lambda", "-1.5",
+             "--preset", "random", "--amplitude", "2")
+    out = tmp_path / "run"
+    assert run("solve", *setup, "--out-dir", str(out)) == 0
+    fields = ("--velocity", str(out / "u.field"), "--pressure", str(out / "p.field"))
+    assert run("verify", *setup, *fields, "--out", str(tmp_path / "verdict.csv")) == 0
     capsys.readouterr()

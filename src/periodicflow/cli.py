@@ -102,6 +102,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             # A key no subcommand reads is a misspelling, not a setting to ignore.
             if (section, key) not in known:
                 raise UsageError(f"unknown config key [{section}] {key}")
+    args.origin = {}
     for s in _SETTINGS:
         if s.section not in args.sections:
             continue
@@ -111,21 +112,32 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         if value is not None:
             value = _parse_numbers(value, what, s.kind, s.count) if s.count else _convert(value, what, s.kind)
         setattr(args, s.name, value)
+        args.origin[s.name] = what
     return args
+
+
+def _validated(s: argparse.Namespace, build):
+    """``build()``; a rejected value is a usage error naming its setting.
+
+    Validation messages of ``Grid``, ``Params`` and ``SolverConfig`` start with the rejected field.
+    """
+    try:
+        return build()
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        raise UsageError(f"{s.origin.get(field, field)}: {exc}") from exc
 
 
 def _build_grid_params(s: argparse.Namespace) -> tuple[Grid, Params]:
     if s.grid is not None:
         n_space, n_time = s.grid[:3], s.grid[3]
+        s.origin["n_space"] = s.origin["n_time"] = s.origin["grid"]
     elif s.n_space is not None and s.n_time is not None:
         n_space, n_time = s.n_space, s.n_time
     else:
         raise UsageError("missing required setting: grid resolution (--grid or [grid] n_space/n_time)")
-    try:
-        params = Params(lam=s.lam, period=s.period)
-        grid = Grid(box=s.box, n_space=n_space, n_time=n_time, period=s.period)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _validated(s, lambda: Params(lam=s.lam, period=s.period))
+    grid = _validated(s, lambda: Grid(box=s.box, n_space=n_space, n_time=n_time, period=s.period))
     return grid, params
 
 
@@ -181,8 +193,8 @@ def _report(out: str | None, lines: list[str]) -> None:
 
 def _run_solve(s: argparse.Namespace) -> int:
     grid, params = _build_grid_params(s)
+    solver_config = _validated(s, lambda: SolverConfig(tol=s.tol, max_iter=s.max_iter))
     f = _build_forcing(s, grid, params)
-    solver_config = SolverConfig(tol=s.tol, max_iter=s.max_iter)
 
     out_dir = s.out_dir
     f_hat = forward(f)
@@ -196,8 +208,8 @@ def _run_solve(s: argparse.Namespace) -> int:
     _write_iterations(out_dir, sol.update_history)
     u = sol.u
     u_nodes = inverse(u).values
-    # v is constant in time: invert its k = 0 plane over space alone
-    v_nodes = _nodes(sol.v.coeffs[:, 0], grid.shape[1:])[:, np.newaxis]
+    # v is constant in time: invert the k = 0 plane of u over space alone
+    v_nodes = _nodes(u.coeffs[:, 0], grid.shape[1:])[:, np.newaxis]
     write_field(out_dir / "u.field", PhysicalField(grid, u_nodes))
     write_field(out_dir / "v.field", PhysicalField(grid, np.broadcast_to(v_nodes, u_nodes.shape)))
     u_nodes -= v_nodes
@@ -251,7 +263,7 @@ def _run_verify(s: argparse.Namespace) -> int:
 
 
 def _run_probe(s: argparse.Namespace) -> int:
-    params = Params(lam=s.lam, period=s.period)
+    params = _validated(s, lambda: Params(lam=s.lam, period=s.period))
     rows = []
     for name in s.symbols or PROBE_SYMBOLS:
         try:

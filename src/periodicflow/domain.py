@@ -37,7 +37,7 @@ class Params:
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
-            raise ValueError(f"drift speed must be finite, got {self.lam!r}")
+            raise ValueError(f"lam (the drift speed) must be finite, got {self.lam!r}")
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise ValueError(f"period must be a positive finite number, got {self.period!r}")
 
@@ -99,10 +99,10 @@ class Grid:
                 raise ValueError(f"box lengths must be positive, got {self.box}")
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise ValueError(f"period must be positive, got {self.period}")
-        for nj in (*self.n_space, self.n_time):
-            if nj < 4 or nj % 2 != 0:
+        for name, resolutions in (("n_space", self.n_space), ("n_time", (self.n_time,))):
+            if any(nj < 4 or nj % 2 != 0 for nj in resolutions):
                 raise ValueError(
-                    f"resolutions must be even and at least 4, got {self.n_space} x {self.n_time}"
+                    f"{name} resolutions must be even and at least 4, got {getattr(self, name)}"
                 )
 
         n1, n2, n3 = self.n_space
@@ -174,3 +174,9 @@ class Grid:
             np.broadcast_to((np.arange(n3) * (self.box[2] / n3)).reshape(1, n3, 1, 1), shape),
             np.broadcast_to((np.arange(m) * (self.period / m)).reshape(m, 1, 1, 1), shape),
         )
+
+
+def _check_period(params: Params, grid: Grid) -> None:
+    """Raise ``ValueError`` unless ``params`` carries the period of ``grid``, which is the one solved for."""
+    if params.period != grid.period:
+        raise ValueError(f"params period {params.period!r} does not match the grid period {grid.period!r}")

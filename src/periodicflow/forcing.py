@@ -16,14 +16,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import Grid, Params
+from .domain import Grid, Params, _check_period
 from .errors import NotSolenoidal
 from .fourier import (
+    _FLOOR,
     _UNIT_INDICES,
     PhysicalField,
     SpectralField,
     _derivative_nodes,
     coeff_norm,
+    divergence,
     forward,
     gradient,
     inverse,
@@ -32,7 +34,6 @@ from .fourier import (
     time_derivative,
 )
 from .multipliers import helmholtz
-from .nonlinear import _solenoidal_defect
 
 __all__ = [
     "manufactured",
@@ -109,16 +110,18 @@ def manufactured(
 ) -> tuple[PhysicalField, PhysicalField, PhysicalField]:
     """Assemble the forcing that makes (u*, p*) an exact solution.
 
-    Returns (f, u*, p*) sampled on the grid.  Rejects callables that are not
-    periodic on the box and period, and velocity fields whose spectral
-    divergence is not negligible.
+    Returns (f, u*, p*) sampled on the grid.  Rejects a ``params.period``
+    other than the grid's, callables that are not periodic on the box and
+    period, and velocity fields whose spectral divergence is not negligible.
     """
+    _check_period(params, grid)
     u_field = _periodic_samples(u_star, grid, is_vector=True)
     p_field = _periodic_samples(p_star, grid, is_vector=False)
     u_hat = forward(u_field)
     p_hat = forward(p_field)
 
-    defect = _solenoidal_defect(u_hat)
+    scale = float(np.abs(u_hat.coeffs).max(initial=0.0))
+    defect = float(np.abs(divergence(u_hat).coeffs).max(initial=0.0)) / max(scale, _FLOOR)
     if defect > solenoidal_tol:
         raise NotSolenoidal(
             f"manufactured velocity has relative spectral divergence "

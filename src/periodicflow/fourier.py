@@ -68,7 +68,6 @@ __all__ = [
     "gradient",
     "divergence",
     "laplacian",
-    "hermitian_defect",
     "spectral_sum",
     "coeff_norm",
 ]
@@ -358,16 +357,6 @@ def divergence(spec: SpectralField) -> SpectralField:
 
 def laplacian(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, spec.coeffs * (-spec.grid.xi_sq))
-
-
-def hermitian_defect(spec: SpectralField) -> float:
-    """Largest absolute deviation from conjugate symmetry coeffs(-m) = conj(coeffs(m)).
-
-    Off the n1 = 0 and n1 = N1/2 planes the partner of a stored mode is not
-    stored, so the symmetry holds there by construction and only those two
-    planes are compared.
-    """
-    return _plane_defect(spec.coeffs)
 
 
 def spectral_sum(values: np.ndarray, grid: Grid) -> float:

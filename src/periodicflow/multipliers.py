@@ -19,11 +19,9 @@ from .fourier import SpectralField
 
 __all__ = [
     "helmholtz",
-    "oseen_symbol",
     "oseen_apply",
     "oseen_inverse",
     "half_time_derivative",
-    "regularity_multiplier",
     "regularity_multiplier_bound",
     "MultiplierReport",
     "marcinkiewicz_probe",
@@ -61,7 +59,7 @@ def helmholtz(spec: SpectralField) -> SpectralField:
     return SpectralField(g, out)
 
 
-def oseen_symbol(grid: Grid, params: Params) -> np.ndarray:
+def _oseen_symbol(grid: Grid, params: Params) -> np.ndarray:
     """Symbol |xi|^2 + i(omega - lam*xi1) of d/dt - Lap - lam*d/dx1.
 
     Vanishes only at the joint zero mode (xi, k) = (0, 0); on the periodic
@@ -72,7 +70,7 @@ def oseen_symbol(grid: Grid, params: Params) -> np.ndarray:
 
 def oseen_apply(spec: SpectralField, params: Params) -> SpectralField:
     """Apply the forward operator d/dt - Lap - lam*d/dx1 spectrally."""
-    return SpectralField(spec.grid, spec.coeffs * oseen_symbol(spec.grid, params))
+    return SpectralField(spec.grid, spec.coeffs * _oseen_symbol(spec.grid, params))
 
 
 def oseen_inverse(spec: SpectralField, params: Params) -> SpectralField:
@@ -96,7 +94,7 @@ def oseen_inverse(spec: SpectralField, params: Params) -> SpectralField:
             f"{_MEAN_TOL:.1e} x field scale {scale:.3e}; the periodic box cannot "
             "absorb a mean solenoidal forcing"
         )
-    sym = oseen_symbol(spec.grid, params)
+    sym = _oseen_symbol(spec.grid, params)
     sym[0, 0, 0, 0] = 1.0
     out = c / sym
     out[:, 0, 0, 0, 0] = 0.0
@@ -114,6 +112,7 @@ def half_time_derivative(spec: SpectralField) -> SpectralField:
 
 
 def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
+    """Regularity multiplier (i*omega)^(1/2) (i*xi_axis) / (|xi|^2 + i*omega) on k != 0, zero on k = 0."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
     osc = (grid.k_modes != 0).reshape(grid.n_time, 1, 1, 1)
@@ -121,16 +120,6 @@ def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
     safe = np.where(osc, denom, 1.0)
     numer = np.sqrt(1j * grid.omega) * (1j * grid.xi[axis - 1])
     return np.where(osc, numer / safe, 0.0)
-
-
-def regularity_multiplier(spec: SpectralField, axis: int) -> SpectralField:
-    """Multiplier carrying (d/dt - Lap)g to the half time derivative of d/dx_axis g.
-
-    Mode-wise the factor is (i*omega)^(1/2) * (i*xi_axis) / (|xi|^2 + i*omega)
-    on oscillatory modes (k != 0) and zero on the whole k = 0 plane, where the
-    joint zero mode would otherwise divide zero by zero.
-    """
-    return SpectralField(spec.grid, spec.coeffs * _regularity_factor(spec.grid, axis))
 
 
 def regularity_multiplier_bound(grid: Grid, axis: int) -> float:

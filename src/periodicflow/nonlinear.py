@@ -11,30 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Grid
-from .errors import NotSolenoidal
 from .fourier import (
-    _FLOOR,
     _UNIT_INDICES,
     PhysicalField,
     SpectralField,
     _derivative_nodes,
-    coeff_norm,
-    divergence,
     forward,
     inverse,
-    spectral_sum,
 )
 
 __all__ = [
-    "dealias",
     "convective",
-    "convective_bilinear",
-    "divergence_form",
     "dealiased_tensor_product",
-    "energy_neutrality_defect",
 ]
-
-_SOLENOIDAL_TOL = 1e-10
 
 
 def _dealias_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -52,12 +41,7 @@ def _band_radius(grid: Grid) -> int:
     return min(n // 3 for n in grid.n_space + (grid.n_time,))
 
 
-def dealias(spec: SpectralField) -> SpectralField:
-    """Zero every mode with |n_j| > N_j/3 or |k| > M/3 (2/3 rule, idempotent)."""
-    return SpectralField(spec.grid, _dealias_in_place(spec.coeffs.copy(), spec.grid))
-
-
-def convective_bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
+def _convective_bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
     """Dealiased transport term (u . grad) v in convective form.
 
     For self-transport (``u is v``) the node values of u share the transform
@@ -84,14 +68,7 @@ def convective_bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
 
 def convective(u: SpectralField) -> SpectralField:
     """Dealiased self-transport (u . grad) u."""
-    return convective_bilinear(u, u)
-
-
-def _solenoidal_defect(w: SpectralField) -> float:
-    """Largest spectral divergence of ``w`` relative to its largest coefficient."""
-    scale = float(np.abs(w.coeffs).max(initial=0.0))
-    div_max = float(np.abs(divergence(w).coeffs).max(initial=0.0))
-    return div_max / max(scale, _FLOOR)
+    return _convective_bilinear(u, u)
 
 
 def dealiased_tensor_product(w: SpectralField) -> np.ndarray:
@@ -101,8 +78,8 @@ def dealiased_tensor_product(w: SpectralField) -> np.ndarray:
     out = np.empty((3, 3) + g.spectral_shape, dtype=np.complex128)
     for i in range(3):
         for j in range(i, 3):
-            prod = forward(PhysicalField(g, w_phys[i] * w_phys[j]))
-            coeffs = dealias(prod).coeffs[0]
+            prod = forward(PhysicalField(g, w_phys[i] * w_phys[j])).coeffs
+            coeffs = _dealias_in_place(prod, g)[0]
             out[i, j] = coeffs
             out[j, i] = coeffs
     return out
@@ -112,38 +89,3 @@ def _tensor_divergence(tensor: np.ndarray, grid: Grid) -> np.ndarray:
     """Coefficients of the divergence sum_l d/dx_l T_il of a (3, 3) tensor spectrum."""
     ixi = (1j * grid.xi1, 1j * grid.xi2, 1j * grid.xi3)
     return np.stack([sum(ixi[l] * tensor[i, l] for l in range(3)) for i in range(3)])
-
-
-def divergence_form(w: SpectralField) -> SpectralField:
-    """Transport term written as the divergence of w (x) w.
-
-    Valid only for divergence-free fields; for those it agrees with the
-    convective form up to aliasing of unresolved tails.
-
-    Raises
-    ------
-    NotSolenoidal
-        If the spectral divergence of ``w`` exceeds 1e-10 relative to the
-        largest coefficient.
-    """
-    if w.components != 3:
-        raise ValueError("divergence form expects a 3-component field")
-    defect = _solenoidal_defect(w)
-    if defect > _SOLENOIDAL_TOL:
-        raise NotSolenoidal(
-            f"relative spectral divergence {defect:.3e} exceeds {_SOLENOIDAL_TOL:.1e}; "
-            "the divergence form of the transport term requires a solenoidal field"
-        )
-    return SpectralField(w.grid, _tensor_divergence(dealiased_tensor_product(w), w.grid))
-
-
-def energy_neutrality_defect(u: SpectralField) -> float:
-    """Normalized energy injection of the dealiased transport term.
-
-    Returns |<convective(u), u>| / (|u| |convective(u)| + floor) with
-    full-lattice coefficient sums; exactly zero transport orthogonality gives
-    zero.
-    """
-    conv = convective(u)
-    ip = spectral_sum(np.real(np.conj(u.coeffs) * conv.coeffs), u.grid)
-    return abs(ip) / (coeff_norm(u) * coeff_norm(conv) + _FLOOR)

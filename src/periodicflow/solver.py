@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Grid, Params
+from .domain import Grid, Params, _check_period
 from .errors import Diverging, NoConvergence, NotAGradient
 from .fourier import (
     _FLOOR,
@@ -71,14 +71,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged steady part, oscillatory part, pressure and iteration record.
+    """Converged velocity and pressure with the iteration record.
 
-    ``pde_residual`` is ``pde_residual(u, p, f, params)`` of the returned
-    velocity and pressure.
+    The steady part ``v`` and the oscillatory part ``w`` of ``u`` are built
+    on each access.  ``pde_residual`` is ``pde_residual(u, p, f, params)`` of
+    the returned velocity and pressure.
     """
 
-    v: SpectralField
-    w: SpectralField
+    u: SpectralField
     p: SpectralField
     iterations: int
     update_history: tuple[float, ...] = field(repr=False)
@@ -86,8 +86,12 @@ class Solution:
     pde_residual: float
 
     @property
-    def u(self) -> SpectralField:
-        return self.v + self.w
+    def v(self) -> SpectralField:
+        return time_mean_part(self.u)
+
+    @property
+    def w(self) -> SpectralField:
+        return oscillatory_part(self.u)
 
 
 def split(u: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -129,6 +133,8 @@ def solve(
 
     Raises
     ------
+    ValueError
+        If the forcing or ``params.period`` does not match ``grid``.
     MeanModeNonzero
         If the solenoidal part of the forcing carries a space-time mean.
     Diverging
@@ -139,6 +145,7 @@ def solve(
     f_hat = _as_spectral(f)
     if f_hat.grid != grid:
         raise ValueError("forcing grid does not match the requested grid")
+    _check_period(params, grid)
 
     if config.initial_guess is None:
         u = SpectralField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
@@ -192,10 +199,8 @@ def solve(
     transport = convective(u)
     p = _pressure(f_hat - transport)
     residual = _residual(u, p, f_hat, transport, params)
-    v, w = split(u)
     return Solution(
-        v=v,
-        w=w,
+        u=u,
         p=p,
         iterations=len(history),
         update_history=tuple(history),

@@ -302,6 +302,20 @@ def test_help_exits_zero(capsys):
         (("solve",), "[grid]\nn_space = 8\nn_time = eight\n[forcing]\npreset = trig\n", "[grid] n_time"),
         (("solve", "--grid", "8,8", "--preset", "trig"), None, "--grid"),
         (("norms", *GRID8, "--velocity", "u.field", "--q", "1.2,x"), None, "--q"),
+        # values that convert but fail validation
+        (("solve", *GRID8, "--preset", "trig", "--tol", "0"), None, "--tol: tol must be positive"),
+        (("solve", *GRID8, "--preset", "trig", "--max-iter", "0"), None, "--max-iter: max_iter"),
+        # the solver settings are checked before the forcing file is read
+        (("solve", *GRID8, "--forcing-file", "missing.field", "--tol", "0"), None, "--tol: tol"),
+        (("solve", *GRID8, "--preset", "trig"), "[solver]\ntol = nan\n", "[solver] tol: tol"),
+        (("solve", *GRID8, "--preset", "trig", "--period", "-1"), None, "--period: period"),
+        (("solve", *GRID8, "--preset", "trig", "--lambda", "inf"), None, "--lambda: lam"),
+        (("solve", *GRID8, "--preset", "trig", "--box", "1,0,1"), None, "--box: box"),
+        (("verify", "--grid", "8,8,7,8", "--velocity", "u.field"), None, "--grid: n_space"),
+        (("solve", "--preset", "trig"), "[grid]\nn_space = 8\nn_time = 5\n", "[grid] n_time: n_time"),
+        (("norms", *GRID8, "--velocity", "u.field", "--period", "0"), None, "--period: period"),
+        (("probe", "--period", "-1"), None, "--period: period"),
+        (("probe", "--lambda", "nan"), None, "--lambda: lam"),
     ],
 )
 def test_bad_value_is_one_usage_line_naming_its_setting(tmp_path, capsys, grid8, monkeypatch, argv, config, named):

@@ -4,6 +4,7 @@ import pytest
 from periodicflow import (
     Grid,
     NotSolenoidal,
+    Params,
     PRESET_NAMES,
     coeff_norm,
     divergence,
@@ -119,6 +120,41 @@ def test_analytic_preset_trips_strict_solenoidal_gate(grid8, params1):
     u_star, p_star = manufactured_preset("analytic", amplitude=0.05, grid=grid8)
     with pytest.raises(NotSolenoidal):
         manufactured(u_star, p_star, params1, grid8)
+
+
+def test_manufactured_rejects_compressible_fields(grid8, params1):
+    def u_star(x1, x2, x3, t):
+        return (np.sin(x1), 0.0 * x2, 0.0 * x3)  # divergence cos x1
+
+    def p_star(x1, x2, x3, t):
+        return 0.0 * x1
+
+    with pytest.raises(NotSolenoidal):
+        manufactured(u_star, p_star, params1, grid8)
+
+
+@pytest.mark.parametrize("ratio, raises", [(2e-10, True), (5e-11, False)])
+def test_manufactured_solenoidal_threshold(grid8, params1, ratio, raises):
+    """At the default solenoidal_tol a divergence counts once it exceeds 1e-10 of the largest coefficient."""
+
+    def u_star(x1, x2, x3, t):
+        # u2 = 2 cos x1 is divergence-free, u1 = 2 ratio cos x1 has divergence coefficient i ratio
+        return (2.0 * ratio * np.cos(x1), 2.0 * np.cos(x1), 0.0 * x3)
+
+    def p_star(x1, x2, x3, t):
+        return 0.0 * x1
+
+    if raises:
+        with pytest.raises(NotSolenoidal):
+            manufactured(u_star, p_star, params1, grid8)
+    else:
+        manufactured(u_star, p_star, params1, grid8)
+
+
+def test_manufactured_rejects_a_period_other_than_the_grids(grid8):
+    u_star, p_star = manufactured_preset("trig", amplitude=0.05, grid=grid8)
+    with pytest.raises(ValueError, match="does not match the grid period"):
+        manufactured(u_star, p_star, Params(lam=1.0, period=0.1), grid8)
 
 
 def test_preset_names_and_rejection(grid8):

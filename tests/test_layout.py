@@ -28,7 +28,6 @@ from periodicflow import (
     gradient,
     helmholtz,
     inverse,
-    oseen_symbol,
     pde_residual,
     picard_step,
     random_smooth,
@@ -38,6 +37,7 @@ from periodicflow import (
 )
 from periodicflow.diagnostics import _MULTI_INDICES
 from periodicflow.fourier import _derivative_factor, _derivative_nodes
+from periodicflow.multipliers import _oseen_symbol
 from halfspec import full_forward, full_spectrum, negate_modes
 
 AXES = (-4, -3, -2, -1)
@@ -278,7 +278,7 @@ def test_pressure_recovers_the_gradient_part_on_random_even_shapes(n, box, perio
 @given(**RANDOM_GRIDS, lam=st.floats(-3.0, 3.0))
 def test_oseen_symbol_is_conjugate_symmetric_on_the_n1_zero_plane(n, box, period, lam):
     grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=period)
-    plane = oseen_symbol(grid, Params(lam=lam, period=period))[..., 0]
+    plane = _oseen_symbol(grid, Params(lam=lam, period=period))[..., 0]
     partner = np.conj(negate_modes(plane, axes=(-3, -2, -1)))
     # a Nyquist mode is its own partner, and forward keeps none
     axes = (grid.k_modes, grid.n_modes[2], grid.n_modes[1])

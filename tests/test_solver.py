@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from periodicflow import (
     Diverging,
     NoConvergence,
+    Params,
     PhysicalField,
     Solution,
     SolverConfig,
@@ -19,6 +22,7 @@ from periodicflow import (
     recover_pressure,
     solve,
     split,
+    time_mean_part,
 )
 
 
@@ -161,6 +165,22 @@ def test_grid_mismatch_is_rejected(grid8, grid16, params1):
     guess = zero_spectrum(grid8)
     with pytest.raises(ValueError):
         solve(zero_spectrum(grid16), params1, grid16, SolverConfig(initial_guess=guess))
+
+
+def test_period_mismatch_is_rejected(grid8, params1):
+    # the grid's 2 pi period is the one solved for, so another period in params is an error
+    f, _, _ = trig_problem(grid8, params1)
+    with pytest.raises(ValueError, match="does not match the grid period"):
+        solve(f, Params(lam=1.0, period=0.1), grid8)
+
+
+def test_solution_stores_the_velocity_once(grid8, params1):
+    f, _, _ = trig_problem(grid8, params1)
+    sol = solve(f, params1, grid8)
+    names = {fld.name for fld in dataclasses.fields(sol)}
+    assert {"u", "p"} <= names and not names & {"v", "w"}
+    assert np.array_equal(sol.v.coeffs, time_mean_part(sol.u).coeffs)
+    assert np.array_equal(sol.v.coeffs + sol.w.coeffs, sol.u.coeffs)
 
 
 def test_pressure_of_solenoidal_forcing_vanishes(grid8, params1):

@@ -119,13 +119,14 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 def _validated(s: argparse.Namespace, build):
     """``build()``; a rejected value is a usage error naming its setting.
 
-    Validation messages of ``Grid``, ``Params`` and ``SolverConfig`` start with the rejected field.
+    Validation messages of the library start with the rejected field; ``s.origin``
+    maps a field to its flag or config key, and other messages pass unchanged.
     """
     try:
         return build()
     except ValueError as exc:
         field = str(exc).split()[0]
-        raise UsageError(f"{s.origin.get(field, field)}: {exc}") from exc
+        raise UsageError(f"{s.origin[field]}: {exc}" if field in s.origin else str(exc)) from exc
 
 
 def _build_grid_params(s: argparse.Namespace) -> tuple[Grid, Params]:
@@ -234,6 +235,9 @@ def _run_solve(s: argparse.Namespace) -> int:
 
 
 def _run_verify(s: argparse.Namespace) -> int:
+    for flag, tol in (("--residual-tol", s.residual_tol), ("--energy-tol", s.energy_tol)):
+        if not (np.isfinite(tol) and tol > 0.0):
+            raise UsageError(f"{flag}: a tolerance must be positive and finite, got {tol!r}")
     grid, params = _build_grid_params(s)
     u_hat = forward(_read_checked(s.velocity, grid, 3, "--velocity"))
     p_hat = forward(_read_checked(s.pressure, grid, 1, "--pressure"))
@@ -264,13 +268,9 @@ def _run_verify(s: argparse.Namespace) -> int:
 
 def _run_probe(s: argparse.Namespace) -> int:
     params = _validated(s, lambda: Params(lam=s.lam, period=s.period))
-    rows = []
-    for name in s.symbols or PROBE_SYMBOLS:
-        try:
-            report = marcinkiewicz_probe(name, params, resolution=s.resolution)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        rows.append(report.csv_row())
+    s.origin["resolution"] = "--resolution"
+    rows = [_validated(s, lambda: marcinkiewicz_probe(name, params, resolution=s.resolution)).csv_row()
+            for name in s.symbols or PROBE_SYMBOLS]
     _report(s.out, [MultiplierReport.csv_header()] + rows)
     return 0
 
@@ -279,11 +279,9 @@ def _run_norms(s: argparse.Namespace) -> int:
     grid, params = _build_grid_params(s)
     u_hat = forward(_read_checked(s.velocity, grid, 3, "--velocity"))
     p_hat = forward(_read_checked(s.pressure, grid, 1, "--pressure")) if s.pressure else None
-    try:
-        report = norms(u_hat, params, p=p_hat, q_list=_parse_numbers(s.q, "--q"),
-                       r_list=_parse_numbers(s.r, "--r"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    q_list, r_list = _parse_numbers(s.q, "--q"), _parse_numbers(s.r, "--r")
+    s.origin.update(q="--q", r="--r")
+    report = _validated(s, lambda: norms(u_hat, params, p=p_hat, q_list=q_list, r_list=r_list))
     _report(s.out, [NormReport.csv_header()] + report.csv_rows())
     return 0
 

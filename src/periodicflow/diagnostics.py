@@ -247,11 +247,11 @@ def norms(
     """
     for q in q_list:
         if not 1.0 < q < 2.0:
-            raise ValueError(f"norm exponent q must lie in the open interval (1, 2), got {q}")
+            raise ValueError(f"q (the norm exponent) must lie in the open interval (1, 2), got {q}")
     if p is not None:
         for r in r_list:
             if not (1.0 < r and math.isfinite(r)):
-                raise ValueError(f"pressure gradient exponent r must lie in (1, inf), got {r}")
+                raise ValueError(f"r (the pressure gradient exponent) must lie in (1, inf), got {r}")
 
     u_hat = _as_spectral(u)
     grid = u_hat.grid

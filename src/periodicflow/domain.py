@@ -164,15 +164,19 @@ class Grid:
         return (self.xi1, self.xi2, self.xi3)
 
     def coordinate_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Full-shape coordinate arrays (X1, X2, X3, T) for sampling callables."""
+        """Open coordinate axes (x1, x2, x3, t) of shapes (1,1,1,N1), (1,1,N2,1), (1,N3,1,1), (M,1,1,1).
+
+        They broadcast against each other to ``shape``, so an expression in them
+        evaluates each function of one coordinate on its axis alone; wrap one in
+        ``np.broadcast_to(x, grid.shape)`` where a full-size array is needed.
+        """
         m = self.n_time
         n1, n2, n3 = self.n_space
-        shape = self.shape
         return (
-            np.broadcast_to((np.arange(n1) * (self.box[0] / n1)).reshape(1, 1, 1, n1), shape),
-            np.broadcast_to((np.arange(n2) * (self.box[1] / n2)).reshape(1, 1, n2, 1), shape),
-            np.broadcast_to((np.arange(n3) * (self.box[2] / n3)).reshape(1, n3, 1, 1), shape),
-            np.broadcast_to((np.arange(m) * (self.period / m)).reshape(m, 1, 1, 1), shape),
+            (np.arange(n1) * (self.box[0] / n1)).reshape(1, 1, 1, n1),
+            (np.arange(n2) * (self.box[1] / n2)).reshape(1, 1, n2, 1),
+            (np.arange(n3) * (self.box[2] / n3)).reshape(1, n3, 1, 1),
+            (np.arange(m) * (self.period / m)).reshape(m, 1, 1, 1),
         )
 
 

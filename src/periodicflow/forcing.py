@@ -53,36 +53,27 @@ _PERIODICITY_TOL = 1e-10
 def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool) -> PhysicalField:
     """Samples of ``fn`` on the nodes, after checking that it is periodic on the box and period.
 
-    The unshifted evaluation of the check is the sample, so each callable
-    runs five times: once on the nodes and once per shifted axis.
+    ``fn`` gets the open coordinate axes, so each function of one coordinate
+    runs on that axis alone.  The unshifted evaluation of the check is the
+    sample; each of the four shifted evaluations is compared at every node,
+    because the comparison broadcasts like the result.
     """
-    x1, x2, x3, t = grid.coordinate_fields()
-    base = fn(x1, x2, x3, t)
-    shifts = (
-        (x1 + grid.box[0], x2, x3, t),
-        (x1, x2 + grid.box[1], x3, t),
-        (x1, x2, x3 + grid.box[2], t),
-        (x1, x2, x3, t + grid.period),
-    )
-    names = ("x1", "x2", "x3", "t")
-    if is_vector:
-        base_arrs = [np.asarray(c, dtype=np.float64) for c in base]
-        scale = max(float(np.abs(c).max(initial=0.0)) for c in base_arrs)
-    else:
-        base_arrs = [np.asarray(base, dtype=np.float64)]
-        scale = float(np.abs(base_arrs[0]).max(initial=0.0))
-    for shifted_coords, name in zip(shifts, names):
-        moved = fn(*shifted_coords)
-        moved_arrs = [np.asarray(c) for c in moved] if is_vector else [np.asarray(moved)]
-        mismatch = max(
-            float(np.abs(a - b).max(initial=0.0)) for a, b in zip(base_arrs, moved_arrs)
-        )
+    coords = grid.coordinate_fields()
+
+    def arrays(value) -> list[np.ndarray]:
+        return [np.asarray(c, dtype=np.float64) for c in (value if is_vector else (value,))]
+
+    base = arrays(fn(*coords))
+    scale = max(float(np.abs(a).max(initial=0.0)) for a in base)
+    for axis, (name, length) in enumerate(zip(("x1", "x2", "x3", "t"), (*grid.box, grid.period))):
+        moved = arrays(fn(*(c + length if i == axis else c for i, c in enumerate(coords))))
+        mismatch = max(float(np.abs(a - b).max(initial=0.0)) for a, b in zip(base, moved))
         if mismatch > _PERIODICITY_TOL * max(scale, 1.0):
             raise ValueError(
                 f"analytic field is not periodic in {name}: boundary mismatch "
                 f"{mismatch:.3e} exceeds {_PERIODICITY_TOL:.1e} of scale {scale:.3e}"
             )
-    return PhysicalField(grid, np.stack([np.broadcast_to(a, grid.shape) for a in base_arrs]))
+    return PhysicalField(grid, np.stack([np.broadcast_to(a, grid.shape) for a in base]))
 
 
 def _raw_transport(u_hat: SpectralField, u_phys: np.ndarray) -> SpectralField:
@@ -110,9 +101,12 @@ def manufactured(
 ) -> tuple[PhysicalField, PhysicalField, PhysicalField]:
     """Assemble the forcing that makes (u*, p*) an exact solution.
 
-    Returns (f, u*, p*) sampled on the grid.  Rejects a ``params.period``
-    other than the grid's, callables that are not periodic on the box and
-    period, and velocity fields whose spectral divergence is not negligible.
+    The callables receive the open coordinate axes x1, x2, x3, t of
+    ``grid.coordinate_fields()`` and return arrays or scalars (three of them
+    for u*) that broadcast to ``grid.shape``.  Returns (f, u*, p*) sampled on
+    the grid.  Rejects a ``params.period`` other than the grid's, callables
+    that are not periodic on the box and period, and velocity fields whose
+    spectral divergence is not negligible.
     """
     _check_period(params, grid)
     u_field = _periodic_samples(u_star, grid, is_vector=True)
@@ -139,9 +133,8 @@ def manufactured(
     # Every term of the continuum forcing has zero space-time mean; after
     # sampling, unresolved tails of the transport product can alias a tiny
     # mean back in.  Remove it so the forcing stays inside the solvable class.
-    coeffs = f_hat.coeffs.copy()
-    coeffs[:, 0, 0, 0, 0] = 0.0
-    return inverse(SpectralField(grid, coeffs)), u_field, p_field
+    f_hat.coeffs[:, 0, 0, 0, 0] = 0.0
+    return inverse(f_hat), u_field, p_field
 
 
 def manufactured_preset(

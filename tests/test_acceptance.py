@@ -111,7 +111,7 @@ def test_criterion_02_projection_algebra():
     h = helmholtz(u)
     idem = rel_gap(helmholtz(h).coeffs, h.coeffs)
 
-    x1, x2, x3, t = grid.coordinate_fields()
+    x1, x2, x3, t = (np.broadcast_to(c, grid.shape) for c in grid.coordinate_fields())
     # hand gradient of phi = sin(x1) cos(x2) cos(t): band-limited, alias-free
     grad_values = np.stack(
         [

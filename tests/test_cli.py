@@ -316,11 +316,19 @@ def test_help_exits_zero(capsys):
         (("norms", *GRID8, "--velocity", "u.field", "--period", "0"), None, "--period: period"),
         (("probe", "--period", "-1"), None, "--period: period"),
         (("probe", "--lambda", "nan"), None, "--lambda: lam"),
+        # flags outside the settings table
+        (("verify", *GRID8, "--velocity", "u.field", "--residual-tol", "-1"), None, "--residual-tol: "),
+        (("verify", *GRID8, "--velocity", "u.field", "--energy-tol", "nan"), None, "--energy-tol: "),
+        (("probe", "--resolution", "1"), None, "--resolution: resolution must be at least 2"),
+        (("norms", *GRID8, "--velocity", "u.field", "--q", "3"), None, "--q: q (the norm exponent)"),
+        (("norms", *GRID8, "--velocity", "u.field", "--pressure", "p.field", "--r", "1"), None,
+         "--r: r (the pressure gradient exponent)"),
     ],
 )
 def test_bad_value_is_one_usage_line_naming_its_setting(tmp_path, capsys, grid8, monkeypatch, argv, config, named):
     monkeypatch.chdir(tmp_path)
     write_field("u.field", PhysicalField(grid8, np.zeros((3,) + grid8.shape)))
+    write_field("p.field", PhysicalField(grid8, np.zeros((1,) + grid8.shape)))
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv += ("--config", str(tmp_path / "run.cfg"))

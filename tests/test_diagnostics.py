@@ -85,7 +85,7 @@ def test_norms_are_one_homogeneous(grid8, params1):
 
 def test_space_time_lebesgue_oracle(grid8):
     amp = 0.7
-    x1 = grid8.coordinate_fields()[0]
+    x1 = np.broadcast_to(grid8.coordinate_fields()[0], grid8.shape)
     u = PhysicalField(grid8, (amp * np.cos(x1))[np.newaxis])
     # grid-exact quadrature of |A cos x1|^2 gives A^2/2 per unit volume
     val = _lq_spacetime(np.abs(u.values[0]), 2.0, grid8)

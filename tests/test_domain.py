@@ -104,9 +104,10 @@ def test_grid_equality_and_hash():
 
 def test_coordinate_fields_shapes_and_values():
     grid = Grid(box=(1.0, 2.0, 3.0), n_space=(4, 4, 4), n_time=4, period=5.0)
-    x1, x2, x3, t = grid.coordinate_fields()
-    for arr in (x1, x2, x3, t):
-        assert arr.shape == grid.shape
+    axes = grid.coordinate_fields()
+    assert [arr.shape for arr in axes] == [(1, 1, 1, 4), (1, 1, 4, 1), (1, 4, 1, 1), (4, 1, 1, 1)]
+    assert np.broadcast_shapes(*(arr.shape for arr in axes)) == grid.shape
+    x1, x2, x3, t = (np.broadcast_to(arr, grid.shape) for arr in axes)
     assert x1[0, 0, 0, 1] == pytest.approx(0.25)
     assert x2[0, 0, 1, 0] == pytest.approx(0.5)
     assert x3[0, 1, 0, 0] == pytest.approx(0.75)

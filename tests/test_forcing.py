@@ -47,7 +47,7 @@ def test_trig_preset_satisfies_momentum_balance(grid16, params1):
 
 def test_trig_preset_is_solenoidal_on_the_grid(grid8):
     u_star, _ = manufactured_preset("trig", amplitude=0.05, grid=grid8)
-    x1, x2, x3, t = grid8.coordinate_fields()
+    x1, x2, x3, t = (np.broadcast_to(c, grid8.shape) for c in grid8.coordinate_fields())
     comps = u_star(x1, x2, x3, t)
     from periodicflow import PhysicalField
 
@@ -64,24 +64,26 @@ def test_steady_preset_forcing_lives_on_time_mean(grid8, params1):
     assert np.abs(oscillatory).max() <= 1e-12 * scale
 
 
-def test_non_periodic_callable_is_rejected(grid8, params1):
-    def u_star(x1, x2, x3, t):
-        return (x2, 0.0 * x2, 0.0 * x3)  # linear in x2: not periodic
+@pytest.mark.parametrize("axis, name", list(enumerate(("x1", "x2", "x3", "t"))), ids=("x1", "x2", "x3", "t"))
+def test_non_periodic_callable_is_rejected(grid8, params1, axis, name):
+    """A field linear in one coordinate alone fails the check of that axis, in u* and in p*."""
 
-    def p_star(x1, x2, x3, t):
-        return 0.0 * x1
+    def linear(*coords):
+        return coords[axis] + 0.0 * sum(coords)
 
-    with pytest.raises(ValueError, match="x2"):
-        manufactured(u_star, p_star, params1, grid8)
+    def u_linear(*coords):
+        return (linear(*coords), 0.0, 0.0)
 
-    def p_bad(x1, x2, x3, t):
-        return t + 0.0 * x1
+    def u_zero(*coords):
+        return (0.0, 0.0, 0.0)
 
-    def u_zero(x1, x2, x3, t):
-        return (0.0 * x1, 0.0 * x2, 0.0 * x3)
+    def p_zero(*coords):
+        return 0.0
 
-    with pytest.raises(ValueError, match="t"):
-        manufactured(u_zero, p_bad, params1, grid8)
+    with pytest.raises(ValueError, match=f"not periodic in {name}:"):
+        manufactured(u_linear, p_zero, params1, grid8)
+    with pytest.raises(ValueError, match=f"not periodic in {name}:"):
+        manufactured(u_zero, linear, params1, grid8)
 
 
 @pytest.mark.parametrize("jump, raises", [(2e-10, True), (5e-11, False)])
@@ -100,6 +102,58 @@ def test_periodicity_threshold(grid8, params1, jump, raises):
             manufactured(u_star, p_star, params1, grid8)
     else:
         manufactured(u_star, p_star, params1, grid8)
+
+
+ANISO = Grid(box=(2.5, 1.0, 7.0), n_space=(8, 12, 16), n_time=10, period=0.7)
+
+
+def on_full_axes(fn, grid):
+    """``fn`` called on full-size coordinate arrays instead of the open axes."""
+    return lambda *axes: fn(*(np.broadcast_to(a, grid.shape) for a in axes))
+
+
+def assert_same_outputs(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_callables_receive_open_axes_and_may_return_lower_dimensional_arrays():
+    """The callable contract: one non-unit axis per argument; results broadcast to the grid."""
+    grid = ANISO
+    params = Params(lam=1.0, period=grid.period)
+    a2 = TWO_PI / grid.box[1]
+    shapes = []
+
+    def recorded(fn):
+        def wrapper(*axes):
+            shapes.extend(np.shape(a) for a in axes)
+            return fn(*axes)
+
+        return wrapper
+
+    def u_star(x1, x2, x3, t):
+        # depends on x2 alone, so it is solenoidal; the other components are plain scalars
+        return (0.3 * np.sin(a2 * x2), 0.0, 0.0)
+
+    def p_star(x1, x2, x3, t):
+        return 0.5 * np.cos(a2 * x2)
+
+    got = manufactured(recorded(u_star), recorded(p_star), params, grid)
+    assert len(shapes) == 2 * 5 * 4
+    assert all(sum(n != 1 for n in shape) == 1 for shape in shapes), shapes
+    assert u_star(*grid.coordinate_fields())[0].shape == (1, 1, grid.shape[2], 1)
+    assert_same_outputs(got, manufactured(on_full_axes(u_star, grid), on_full_axes(p_star, grid), params, grid))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_outputs_equal_a_full_size_evaluation(name):
+    """f, u* and p* of each preset are bit for bit those of full-size coordinate arrays."""
+    grid = ANISO
+    params = Params(lam=1.0, period=grid.period)
+    u_star, p_star = manufactured_preset(name, amplitude=0.05, grid=grid)
+    got = manufactured(u_star, p_star, params, grid, solenoidal_tol=1e-2)
+    want = manufactured(on_full_axes(u_star, grid), on_full_axes(p_star, grid), params, grid, solenoidal_tol=1e-2)
+    assert_same_outputs(got, want)
 
 
 def test_analytic_preset_divergence_defect_decays(params1):

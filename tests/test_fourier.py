@@ -44,7 +44,7 @@ def test_constant_field_transforms_to_mean_mode(grid8):
 
 
 def test_cosine_transforms_to_half_amplitude(grid8):
-    x1 = grid8.coordinate_fields()[0]
+    x1 = np.broadcast_to(grid8.coordinate_fields()[0], grid8.shape)
     u = PhysicalField(grid8, np.cos(x1)[np.newaxis])
     spec = forward(u)
     # cos(x1) = (e^{i x1} + e^{-i x1}) / 2 puts 1/2 at n1 = +/-1, k = 0; the
@@ -145,7 +145,7 @@ def test_projection_on_time_independent_field(grid8):
 
 
 def test_projection_kills_pure_oscillation(grid8):
-    t = grid8.coordinate_fields()[3]
+    t = np.broadcast_to(grid8.coordinate_fields()[3], grid8.shape)
     u = PhysicalField(grid8, np.cos(t)[np.newaxis])
     spec = forward(u)
     assert np.abs(time_mean_part(spec).coeffs).max() <= 1e-15
@@ -162,7 +162,7 @@ def test_projection_images_are_orthogonal(grid8):
 
 
 def test_spatial_derivative_of_sine(grid8):
-    x1 = grid8.coordinate_fields()[0]
+    x1 = np.broadcast_to(grid8.coordinate_fields()[0], grid8.shape)
     u = forward(PhysicalField(grid8, np.sin(x1)[np.newaxis]))
     du = inverse(spatial_derivative(u, axis=1)).values
     assert np.allclose(du[0], np.cos(x1), atol=1e-13)
@@ -171,7 +171,7 @@ def test_spatial_derivative_of_sine(grid8):
 
 
 def test_time_derivative_of_cosine(grid8):
-    t = grid8.coordinate_fields()[3]
+    t = np.broadcast_to(grid8.coordinate_fields()[3], grid8.shape)
     u = forward(PhysicalField(grid8, np.cos(t)[np.newaxis]))
     du = inverse(time_derivative(u)).values
     assert np.allclose(du[0], -np.sin(t), atol=1e-13)

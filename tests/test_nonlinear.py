@@ -28,7 +28,7 @@ def test_constant_field_does_not_transport(grid8):
 def test_shear_field_transports_nothing(grid8):
     # u = (sin x2, 0, 0): the only derivative that matters is d/dx1 of u,
     # which vanishes, so (u . grad) u = 0.
-    x2 = grid8.coordinate_fields()[1]
+    x2 = np.broadcast_to(grid8.coordinate_fields()[1], grid8.shape)
     values = np.zeros((3,) + grid8.shape)
     values[0] = np.sin(x2)
     out = convective(forward(PhysicalField(grid8, values)))

@@ -160,3 +160,12 @@ def test_every_exported_name_has_a_user_outside_the_tests():
             f"{name}: {user} is not the CLI, another module, the acceptance tests, the benchmark or the README"
         )
         assert word.search((ROOT / path).read_text()), f"{name} is not named in {user}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README "Library use" block runs as written and its solves certify their results."""
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 5
+    assert max(float(value) for value in printed[2:]) <= 1e-10

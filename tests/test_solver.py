@@ -192,8 +192,8 @@ def test_pressure_of_solenoidal_forcing_vanishes(grid8, params1):
 def test_pressure_of_gradient_forcing_is_the_potential(grid8):
     from periodicflow import gradient
 
-    x1 = grid8.coordinate_fields()[0]
-    t = grid8.coordinate_fields()[3]
+    x1 = np.broadcast_to(grid8.coordinate_fields()[0], grid8.shape)
+    t = np.broadcast_to(grid8.coordinate_fields()[3], grid8.shape)
     phi = forward(PhysicalField(grid8, (np.cos(x1) * np.cos(t))[np.newaxis]))
     f = gradient(phi)
     p = recover_pressure(zero_spectrum(grid8), f)

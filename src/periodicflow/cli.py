@@ -346,6 +346,7 @@ _EXITS = (
     (NoConvergence, "NoConvergence", 3),
     (FieldFormatError, "FieldFormat", 6),
     (OSError, "IO", 6),
+    (MemoryError, "Memory", 2),
     ((SolverError, ValueError), None, 2),
 )
 

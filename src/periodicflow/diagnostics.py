@@ -27,6 +27,7 @@ from .fourier import (
     inverse,
     oscillatory_part,
     spectral_sum,
+    time_derivative,
 )
 from .multipliers import (
     _regularity_factor,
@@ -34,7 +35,7 @@ from .multipliers import (
     regularity_multiplier_bound,
 )
 from .nonlinear import _tensor_divergence, dealiased_tensor_product
-from .solver import _as_spectral
+from .solver import _as_spectral, _forcing_spectrum
 
 __all__ = [
     "OseenTerms",
@@ -146,7 +147,7 @@ def _w21q(
 
     def fields():
         yield from _derivative_nodes(w, _MULTI_INDICES)
-        yield None, inverse(SpectralField(grid, w.coeffs * (1j * grid.omega))).values
+        yield None, inverse(time_derivative(w)).values
 
     totals = dict.fromkeys(q_list, 0.0)
     lq = {}
@@ -297,7 +298,7 @@ def energy_balance(
     divergence-free field.
     """
     u_hat = _as_spectral(u)
-    f_hat = _as_spectral(f)
+    f_hat = _forcing_spectrum(f)
     grid = u_hat.grid
     dissipation = grid.volume * spectral_sum(grid.xi_sq * _abs_sq(u_hat.coeffs).sum(axis=0), grid)
     power = grid.volume * spectral_sum(np.real(np.conj(f_hat.coeffs) * u_hat.coeffs), grid)

@@ -76,7 +76,7 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
     Raises
     ------
     FieldFormatError
-        For a bad magic line, missing keys, or a short payload.
+        For a bad magic line, missing keys, a bad component count or payload length.
     GridMismatch
         When ``expected_grid`` is given and the header disagrees with it.
     """
@@ -104,6 +104,8 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
         raise FieldFormatError(f"{path}: malformed header value ({exc})") from exc
     if endian != "little":
         raise FieldFormatError(f"{path}: unsupported endianness {endian!r}")
+    if components not in (1, 3):
+        raise FieldFormatError(f"{path}: fields carry 1 or 3 components, header declares {components}")
 
     # The payload length is checked against the header's own integers before
     # a Grid exists, so a corrupt header cannot trigger a large allocation.

@@ -4,9 +4,10 @@ A manufactured pair (u*, p*) is sampled on the grid and the forcing
 
     f = du*/dt - Lap u* - lam d(u*)/dx1 + grad p* + (u* . grad) u*
 
-is assembled term by term from the samples, derivatives taken spectrally and
-the transport product taken pointwise without truncation.  Solving with this
-f must return u* whenever the amplitude sits inside the contraction regime.
+is assembled from the solver's own operators: ``oseen_apply`` for the first
+three terms, the spectral gradient, and ``nonlinear._transport`` for the
+last, advected by the samples and not truncated.  Solving with this f must
+return u* whenever the amplitude sits inside the contraction regime.
 """
 
 from __future__ import annotations
@@ -20,20 +21,16 @@ from .domain import Grid, Params, _check_period
 from .errors import NotSolenoidal
 from .fourier import (
     _FLOOR,
-    _UNIT_INDICES,
     PhysicalField,
     SpectralField,
-    _derivative_nodes,
     coeff_norm,
     divergence,
     forward,
     gradient,
     inverse,
-    laplacian,
-    spatial_derivative,
-    time_derivative,
 )
-from .multipliers import helmholtz
+from .multipliers import helmholtz, oseen_apply
+from .nonlinear import _transport
 
 __all__ = [
     "manufactured",
@@ -76,22 +73,6 @@ def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool) -> PhysicalFiel
     return PhysicalField(grid, np.stack([np.broadcast_to(a, grid.shape) for a in base]))
 
 
-def _raw_transport(u_hat: SpectralField, u_phys: np.ndarray) -> SpectralField:
-    """Pointwise (u . grad) u from the samples, no dealiasing truncation.
-
-    The advecting velocity is the samples ``u_phys`` themselves, not the
-    nodes of ``u_hat``: ``forward`` zeroes Nyquist planes, so the two differ
-    wherever the samples carry Nyquist content, and ``convective`` would
-    change the forcing there (besides truncating the product).
-    """
-    g = u_hat.grid
-    out = np.zeros((3,) + g.shape, dtype=np.float64)
-    for alpha, du_j in _derivative_nodes(u_hat, _UNIT_INDICES):
-        du_j *= u_phys[alpha.index(1)]
-        out += du_j
-    return forward(PhysicalField(g, out))
-
-
 def manufactured(
     u_star: VectorCallable,
     p_star: ScalarCallable,
@@ -123,13 +104,7 @@ def manufactured(
             "use a curl-based recipe"
         )
 
-    f_hat = (
-        time_derivative(u_hat)
-        - laplacian(u_hat)
-        - params.lam * spatial_derivative(u_hat, axis=1)
-        + gradient(p_hat)
-        + _raw_transport(u_hat, u_field.values)
-    )
+    f_hat = oseen_apply(u_hat, params) + gradient(p_hat) + _transport(u_hat, u_field.values)
     # Every term of the continuum forcing has zero space-time mean; after
     # sampling, unresolved tails of the transport product can alias a tiny
     # mean back in.  Remove it so the forcing stays inside the solvable class.

@@ -63,11 +63,9 @@ __all__ = [
     "inverse",
     "time_mean_part",
     "oscillatory_part",
-    "spatial_derivative",
     "time_derivative",
     "gradient",
     "divergence",
-    "laplacian",
     "spectral_sum",
     "coeff_norm",
 ]
@@ -323,14 +321,6 @@ def oscillatory_part(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, out)
 
 
-def spatial_derivative(spec: SpectralField, axis: int, order: int = 1) -> SpectralField:
-    """d^order/dx_axis^order for axis in {1, 2, 3}, applied mode-wise."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    factor = (1j * spec.grid.xi[axis - 1]) ** order
-    return SpectralField(spec.grid, spec.coeffs * factor)
-
-
 def time_derivative(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, spec.coeffs * (1j * spec.grid.omega))
 
@@ -353,10 +343,6 @@ def divergence(spec: SpectralField) -> SpectralField:
     g = spec.grid
     out = c[0] * (1j * g.xi1) + c[1] * (1j * g.xi2) + c[2] * (1j * g.xi3)
     return SpectralField(g, out[np.newaxis])
-
-
-def laplacian(spec: SpectralField) -> SpectralField:
-    return SpectralField(spec.grid, spec.coeffs * (-spec.grid.xi_sq))
 
 
 def spectral_sum(values: np.ndarray, grid: Grid) -> float:

@@ -41,34 +41,33 @@ def _band_radius(grid: Grid) -> int:
     return min(n // 3 for n in grid.n_space + (grid.n_time,))
 
 
-def _convective_bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased transport term (u . grad) v in convective form.
+def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralField:
+    """Spectrum of (u . grad) v in convective form, without dealiasing.
 
-    For self-transport (``u is v``) the node values of u share the transform
-    passes of its gradient.
+    With ``u_nodes`` omitted u is v, and its nodes share the transform passes
+    of its gradient; B(u, v) is ``_transport(v, inverse(u).values)``.
+    ``manufactured`` advects with its raw samples, not the nodes of their
+    spectrum: ``forward`` zeroes Nyquist planes, so the two differ wherever
+    the samples carry Nyquist content, and the forcing would change there.
     """
-    if u.components != 3 or v.components != 3:
-        raise ValueError("convective term expects 3-component fields")
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    g = u.grid
-    if u is v:
+    if v.components != 3:
+        raise ValueError("transport expects a 3-component field")
+    g = v.grid
+    if u_nodes is None:
         fields = _derivative_nodes(v, ((0, 0, 0),) + _UNIT_INDICES)
-        u_phys = next(fields)[1]
+        u_nodes = next(fields)[1]
     else:
-        u_phys = inverse(u).values
         fields = _derivative_nodes(v, _UNIT_INDICES)
     out = np.zeros((3,) + g.shape, dtype=np.float64)
     for alpha, dv_j in fields:
-        dv_j *= u_phys[alpha.index(1)]
+        dv_j *= u_nodes[alpha.index(1)]
         out += dv_j
-    spec = forward(PhysicalField(g, out))
-    return SpectralField(g, _dealias_in_place(spec.coeffs, g))
+    return forward(PhysicalField(g, out))
 
 
 def convective(u: SpectralField) -> SpectralField:
     """Dealiased self-transport (u . grad) u."""
-    return _convective_bilinear(u, u)
+    return SpectralField(u.grid, _dealias_in_place(_transport(u).coeffs, u.grid))
 
 
 def dealiased_tensor_product(w: SpectralField) -> np.ndarray:

@@ -112,6 +112,13 @@ def _as_spectral(f: SpectralField | PhysicalField) -> SpectralField:
     return f if isinstance(f, SpectralField) else forward(f)
 
 
+def _forcing_spectrum(f: SpectralField | PhysicalField) -> SpectralField:
+    """Spectrum of a forcing, checked to be a velocity-like 3-component field."""
+    if f.components != 3:
+        raise ValueError(f"forcing must have 3 components, got {f.components}")
+    return _as_spectral(f)
+
+
 def _update_ratios(history: tuple[float, ...]) -> list[float]:
     return [
         history[i] / history[i - 1]
@@ -134,7 +141,8 @@ def solve(
     Raises
     ------
     ValueError
-        If the forcing or ``params.period`` does not match ``grid``.
+        If the forcing has other than 3 components or lives on another grid,
+        or ``params.period`` does not match ``grid``.
     MeanModeNonzero
         If the solenoidal part of the forcing carries a space-time mean.
     Diverging
@@ -142,7 +150,7 @@ def solve(
     NoConvergence
         If ``config.max_iter`` iterations pass without meeting ``config.tol``.
     """
-    f_hat = _as_spectral(f)
+    f_hat = _forcing_spectrum(f)
     if f_hat.grid != grid:
         raise ValueError("forcing grid does not match the requested grid")
     _check_period(params, grid)
@@ -255,7 +263,7 @@ def pde_residual(
     system it actually solved.  The residual is normalized by the largest
     term magnitude; identically zero data gives zero.
     """
-    return _residual(u, p, _as_spectral(f), convective(u), params)
+    return _residual(u, p, _forcing_spectrum(f), convective(u), params)
 
 
 def _residual(

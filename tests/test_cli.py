@@ -112,6 +112,16 @@ def test_oversized_forcing_exits_diverging(tmp_path, capsys, monkeypatch):
     assert len(rows) > 3
 
 
+def test_allocation_failure_is_one_line_and_exit_two(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.01 GiB for an array")
+
+    monkeypatch.setattr(cli, "solve", no_memory)
+    assert solve_into(tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == "error=Memory detail=Unable to allocate 4.01 GiB for an array\n"
+
+
 def test_mean_mode_forcing_exits_five(tmp_path, capsys, grid8):
     forcing = tmp_path / "constant.field"
     write_field(forcing, PhysicalField(grid8, np.full((3,) + grid8.shape, 0.1)))

@@ -268,3 +268,11 @@ def test_norms_transform_count_does_not_grow_with_exponents(grid8, params1, monk
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts == [counts[0]] * len(counts)
+
+
+@pytest.mark.parametrize("check", [energy_balance, energy_inequality_check], ids=lambda f: f.__name__)
+def test_energy_checks_reject_a_scalar_forcing(trig_solution, check):
+    sol, f_hat = trig_solution
+    scalar = SpectralField(f_hat.grid, f_hat.coeffs[:1])
+    with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
+        check(sol.u, scalar)

@@ -104,19 +104,30 @@ def test_load_config_rejects_garbage(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
-def test_oversized_header_is_rejected_before_any_grid_is_built(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "components, n_space, n_time, payload, match",
+    [
+        (3, "4096 4096 4096", 4096, b"\0" * 8, "payload"),
+        # zero components declare an empty payload, so the length check alone passes
+        (0, "67108864 4 4", 4, b"", "components"),
+    ],
+    ids=["short-payload", "zero-components"],
+)
+def test_oversized_header_is_rejected_before_any_grid_is_built(
+    tmp_path, monkeypatch, components, n_space, n_time, payload, match
+):
     import periodicflow.fieldio
 
     def no_grid(*args, **kwargs):
-        raise AssertionError("a Grid was built for a header whose payload does not match")
+        raise AssertionError("a Grid was built for a header that cannot describe a field")
 
     monkeypatch.setattr(periodicflow.fieldio, "Grid", no_grid)
     header = "\n".join(
         [
             "PERIODICFLOW-FIELD 1",
-            "components 3",
-            "n_space 4096 4096 4096",
-            "n_time 4096",
+            f"components {components}",
+            f"n_space {n_space}",
+            f"n_time {n_time}",
             "box 1.0 1.0 1.0",
             "period 1.0",
             "endian little",
@@ -125,6 +136,6 @@ def test_oversized_header_is_rejected_before_any_grid_is_built(tmp_path, monkeyp
         ]
     )
     path = tmp_path / "huge.field"
-    path.write_bytes(header.encode("ascii") + b"\0" * 8)
-    with pytest.raises(FieldFormatError, match="payload"):
+    path.write_bytes(header.encode("ascii") + payload)
+    with pytest.raises(FieldFormatError, match=match):
         read_field(path)

@@ -6,12 +6,14 @@ from periodicflow import (
     NotSolenoidal,
     Params,
     PRESET_NAMES,
+    PhysicalField,
     coeff_norm,
     divergence,
     forward,
     helmholtz,
     manufactured,
     manufactured_preset,
+    oseen_apply,
     pde_residual,
     random_smooth,
 )
@@ -154,6 +156,41 @@ def test_preset_outputs_equal_a_full_size_evaluation(name):
     got = manufactured(u_star, p_star, params, grid, solenoidal_tol=1e-2)
     want = manufactured(on_full_axes(u_star, grid), on_full_axes(p_star, grid), params, grid, solenoidal_tol=1e-2)
     assert_same_outputs(got, want)
+
+
+def test_transport_is_advected_by_the_samples_and_not_dealiased():
+    """The forcing's transport keeps the Nyquist content of the samples and the whole product.
+
+    u* = (g(x2), 0, c(x1, x2)) is solenoidal, with g the x2 Nyquist mode,
+    which ``forward`` zeroes, and c = sin(a1 x1) cos(a2 x2).  So
+    (u* . grad) u* = (0, 0, g dc/dx1), whose x2 modes on the grid are
+    +-(N2/2 - 1), outside the 2/3 band: advecting with the nodes of u_hat
+    loses the product, and dealiasing removes it.
+    """
+    grid = ANISO
+    params = Params(lam=-1.5, period=grid.period)
+    n2 = grid.n_space[1]
+    a1, a2 = TWO_PI / grid.box[0], TWO_PI / grid.box[1]
+
+    def g(x2):
+        return np.cos(np.pi * n2 * x2 / grid.box[1])
+
+    def u_star(x1, x2, x3, t):
+        return (g(x2), 0.0, np.sin(a1 * x1) * np.cos(a2 * x2))
+
+    def p_star(x1, x2, x3, t):
+        return 0.0
+
+    f, u, _ = manufactured(u_star, p_star, params, grid)
+    transport = forward(f).coeffs - oseen_apply(forward(u), params).coeffs
+    x1, x2, _, _ = grid.coordinate_fields()
+    product = g(x2) * a1 * np.cos(a1 * x1) * np.cos(a2 * x2)
+    want = forward(PhysicalField(grid, np.broadcast_to(product, grid.shape))).coeffs[0]
+    scale = np.abs(want).max()
+    rows = np.flatnonzero(np.abs(want).max(axis=(0, 1, 3)) > 0.1 * scale)
+    assert sorted(grid.n_modes[1][rows]) == [-(n2 // 2 - 1), n2 // 2 - 1]
+    assert np.abs(transport[:2]).max() <= 1e-13 * scale
+    assert np.abs(transport[2] - want).max() <= 1e-13 * scale
 
 
 def test_analytic_preset_divergence_defect_decays(params1):

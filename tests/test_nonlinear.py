@@ -8,11 +8,12 @@ from periodicflow import (
     convective,
     dealiased_tensor_product,
     forward,
+    inverse,
     random_smooth,
     spectral_sum,
 )
 from periodicflow.fourier import _plane_defect
-from periodicflow.nonlinear import _convective_bilinear, _dealias_in_place, _tensor_divergence
+from periodicflow.nonlinear import _dealias_in_place, _tensor_divergence, _transport
 
 
 def smooth_solenoidal(grid, seed, amplitude=1.0):
@@ -35,27 +36,38 @@ def test_shear_field_transports_nothing(grid8):
     assert np.abs(out.coeffs).max() <= 1e-14
 
 
+def bilinear(u, v):
+    """B(u, v) = (u . grad) v, advected by the nodes of u."""
+    return _transport(v, inverse(u).values).coeffs
+
+
 def test_bilinearity(grid8):
     u = smooth_solenoidal(grid8, seed=70)
     v = smooth_solenoidal(grid8, seed=71)
     w = smooth_solenoidal(grid8, seed=72)
     a, b = 2.0, -0.5
-    lhs = _convective_bilinear(u, a * v + b * w).coeffs
-    rhs = a * _convective_bilinear(u, v).coeffs + b * _convective_bilinear(u, w).coeffs
+    lhs = bilinear(u, a * v + b * w)
+    rhs = a * bilinear(u, v) + b * bilinear(u, w)
     scale = max(np.abs(rhs).max(), 1e-300)
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
-    lhs2 = _convective_bilinear(a * u + b * v, w).coeffs
-    rhs2 = a * _convective_bilinear(u, w).coeffs + b * _convective_bilinear(v, w).coeffs
+    lhs2 = bilinear(a * u + b * v, w)
+    rhs2 = a * bilinear(u, w) + b * bilinear(v, w)
     assert np.abs(lhs2 - rhs2).max() <= 1e-12 * scale
+
+
+def test_self_transport_is_the_bilinear_form_on_the_diagonal(grid8):
+    u = smooth_solenoidal(grid8, seed=77)
+    own = _transport(u).coeffs
+    assert np.abs(own - bilinear(u, u)).max() <= 1e-13 * np.abs(own).max()
 
 
 def test_component_count_is_checked(grid8):
     u = smooth_solenoidal(grid8, seed=73)
     phi = SpectralField(grid8, u.coeffs[:1])
     with pytest.raises(ValueError):
-        _convective_bilinear(phi, u)
+        _transport(phi, inverse(u).values)
     with pytest.raises(ValueError):
-        _convective_bilinear(u, phi)
+        convective(phi)
 
 
 def test_transport_of_solenoidal_field_has_no_mean(grid16):

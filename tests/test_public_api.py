@@ -62,15 +62,13 @@ USERS = {
     "inverse": CLI,
     "time_mean_part": module_file("solver"),
     "oscillatory_part": module_file("diagnostics"),
-    "spatial_derivative": module_file("forcing"),
-    "time_derivative": module_file("forcing"),
+    "time_derivative": module_file("diagnostics"),
     "gradient": module_file("solver"),
     "divergence": module_file("forcing"),
-    "laplacian": module_file("forcing"),
     "spectral_sum": module_file("diagnostics"),
     "coeff_norm": module_file("solver"),
     "helmholtz": module_file("solver"),
-    "oseen_apply": "tests/test_acceptance.py",
+    "oseen_apply": module_file("forcing"),
     "oseen_inverse": module_file("solver"),
     "half_time_derivative": module_file("diagnostics"),
     "regularity_multiplier_bound": module_file("diagnostics"),

@@ -213,3 +213,20 @@ def test_pde_residual_scales(grid8, params1):
 def test_coeff_norm_zero_for_rest_state(grid8, params1):
     sol = solve(zero_spectrum(grid8), params1, grid8)
     assert coeff_norm(sol.u) == 0.0
+
+
+def scalar_forcing(grid, params):
+    f, _, _ = trig_problem(grid, params)
+    return PhysicalField(grid, f.values[:1])
+
+
+def test_solve_rejects_a_scalar_forcing(grid8, params1):
+    # broadcast to three components, it would converge to the solution of f = (s, s, s)
+    with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
+        solve(scalar_forcing(grid8, params1), params1, grid8)
+
+
+def test_pde_residual_rejects_a_scalar_forcing(grid8, params1):
+    f, u, p = trig_problem(grid8, params1)
+    with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
+        pde_residual(forward(u), forward(p), scalar_forcing(grid8, params1), params1)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fieldio import load_config, read_field, write_field
 from .forcing import PRESET_NAMES, manufactured, manufactured_preset, random_smooth
-from .fourier import PhysicalField, _nodes, forward, inverse
+from .fourier import PhysicalField, forward, inverse
 from .multipliers import PROBE_SYMBOLS, MultiplierReport, marcinkiewicz_probe
 from .nonlinear import _band_radius
 from .solver import SolverConfig, pde_residual, solve
@@ -209,8 +209,8 @@ def _run_solve(s: argparse.Namespace) -> int:
     _write_iterations(out_dir, sol.update_history)
     u = sol.u
     u_nodes = inverse(u).values
-    # v is constant in time: invert the k = 0 plane of u over space alone
-    v_nodes = _nodes(u.coeffs[:, 0], grid.shape[1:])[:, np.newaxis]
+    # the time mean of the nodes is the steady part v (the k = 0 plane)
+    v_nodes = u_nodes.mean(axis=1, keepdims=True)
     write_field(out_dir / "u.field", PhysicalField(grid, u_nodes))
     write_field(out_dir / "v.field", PhysicalField(grid, np.broadcast_to(v_nodes, u_nodes.shape)))
     u_nodes -= v_nodes

@@ -20,22 +20,16 @@ from .fourier import (
     PhysicalField,
     SpectralField,
     _abs_sq,
-    _derivative_factor,
     _derivative_nodes,
     _lattice_norm,
-    _nodes,
     inverse,
     oscillatory_part,
     spectral_sum,
     time_derivative,
 )
-from .multipliers import (
-    _regularity_factor,
-    half_time_derivative,
-    regularity_multiplier_bound,
-)
+from .multipliers import _regularity_factor, half_time_derivative
 from .nonlinear import _tensor_divergence, dealiased_tensor_product
-from .solver import _as_spectral, _forcing_spectrum
+from .solver import _checked_spectrum
 
 __all__ = [
     "OseenTerms",
@@ -96,10 +90,12 @@ class OseenTerms:
 class NormReport:
     """Requested norm families, keyed by exponent.
 
-    ``lq`` holds space-time Lebesgue norms of the full velocity, ``w21q`` the
-    anisotropic Sobolev norm (two spatial orders, one temporal) of the
-    oscillatory part, ``xoseen`` the weighted steady-part norms and ``xpres``
-    the mixed time-space pressure norms keyed by (q, r).
+    ``lq`` holds space-time Lebesgue norms of the full velocity u, ``w21q``
+    the anisotropic Sobolev norm (two spatial orders, one temporal) of the
+    oscillatory part w = u - v, ``xoseen`` the weighted norms of the steady
+    part v, the time mean of u, and ``xpres`` the mixed time-space pressure
+    norms keyed by (q, r).  All three velocity families come from one set of
+    derivative fields of u.
     """
 
     lam: float
@@ -135,65 +131,53 @@ class NormReport:
 
 
 def _w21q(
-    w: SpectralField, steady_nodes: np.ndarray, q_list: tuple[float, ...], grid: Grid
-) -> tuple[dict[float, float], dict[float, float]]:
-    """Anisotropic Sobolev norms of ``w``, and the L^q norms of u = v + w on the way.
+    u: SpectralField, q_list: tuple[float, ...], grid: Grid
+) -> tuple[dict[float, float], dict[float, float], dict[tuple[int, int, int], np.ndarray]]:
+    """Anisotropic Sobolev norms of the oscillatory part w of ``u``, with L^q of u and |D^alpha v|^2.
 
-    The derivative fields of ``w`` come one at a time from shared transform
-    passes and serve every q.  The undifferentiated one plus
-    ``steady_nodes``, the node values of the steady part v on one time slice,
-    gives the nodes of u.  Returns (lq of u, w21q of w).
+    Each derivative field D^alpha u comes from shared transform passes and
+    serves every q.  The rectangle rule is exact for trigonometric
+    polynomials, so its time mean is D^alpha v, the steady part, and removing
+    that mean leaves D^alpha w.  The time derivative has no k = 0 content and
+    needs no split.  Returns (lq of u, w21q of w, the squared magnitudes of
+    D^alpha v keyed by alpha).
     """
 
     def fields():
-        yield from _derivative_nodes(w, _MULTI_INDICES)
-        yield None, inverse(time_derivative(w)).values
+        yield from _derivative_nodes(u, _MULTI_INDICES)
+        yield None, inverse(time_derivative(u)).values
 
     totals = dict.fromkeys(q_list, 0.0)
     lq = {}
+    steady_sq = {}
     for alpha, values in fields():
+        if alpha == (0, 0, 0):
+            mag = _magnitude(values)
+            lq = {q: _lq_spacetime(mag, q, grid) for q in q_list}
+        if alpha is not None:
+            steady = values.mean(axis=1)
+            steady_sq[alpha] = np.einsum("c...,c...->...", steady, steady)
+            values -= steady[:, np.newaxis]
         mag = _magnitude(values)
         for q in totals:
             totals[q] += _lq_spacetime(mag, q, grid) ** q
-        if alpha == (0, 0, 0):
-            values += steady_nodes[:, np.newaxis]
-            mag = _magnitude(values)
-            lq = {q: _lq_spacetime(mag, q, grid) for q in q_list}
-    return lq, {q: float(total ** (1.0 / q)) for q, total in totals.items()}
+    return lq, {q: float(total ** (1.0 / q)) for q, total in totals.items()}, steady_sq
 
 
 def _xoseen(
-    steady: np.ndarray,
-    steady_nodes: np.ndarray,
-    q_list: tuple[float, ...],
-    lam: float,
-    grid: Grid,
+    steady_sq: dict[tuple[int, int, int], np.ndarray], q_list: tuple[float, ...], lam: float, grid: Grid
 ) -> dict[float, OseenTerms]:
-    """Drift-weighted steady-part norms from the k = 0 plane ``steady`` of a velocity spectrum.
+    """Drift-weighted steady-part norms from the squared magnitudes |D^alpha v|^2 of ``_w21q``.
 
-    The steady part is constant in time, so its node values (``steady_nodes``)
-    and derivatives come from 3-d transforms of that plane alone.  Each
-    derivative field is inverted once; the gradient and Hessian magnitudes
-    are accumulated as sums of squares, the Hessian's mixed entries counting
-    twice.
+    The gradient and Hessian magnitudes are sums of squares, the Hessian's
+    mixed entries counting twice.
     """
-    shape = grid.shape[1:]
-
-    def sq_nodes(alpha):
-        # [0] drops the time axis of the factor; the plane has none
-        d = _nodes(steady * _derivative_factor(grid, alpha)[0], shape)
-        return np.einsum("c...,c...->...", d, d)
-
-    amplitude = _magnitude(steady_nodes)
-    grad_sq = [sq_nodes(alpha) for alpha in _UNIT_INDICES]
-    drift = np.sqrt(grad_sq[0])
-    gradient_mag = np.sqrt(sum(grad_sq))
-    del grad_sq
-    hess_sq = np.zeros(shape)
-    for i, a in enumerate(_UNIT_INDICES):
-        for j in range(i, 3):
-            hess_sq += (1.0 if i == j else 2.0) * sq_nodes(tuple(np.add(a, _UNIT_INDICES[j])))
-    hessian_mag = np.sqrt(hess_sq)
+    amplitude = np.sqrt(steady_sq[(0, 0, 0)])
+    drift = np.sqrt(steady_sq[(1, 0, 0)])
+    gradient_mag = np.sqrt(sum(steady_sq[alpha] for alpha in _UNIT_INDICES))
+    hessian_mag = np.sqrt(
+        sum((1.0 if 2 in alpha else 2.0) * sq for alpha, sq in steady_sq.items() if sum(alpha) == 2)
+    )
 
     abs_lam = abs(lam)
     return {
@@ -241,10 +225,11 @@ def norms(
     """Evaluate every norm family for each requested exponent.
 
     Each q must lie in (1, 2) because the steady-part family is evaluated for
-    all of them; each r must lie in (1, inf).  Without a pressure the xpres
-    entries are left empty.  Every field is transformed once per call,
-    however many exponents are requested, and the derivative fields of one
-    spectrum share their transform passes.
+    all of them; each r must lie in (1, inf).  ``u`` must have 3 components
+    and ``p`` 1; without a pressure the xpres entries are left empty.  Every
+    field is transformed once per call, however many exponents are
+    requested, and the derivative fields of one spectrum share their
+    transform passes.
     """
     for q in q_list:
         if not 1.0 < q < 2.0:
@@ -254,13 +239,11 @@ def norms(
             if not (1.0 < r and math.isfinite(r)):
                 raise ValueError(f"r (the pressure gradient exponent) must lie in (1, inf), got {r}")
 
-    u_hat = _as_spectral(u)
+    u_hat = _checked_spectrum(u, "velocity", 3)
     grid = u_hat.grid
-    steady = u_hat.coeffs[:, 0]
-    steady_nodes = _nodes(steady, grid.shape[1:])
-    lq, w21q = _w21q(oscillatory_part(u_hat), steady_nodes, q_list, grid)
-    xoseen = _xoseen(steady, steady_nodes, q_list, params.lam, grid)
-    xpres = _xpres(_as_spectral(p), q_list, r_list, grid) if p is not None else {}
+    lq, w21q, steady_sq = _w21q(u_hat, q_list, grid)
+    xoseen = _xoseen(steady_sq, q_list, params.lam, grid)
+    xpres = _xpres(_checked_spectrum(p, "pressure", 1), q_list, r_list, grid) if p is not None else {}
 
     return NormReport(
         lam=params.lam,
@@ -297,8 +280,8 @@ def energy_balance(
     drift and transport inject nothing, and the pressure never acts on a
     divergence-free field.
     """
-    u_hat = _as_spectral(u)
-    f_hat = _forcing_spectrum(f)
+    u_hat = _checked_spectrum(u, "velocity", 3)
+    f_hat = _checked_spectrum(f, "forcing", 3)
     grid = u_hat.grid
     dissipation = grid.volume * spectral_sum(grid.xi_sq * _abs_sq(u_hat.coeffs).sum(axis=0), grid)
     power = grid.volume * spectral_sum(np.real(np.conj(f_hat.coeffs) * u_hat.coeffs), grid)
@@ -312,6 +295,8 @@ def cross_orthogonality(v: SpectralField, w: SpectralField) -> float:
     Zero whenever the parts keep their disjoint frequency supports; a leak of
     k = 0 content into w shows up directly in the returned value.
     """
+    v = _checked_spectrum(v, "steady part", 3)
+    w = _checked_spectrum(w, "oscillatory part", 3)
     if v.grid != w.grid:
         raise ValueError("fields live on different grids")
     grid = v.grid
@@ -430,29 +415,22 @@ def regularity_bootstrap_check(sol) -> RegularityReport:
     grid = w.grid
     heat_symbol = grid.xi_sq + 1j * grid.omega
 
+    factors = [_regularity_factor(grid, axis) for axis in (1, 2, 3)]
     half_w = half_time_derivative(w).coeffs
     lhs_mixed = []
     rhs_mixed = []
     for axis in (1, 2, 3):
         lhs_mixed.append(w.coeffs * (1j * grid.omega) * (1j * grid.xi[axis - 1]))
-        rhs_mixed.append(_regularity_factor(grid, axis) * (heat_symbol * half_w))
+        rhs_mixed.append(factors[axis - 1] * (heat_symbol * half_w))
     mismatch_mixed = _rel_mismatch(np.stack(lhs_mixed), np.stack(rhs_mixed), grid)
 
     tensor = dealiased_tensor_product(w)
     osc = oscillatory_part(SpectralField(grid, _tensor_divergence(tensor, grid)))
     lhs_fact = half_time_derivative(osc).coeffs
-    rhs_fact = np.stack(
-        [
-            sum(
-                _regularity_factor(grid, l + 1) * (heat_symbol * tensor[i, l])
-                for l in range(3)
-            )
-            for i in range(3)
-        ]
-    )
+    rhs_fact = np.stack([sum(factors[l] * (heat_symbol * tensor[i, l]) for l in range(3)) for i in range(3)])
     mismatch_fact = _rel_mismatch(lhs_fact, rhs_fact, grid)
 
-    sup = max(regularity_multiplier_bound(grid, axis) for axis in (1, 2, 3))
+    sup = max(float(np.abs(factor).max()) for factor in factors)
     return RegularityReport(
         mixed_derivative_mismatch=mismatch_mixed,
         factorization_mismatch=mismatch_fact,

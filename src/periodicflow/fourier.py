@@ -223,17 +223,6 @@ def _check_real(coeffs: np.ndarray) -> None:
             )
 
 
-def _nodes(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Real node values of half-spectrum ``coeffs`` on a grid of ``shape``, symmetry checked.
-
-    The transform runs over the trailing ``len(shape)`` axes, so the same
-    helper inverts a space-time spectrum or a single spatial plane of one.
-    """
-    _check_real(coeffs)
-    axes = tuple(range(-len(shape), 0))
-    return _fft.irfftn(coeffs, s=shape, axes=axes, norm="forward", workers=-1)
-
-
 def _derivative_factor(grid: Grid, alpha: tuple[int, int, int]) -> np.ndarray:
     """Multiplier of the spatial derivative D^alpha, alpha = (a1, a2, a3)."""
     return (1j * grid.xi1) ** alpha[0] * (1j * grid.xi2) ** alpha[1] * (1j * grid.xi3) ** alpha[2]
@@ -297,6 +286,10 @@ def _derivative_nodes(
 def inverse(spec: SpectralField) -> PhysicalField:
     """Transform half-spectrum coefficients back to real node values.
 
+    The rectangle rule is exact for trigonometric polynomials, so the time
+    mean of the returned nodes is the node field of the k = 0 plane alone:
+    the steady part of a field needs no transform of its own.
+
     Raises
     ------
     NotHermitian
@@ -304,7 +297,9 @@ def inverse(spec: SpectralField) -> PhysicalField:
         more than 1e-10 times the largest coefficient, which means the
         coefficients are not the spectrum of a real field.
     """
-    return PhysicalField(spec.grid, _nodes(spec.coeffs, spec.grid.shape))
+    _check_real(spec.coeffs)
+    values = _fft.irfftn(spec.coeffs, s=spec.grid.shape, axes=_AXES, norm="forward", workers=-1)
+    return PhysicalField(spec.grid, values)
 
 
 def time_mean_part(spec: SpectralField) -> SpectralField:

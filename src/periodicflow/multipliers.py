@@ -22,7 +22,6 @@ __all__ = [
     "oseen_apply",
     "oseen_inverse",
     "half_time_derivative",
-    "regularity_multiplier_bound",
     "MultiplierReport",
     "marcinkiewicz_probe",
     "PROBE_SYMBOLS",
@@ -122,11 +121,6 @@ def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
     return np.where(osc, numer / safe, 0.0)
 
 
-def regularity_multiplier_bound(grid: Grid, axis: int) -> float:
-    """Sup over the lattice of the multiplier magnitude; finite by construction."""
-    return float(np.abs(_regularity_factor(grid, axis)).max())
-
-
 # ---------------------------------------------------------------------------
 # Marcinkiewicz-style probe of the continuous symbols
 # ---------------------------------------------------------------------------
@@ -160,60 +154,32 @@ def _smooth_cutoff(s: np.ndarray) -> np.ndarray:
     return 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _make_m(axis: int, params: Params) -> Callable[..., np.ndarray]:
+def _probe_symbols(params: Params) -> dict[str, Callable[..., np.ndarray]]:
+    """Symbols of ``marcinkiewicz_probe`` by name, as functions m(xi, eta) with xi = (x1, x2, x3)."""
     scale = params.period / (2.0 * math.pi)
 
-    def m(x1, x2, x3, eta):
-        xi = (x1, x2, x3)
-        return (1.0 - _smooth_cutoff(eta * scale)) * np.sqrt(1j * eta) * xi[axis - 1] / (
-            x1 * x1 + x2 * x2 + x3 * x3 + 1j * eta
+    def xi_sq(xi):
+        return xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
+
+    def helmholtz_entry(i, j):
+        return lambda xi, eta: ((1.0 if i == j else 0.0) - xi[i - 1] * xi[j - 1] / xi_sq(xi)) + 0.0 * eta
+
+    def regularity(axis):
+        # 1 - cutoff is 0 for |eta| <= pi / period and 1 from the lowest lattice frequency 2 pi / period on
+        return lambda xi, eta: (1.0 - _smooth_cutoff(eta * scale)) * np.sqrt(1j * eta) * xi[axis - 1] / (
+            xi_sq(xi) + 1j * eta
         )
 
-    return m
+    return {
+        "one": lambda xi, eta: np.ones(np.broadcast(*xi, eta).shape, dtype=np.complex128),
+        "helmholtz": helmholtz_entry(1, 1),
+        "helmholtz_offdiag": helmholtz_entry(1, 2),
+        **{f"m_{axis}": regularity(axis) for axis in (1, 2, 3)},
+        "oseen_tp": lambda xi, eta: xi_sq(xi) / (xi_sq(xi) + 1j * (eta - params.lam * xi[0])),
+    }
 
 
-def _make_oseen_bounded(params: Params) -> Callable[..., np.ndarray]:
-    lam = params.lam
-
-    def m(x1, x2, x3, eta):
-        xi_sq = x1 * x1 + x2 * x2 + x3 * x3
-        return xi_sq / (xi_sq + 1j * (eta - lam * x1))
-
-    return m
-
-
-def _make_helmholtz_entry(i: int, j: int) -> Callable[..., np.ndarray]:
-    def m(x1, x2, x3, eta):
-        xi = (x1, x2, x3)
-        xi_sq = x1 * x1 + x2 * x2 + x3 * x3
-        diag = 1.0 if i == j else 0.0
-        return (diag - xi[i - 1] * xi[j - 1] / xi_sq) + 0.0 * eta
-
-    return m
-
-
-def _make_one() -> Callable[..., np.ndarray]:
-    def m(x1, x2, x3, eta):
-        return np.ones(np.broadcast(x1, x2, x3, eta).shape, dtype=np.complex128)
-
-    return m
-
-
-PROBE_SYMBOLS = ("one", "helmholtz", "helmholtz_offdiag", "m_1", "m_2", "m_3", "oseen_tp")
-
-
-def _symbol_function(name: str, params: Params) -> Callable[..., np.ndarray]:
-    if name == "one":
-        return _make_one()
-    if name == "helmholtz":
-        return _make_helmholtz_entry(1, 1)
-    if name == "helmholtz_offdiag":
-        return _make_helmholtz_entry(1, 2)
-    if name in ("m_1", "m_2", "m_3"):
-        return _make_m(int(name[-1]), params)
-    if name == "oseen_tp":
-        return _make_oseen_bounded(params)
-    raise ValueError(f"unknown probe symbol {name!r}; choose from {PROBE_SYMBOLS}")
+PROBE_SYMBOLS = tuple(_probe_symbols(Params(lam=0.0, period=1.0)))
 
 
 def _mixed_central_difference(m, coords, active):
@@ -226,7 +192,7 @@ def _mixed_central_difference(m, coords, active):
         for ax, s, h in zip(active, signs, steps):
             shifted[ax] = coords[ax] + s * h
             parity *= s
-        total += parity * m(*shifted)
+        total += parity * m(shifted[:3], shifted[3])
     denom = np.ones_like(steps[0])
     for h in steps:
         denom = denom * (2.0 * h)
@@ -245,11 +211,14 @@ def marcinkiewicz_probe(symbol: str, params: Params, resolution: int = 8) -> Mul
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    m = _symbol_function(symbol, params)
+    symbols = _probe_symbols(params)
+    if symbol not in symbols:
+        raise ValueError(f"unknown probe symbol {symbol!r}; choose from {PROBE_SYMBOLS}")
+    m = symbols[symbol]
     half = np.logspace(-2.0, 2.0, resolution)
     pts = np.concatenate([-half[::-1], half])
     coords = np.meshgrid(pts, pts, pts, pts, indexing="ij")
-    base = m(*coords)
+    base = m(coords[:3], coords[3])
     max_abs = float(np.abs(base).max())
     sup = max_abs
     for eps in product((0, 1), repeat=4):

@@ -112,11 +112,12 @@ def _as_spectral(f: SpectralField | PhysicalField) -> SpectralField:
     return f if isinstance(f, SpectralField) else forward(f)
 
 
-def _forcing_spectrum(f: SpectralField | PhysicalField) -> SpectralField:
-    """Spectrum of a forcing, checked to be a velocity-like 3-component field."""
-    if f.components != 3:
-        raise ValueError(f"forcing must have 3 components, got {f.components}")
-    return _as_spectral(f)
+def _checked_spectrum(field: SpectralField | PhysicalField, name: str, components: int) -> SpectralField:
+    """Spectrum of ``field``, checked to carry ``components`` components; ``name`` labels the error."""
+    if field.components != components:
+        noun = "component" if components == 1 else "components"
+        raise ValueError(f"{name} must have {components} {noun}, got {field.components}")
+    return _as_spectral(field)
 
 
 def _update_ratios(history: tuple[float, ...]) -> list[float]:
@@ -150,7 +151,7 @@ def solve(
     NoConvergence
         If ``config.max_iter`` iterations pass without meeting ``config.tol``.
     """
-    f_hat = _forcing_spectrum(f)
+    f_hat = _checked_spectrum(f, "forcing", 3)
     if f_hat.grid != grid:
         raise ValueError("forcing grid does not match the requested grid")
     _check_period(params, grid)
@@ -263,7 +264,7 @@ def pde_residual(
     system it actually solved.  The residual is normalized by the largest
     term magnitude; identically zero data gives zero.
     """
-    return _residual(u, p, _forcing_spectrum(f), convective(u), params)
+    return _residual(u, p, _checked_spectrum(f, "forcing", 3), convective(u), params)
 
 
 def _residual(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import periodicflow.cli as cli
-from periodicflow import Diverging, PhysicalField, read_field, write_field
+from periodicflow import Diverging, PhysicalField, forward, inverse, read_field, time_mean_part, write_field
 from periodicflow.cli import main
 
 GRID8 = "--grid", "8"
@@ -48,6 +48,8 @@ def test_solve_writes_steady_and_oscillatory_parts(tmp_path):
     assert np.abs(v).max() > 0.0 and np.abs(w).max() > 0.0
     assert np.array_equal(v, np.broadcast_to(v[:, :1], v.shape))
     assert np.abs(v + w - u).max() <= 1e-14 * np.abs(u).max()
+    steady = inverse(time_mean_part(forward(read_field(out / "u.field")))).values
+    assert np.abs(v - steady).max() <= 1e-14 * np.abs(u).max()
 
 
 def test_solve_is_deterministic(tmp_path):

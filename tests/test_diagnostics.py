@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from periodicflow import (
+    Grid,
     NormReport,
+    Params,
     PhysicalField,
     SpectralField,
     coeff_norm,
@@ -15,10 +17,13 @@ from periodicflow import (
     manufactured,
     manufactured_preset,
     norms,
+    oscillatory_part,
+    random_smooth,
     regularity_bootstrap_check,
     solve,
     spectrum_decay,
     split,
+    time_mean_part,
 )
 from periodicflow.diagnostics import _lq_spacetime
 from halfspec import wrong_branch_half_derivative
@@ -276,3 +281,55 @@ def test_energy_checks_reject_a_scalar_forcing(trig_solution, check):
     scalar = SpectralField(f_hat.grid, f_hat.coeffs[:1])
     with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
         check(sol.u, scalar)
+
+
+@pytest.mark.parametrize("check", [energy_balance, energy_inequality_check], ids=lambda f: f.__name__)
+def test_energy_checks_reject_a_scalar_velocity(trig_solution, check):
+    sol, f_hat = trig_solution
+    scalar = SpectralField(f_hat.grid, sol.u.coeffs[:1])
+    with pytest.raises(ValueError, match="velocity must have 3 components, got 1"):
+        check(scalar, f_hat)
+
+
+def test_norms_reject_a_scalar_velocity_and_a_vector_pressure(grid8, params1):
+    u = random_spectrum(grid8, seed=301)
+    with pytest.raises(ValueError, match="velocity must have 3 components, got 1"):
+        norms(SpectralField(grid8, u.coeffs[:1]), params1)
+    with pytest.raises(ValueError, match="pressure must have 1 component, got 3"):
+        norms(u, params1, p=u)
+
+
+def test_cross_orthogonality_rejects_a_scalar_part(grid8):
+    v, w = split(random_spectrum(grid8, seed=302))
+    with pytest.raises(ValueError, match="steady part must have 3 components, got 1"):
+        cross_orthogonality(SpectralField(grid8, v.coeffs[:1]), w)
+    with pytest.raises(ValueError, match="oscillatory part must have 3 components, got 1"):
+        cross_orthogonality(v, SpectralField(grid8, w.coeffs[:1]))
+
+
+ANISO_GRID = Grid(box=(TWO_PI, math.pi, 4.0 * math.pi), n_space=(24, 16, 12), n_time=16, period=0.7)
+ANISO_PARAMS = Params(lam=-1.5, period=0.7)
+
+
+def test_steady_and_oscillatory_norms_read_their_own_part():
+    """The Oseen norm sees only v and W^{2,1}_q only w, though both come from the nodes of u."""
+    q_list = (1.2, 1.5, 1.8)
+    u = forward(random_smooth(seed=303, amplitude=1.0, cutoff_shell=3, grid=ANISO_GRID))
+    full = norms(u, ANISO_PARAMS, q_list=q_list)
+    steady = norms(time_mean_part(u), ANISO_PARAMS, q_list=q_list)
+    oscillating = norms(oscillatory_part(u), ANISO_PARAMS, q_list=q_list)
+    for q in q_list:
+        assert full.w21q[q] == pytest.approx(oscillating.w21q[q], rel=1e-12)
+        for field in ("amplitude", "gradient", "drift", "hessian"):
+            value = getattr(full.xoseen[q], field)
+            assert value > 0.0
+            assert value == pytest.approx(getattr(steady.xoseen[q], field), rel=1e-12)
+
+
+def test_steady_field_has_no_oscillatory_norm():
+    u_star, p_star = manufactured_preset("steady", amplitude=0.05, grid=ANISO_GRID)
+    _, u, _ = manufactured(u_star, p_star, ANISO_PARAMS, ANISO_GRID)
+    report = norms(u, ANISO_PARAMS, q_list=(1.2, 1.5, 1.8))
+    for q, lq in report.lq.items():
+        assert lq > 0.0
+        assert report.w21q[q] <= 1e-13 * lq

@@ -71,7 +71,6 @@ USERS = {
     "oseen_apply": module_file("forcing"),
     "oseen_inverse": module_file("solver"),
     "half_time_derivative": module_file("diagnostics"),
-    "regularity_multiplier_bound": module_file("diagnostics"),
     "MultiplierReport": CLI,
     "marcinkiewicz_probe": CLI,
     "PROBE_SYMBOLS": CLI,

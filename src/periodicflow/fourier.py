@@ -271,13 +271,10 @@ def _derivative_nodes(
         for alpha in orders:
             if alpha[2] != a3:
                 continue
-            # a scaled field is a temporary, which the 2-d transform may overwrite
-            scaled = alpha[:2] != (0, 0)
             yield alpha, _fft.irfft2(
-                along_x3 * _derivative_factor(grid, alpha[:2] + (0,)) if scaled else along_x3,
+                along_x3 * _derivative_factor(grid, alpha[:2] + (0,)) if alpha[:2] != (0, 0) else along_x3,
                 s=(n2, n1),
                 norm="forward",
-                overwrite_x=scaled,
                 workers=-1,
             )
         del along_x3
@@ -357,7 +354,9 @@ def _abs_sq(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _lattice_norm(coeffs: np.ndarray, grid: Grid) -> float:
-    return math.sqrt(spectral_sum(_abs_sq(coeffs), grid))
+    """2-norm of ``coeffs`` over the whole lattice, in one pass over its (re, im) float view."""
+    parts = np.ascontiguousarray(coeffs).view(np.float64).reshape(-1, 2 * coeffs.shape[-1])
+    return math.sqrt(float(np.einsum("ij,ij->j", parts, parts) @ np.repeat(grid.x1_weight, 2)))
 
 
 def coeff_norm(spec: SpectralField) -> float:

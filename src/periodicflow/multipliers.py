@@ -38,7 +38,19 @@ def _longitudinal(c: np.ndarray, grid: Grid) -> np.ndarray:
     a zero.
     """
     dot = c[0] * grid.xi1 + c[1] * grid.xi2 + c[2] * grid.xi3
-    return dot / np.where(grid.xi_sq > 0.0, grid.xi_sq, 1.0)
+    dot /= np.where(grid.xi_sq > 0.0, grid.xi_sq, 1.0)
+    return dot
+
+
+def _project_in_place(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """``helmholtz`` on the coefficient array ``c``, overwriting it."""
+    if c.shape[0] != 3:
+        raise ValueError("helmholtz projection expects a 3-component field")
+    scale = _longitudinal(c, grid)
+    term = np.empty_like(scale)
+    for j, xi in enumerate(grid.xi):
+        c[j] -= np.multiply(xi, scale, out=term)
+    return c
 
 
 def helmholtz(spec: SpectralField) -> SpectralField:
@@ -47,15 +59,7 @@ def helmholtz(spec: SpectralField) -> SpectralField:
     Mode-wise this applies I - xi (x) xi / |xi|^2; the xi = 0 plane is left
     unchanged, so spatially constant modes count as divergence-free.
     """
-    if spec.components != 3:
-        raise ValueError("helmholtz projection expects a 3-component field")
-    g = spec.grid
-    c = spec.coeffs
-    scale = _longitudinal(c, g)
-    out = np.empty_like(c)
-    for j, xi in enumerate(g.xi):
-        out[j] = c[j] - xi * scale
-    return SpectralField(g, out)
+    return SpectralField(spec.grid, _project_in_place(spec.coeffs.copy(), spec.grid))
 
 
 def _oseen_symbol(grid: Grid, params: Params) -> np.ndarray:
@@ -72,6 +76,23 @@ def oseen_apply(spec: SpectralField, params: Params) -> SpectralField:
     return SpectralField(spec.grid, spec.coeffs * _oseen_symbol(spec.grid, params))
 
 
+def _resolve_in_place(c: np.ndarray, grid: Grid, params: Params) -> np.ndarray:
+    """``oseen_inverse`` on the coefficient array ``c``, overwriting it."""
+    scale = float(np.abs(c).max(initial=0.0))
+    mean_mode = float(np.abs(c[:, 0, 0, 0, 0]).max(initial=0.0))
+    if mean_mode > _MEAN_TOL * scale:
+        raise MeanModeNonzero(
+            f"space-time mean mode magnitude {mean_mode:.3e} exceeds "
+            f"{_MEAN_TOL:.1e} x field scale {scale:.3e}; the periodic box cannot "
+            "absorb a mean solenoidal forcing"
+        )
+    sym = _oseen_symbol(grid, params)
+    sym[0, 0, 0, 0] = 1.0
+    c /= sym
+    c[:, 0, 0, 0, 0] = 0.0
+    return c
+
+
 def oseen_inverse(spec: SpectralField, params: Params) -> SpectralField:
     """Invert d/dt - Lap - lam*d/dx1 on fields with no space-time mean.
 
@@ -84,20 +105,7 @@ def oseen_inverse(spec: SpectralField, params: Params) -> SpectralField:
         If the magnitude of the input's (0,0) mode exceeds 1e-12 times
         the largest coefficient magnitude.
     """
-    c = spec.coeffs
-    scale = float(np.abs(c).max(initial=0.0))
-    mean_mode = float(np.abs(c[:, 0, 0, 0, 0]).max(initial=0.0))
-    if mean_mode > _MEAN_TOL * scale:
-        raise MeanModeNonzero(
-            f"space-time mean mode magnitude {mean_mode:.3e} exceeds "
-            f"{_MEAN_TOL:.1e} x field scale {scale:.3e}; the periodic box cannot "
-            "absorb a mean solenoidal forcing"
-        )
-    sym = _oseen_symbol(spec.grid, params)
-    sym[0, 0, 0, 0] = 1.0
-    out = c / sym
-    out[:, 0, 0, 0, 0] = 0.0
-    return SpectralField(spec.grid, out)
+    return SpectralField(spec.grid, _resolve_in_place(spec.coeffs.copy(), spec.grid, params))
 
 
 def half_time_derivative(spec: SpectralField) -> SpectralField:

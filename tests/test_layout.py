@@ -28,6 +28,7 @@ from periodicflow import (
     gradient,
     helmholtz,
     inverse,
+    oseen_inverse,
     pde_residual,
     picard_step,
     random_smooth,
@@ -35,8 +36,9 @@ from periodicflow import (
     solve,
     spectral_sum,
 )
+from periodicflow import solver
 from periodicflow.diagnostics import _MULTI_INDICES
-from periodicflow.fourier import _derivative_factor, _derivative_nodes
+from periodicflow.fourier import _abs_sq, _derivative_factor, _derivative_nodes, _lattice_norm
 from periodicflow.multipliers import _oseen_symbol
 from halfspec import full_forward, full_spectrum, negate_modes
 
@@ -135,6 +137,46 @@ def test_picard_step_matches_full_complex_reference(grid, lam):
 
 
 @pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("start", ("random", "rest"))
+def test_picard_step_equals_the_composition_bit_for_bit(grid, lam, start):
+    """The in-place step reproduces P_H, then R, of f - B(u) exactly and leaves its inputs alone."""
+    params = Params(lam=lam, period=grid.period)
+    u = forward(random_smooth(seed=5, amplitude=0.6, cutoff_shell=3, grid=grid))
+    if start == "rest":
+        u = SpectralField(grid, np.zeros_like(u.coeffs))
+    f = forward(random_smooth(seed=6, amplitude=2.0, cutoff_shell=3, grid=grid))
+    u_before, f_before = u.coeffs.copy(), f.coeffs.copy()
+    got = picard_step(u, f, params)
+    assert np.array_equal(u.coeffs, u_before) and np.array_equal(f.coeffs, f_before)
+    rhs = f - convective(u)
+    rhs_before = rhs.coeffs.copy()
+    projected = helmholtz(rhs)
+    assert np.array_equal(rhs.coeffs, rhs_before)
+    projected_before = projected.coeffs.copy()
+    expected = oseen_inverse(projected, params)
+    assert np.array_equal(projected.coeffs, projected_before)
+    assert np.array_equal(got.coeffs, expected.coeffs)
+    # the same arithmetic written out: the sum order, then divisions, not reciprocals
+    c = rhs.coeffs
+    scale = (c[0] * grid.xi1 + c[1] * grid.xi2 + c[2] * grid.xi3) / np.where(grid.xi_sq > 0.0, grid.xi_sq, 1.0)
+    symbol = _oseen_symbol(grid, params)
+    symbol[0, 0, 0, 0] = 1.0
+    reference = np.stack([c[j] - xi * scale for j, xi in enumerate(grid.xi)]) / symbol
+    reference[:, 0, 0, 0, 0] = 0.0
+    assert np.array_equal(got.coeffs, reference)
+
+
+def test_picard_step_from_rest_skips_the_transport(grid, monkeypatch):
+    def no_transport(u):
+        raise AssertionError("the transport of u = 0 was computed")
+
+    monkeypatch.setattr(solver, "convective", no_transport)
+    f = forward(random_smooth(seed=6, amplitude=2.0, cutoff_shell=3, grid=grid))
+    zero = SpectralField(grid, np.zeros_like(f.coeffs))
+    assert np.any(picard_step(zero, f, Params(lam=-1.5, period=grid.period)).coeffs)
+
+
+@pytest.mark.parametrize("lam", LAMS)
 def test_solve_certifies_the_discrete_system(grid, lam):
     params = Params(lam=lam, period=grid.period)
     f = random_smooth(seed=7, amplitude=2.0, cutoff_shell=3, grid=grid)
@@ -160,6 +202,13 @@ def test_parseval_on_random_even_shapes(n, box, seed):
     full = full_forward(u.values, grid)
     total = spectral_sum(np.abs(spec.coeffs) ** 2, grid)
     assert total == pytest.approx(float(np.sum(np.abs(full) ** 2)), rel=1e-12)
+    # the one-pass norm is within 1e-15 of the exactly rounded sum; the two-pass
+    # sum itself misses that by up to 1.4e-15, so the two are compared to 3e-15
+    one_pass = _lattice_norm(spec.coeffs, grid)
+    exact = math.sqrt(math.fsum((_abs_sq(spec.coeffs) * grid.x1_weight).ravel()))
+    assert abs(one_pass - exact) <= 1e-15 * exact
+    two_pass = math.sqrt(spectral_sum(_abs_sq(spec.coeffs), grid))
+    assert abs(one_pass - two_pass) <= 3e-15 * two_pass
     assert isinstance(spec, SpectralField) and spec.coeffs.shape[1:] == grid.spectral_shape
 
 

@@ -24,6 +24,7 @@ from periodicflow import (
     split,
     time_mean_part,
 )
+from periodicflow import solver
 
 
 def zero_spectrum(grid, components=3):
@@ -123,6 +124,21 @@ def test_plane_by_plane_solve_matches_joint_step(grid8, params1):
     steady = oseen_inverse(time_mean_part(rhs), params1)
     oscillating = oseen_inverse(oscillatory_part(rhs), params1)
     assert np.array_equal(steady.coeffs + oscillating.coeffs, joint.coeffs)
+
+
+def test_solve_takes_one_picard_step_per_iteration(grid8, params1, monkeypatch):
+    """Each iteration is one ``picard_step`` call, so per-step timings divide by the iteration count."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return picard_step(*args)
+
+    monkeypatch.setattr(solver, "picard_step", counted)
+    f, _, _ = trig_problem(grid8, params1)
+    sol = solve(f, params1, grid8)
+    assert sol.iterations >= 2
+    assert len(calls) == sol.iterations
 
 
 def test_update_history_contracts(grid8, params1):

@@ -8,7 +8,6 @@ __all__ = [
     "NoConvergence",
     "Diverging",
     "NotSolenoidal",
-    "NotAGradient",
     "NotHermitian",
     "FieldFormatError",
     "GridMismatch",
@@ -44,10 +43,6 @@ class Diverging(_IterationError):
 
 class NotSolenoidal(SolverError):
     """An operation requiring a divergence-free field received one that is not."""
-
-
-class NotAGradient(SolverError):
-    """Pressure recovery received a field that is not a spectral gradient."""
 
 
 class NotHermitian(SolverError):

@@ -45,7 +45,6 @@ USERS = {
     "NoConvergence": CLI,
     "Diverging": CLI,
     "NotSolenoidal": module_file("forcing"),
-    "NotAGradient": module_file("solver"),
     "NotHermitian": module_file("fourier"),
     "FieldFormatError": CLI,
     "GridMismatch": module_file("fieldio"),
@@ -67,7 +66,7 @@ USERS = {
     "divergence": module_file("forcing"),
     "spectral_sum": module_file("diagnostics"),
     "coeff_norm": module_file("solver"),
-    "helmholtz": module_file("solver"),
+    "helmholtz": module_file("forcing"),
     "oseen_apply": module_file("forcing"),
     "oseen_inverse": module_file("solver"),
     "half_time_derivative": module_file("diagnostics"),

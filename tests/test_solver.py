@@ -246,3 +246,22 @@ def test_pde_residual_rejects_a_scalar_forcing(grid8, params1):
     f, u, p = trig_problem(grid8, params1)
     with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
         pde_residual(forward(u), forward(p), scalar_forcing(grid8, params1), params1)
+
+
+@pytest.mark.parametrize("at_rest", [True, False], ids=["from-rest", "moving"])
+def test_picard_step_rejects_a_scalar_forcing(grid8, params1, at_rest):
+    # from rest the step skips the transport; from a moving state the transport's
+    # three components would broadcast the scalar forcing
+    _, u, _ = trig_problem(grid8, params1)
+    start = zero_spectrum(grid8) if at_rest else forward(u)
+    with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
+        picard_step(start, forward(scalar_forcing(grid8, params1)), params1)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0], ids=["zero", "nonzero"])
+def test_solve_rejects_a_scalar_initial_guess(grid8, params1, scale):
+    # a zero guess is never transported, so the check must come before the loop
+    f, _, _ = trig_problem(grid8, params1)
+    guess = PhysicalField(grid8, scale * scalar_forcing(grid8, params1).values)
+    with pytest.raises(ValueError, match="initial guess must have 3 components, got 1"):
+        solve(f, params1, grid8, SolverConfig(initial_guess=guess))

@@ -11,6 +11,8 @@ as flag, then config, then default.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -351,7 +353,37 @@ _EXITS = (
 )
 
 
+# glibc's mallopt parameters, and the settings through which a user has already chosen them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+_MALLOC_TUNABLES = ("glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold")
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory this run frees for its next pass, where glibc allows it.
+
+    Each transform returns a fresh array of a few to a few tens of MB, which
+    glibc by default hands back to the system on free, so the next pass
+    faults on every page again.  A one-shot run needs that memory again and
+    returns it all at exit: blocks up to 32 MiB (the ceiling of glibc's own
+    dynamic threshold) come from a heap that is never trimmed.  The library
+    leaves its host's allocator alone; thresholds set in glibc's environment win.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if any(name in os.environ for name in _MALLOC_VARIABLES) or any(t in tunables for t in _MALLOC_TUNABLES):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # A trim threshold alone would pin the mmap threshold at its 128 KiB floor.
+        if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+            mallopt(_M_TRIM_THRESHOLD, -1)  # -1: never trim
+    except (OSError, AttributeError, TypeError):  # no C library, or one without mallopt
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
         return args.func(_resolve(args))

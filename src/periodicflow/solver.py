@@ -230,7 +230,7 @@ def recover_pressure(u: SpectralField, f_hat: SpectralField) -> SpectralField:
     so grad p + P_H g = g holds to rounding by construction.  The
     spatial-mean plane of the pressure is zero at every temporal frequency.
     """
-    return _pressure(f_hat - convective(u))
+    return _pressure(_checked_spectrum(f_hat, "forcing", 3) - convective(u))
 
 
 def _pressure(rhs: SpectralField) -> SpectralField:

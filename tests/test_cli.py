@@ -432,3 +432,57 @@ def test_random_preset_default_cutoff_keeps_the_energy_inequality(tmp_path, caps
     fields = ("--velocity", str(out / "u.field"), "--pressure", str(out / "p.field"))
     assert run("verify", *setup, *fields, "--out", str(tmp_path / "verdict.csv")) == 0
     capsys.readouterr()
+
+
+class FakeC:
+    """A C library whose ``mallopt`` records its calls and returns ``result``."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+@pytest.fixture
+def glibc_defaults(monkeypatch):
+    for name in (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def probe_exits_zero(capsys):
+    assert run("probe", "one", "--resolution", "4") == 0
+    assert capsys.readouterr().out.startswith("symbol,")
+
+
+@pytest.mark.parametrize("result, calls", [(1, [(-3, 32 << 20), (-1, -1)]), (0, [(-3, 32 << 20)])],
+                         ids=["accepted", "refused"])
+def test_cli_keeps_freed_memory(glibc_defaults, monkeypatch, capsys, result, calls):
+    c = FakeC(result)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: c)
+    probe_exits_zero(capsys)
+    # a refused mmap threshold leaves the trim threshold alone
+    assert c.calls == calls
+
+
+def no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("library", [no_c_library, lambda name: object()], ids=["no-library", "no-mallopt"])
+def test_cli_runs_where_the_allocator_cannot_be_tuned(glibc_defaults, monkeypatch, capsys, library):
+    monkeypatch.setattr(cli.ctypes, "CDLL", library)
+    probe_exits_zero(capsys)
+
+
+@pytest.mark.parametrize("name, value", [("MALLOC_MMAP_THRESHOLD_", "65536"), ("MALLOC_TRIM_THRESHOLD_", "0"),
+                                         ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0")])
+def test_glibc_settings_of_the_user_win(glibc_defaults, monkeypatch, capsys, name, value):
+    c = FakeC()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: c)
+    monkeypatch.setenv(name, value)
+    probe_exits_zero(capsys)
+    assert c.calls == []

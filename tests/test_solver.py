@@ -251,11 +251,15 @@ def test_pde_residual_rejects_a_scalar_forcing(grid8, params1):
 @pytest.mark.parametrize("at_rest", [True, False], ids=["from-rest", "moving"])
 def test_picard_step_rejects_a_scalar_forcing(grid8, params1, at_rest):
     # from rest the step skips the transport; from a moving state the transport's
-    # three components would broadcast the scalar forcing
+    # three components would broadcast the scalar forcing, in the step and in
+    # the pressure recovered from the same data
     _, u, _ = trig_problem(grid8, params1)
     start = zero_spectrum(grid8) if at_rest else forward(u)
+    f_hat = forward(scalar_forcing(grid8, params1))
     with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
-        picard_step(start, forward(scalar_forcing(grid8, params1)), params1)
+        picard_step(start, f_hat, params1)
+    with pytest.raises(ValueError, match="forcing must have 3 components, got 1"):
+        recover_pressure(start, f_hat)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0], ids=["zero", "nonzero"])

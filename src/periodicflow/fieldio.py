@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -82,15 +84,26 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
     """
     path = str(path)
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            return _read_open_field(handle, path, expected_grid)
     except OSError as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc
 
-    marker = b"\ndata\n"
-    head_end = blob.find(marker)
-    if not blob.startswith(MAGIC.encode("ascii")) or head_end < 0:
+
+def _read_open_field(handle: BinaryIO, path: str, expected_grid: Grid | None) -> PhysicalField:
+    """``read_field`` on an open file: the header line by line, then the payload into its array.
+
+    Only the header is read before the checks, and the payload goes straight
+    into the returned array, so a field costs its own size and no copy.
+    """
+    header, line = bytearray(), b""
+    for line in handle:
+        if line == b"data\n":
+            break
+        header += line
+    if line != b"data\n" or not header.startswith(MAGIC.encode("ascii")):
         raise FieldFormatError(f"{path}: not a field file (bad magic or missing data marker)")
-    header_lines = blob[: head_end].decode("ascii", errors="replace").splitlines()[1:]
+    header_lines = header.decode("ascii", errors="replace").splitlines()[1:]
     entries = _parse_header(header_lines, path)
 
     try:
@@ -109,11 +122,11 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
 
     # The payload length is checked against the header's own integers before
     # a Grid exists, so a corrupt header cannot trigger a large allocation.
-    payload = blob[head_end + len(marker):]
+    payload_bytes = os.fstat(handle.fileno()).st_size - handle.tell()
     count = components * math.prod(n_space) * n_time
-    if len(payload) != count * 8:
+    if payload_bytes != count * 8:
         raise FieldFormatError(
-            f"{path}: payload holds {len(payload)} bytes, header declares {count * 8}"
+            f"{path}: payload holds {payload_bytes} bytes, header declares {count * 8}"
         )
 
     try:
@@ -126,9 +139,11 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
             f"does not match the expected grid"
         )
 
-    values = np.frombuffer(payload, dtype="<f8").reshape((components,) + grid.shape)
+    values = np.empty((components,) + grid.shape, dtype="<f8")
+    if handle.readinto(values) != values.nbytes:
+        raise FieldFormatError(f"{path}: payload shrank while it was read")
     try:
-        return PhysicalField(grid, values.astype(np.float64))
+        return PhysicalField(grid, values)
     except ValueError as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc
 

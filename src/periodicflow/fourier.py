@@ -36,19 +36,23 @@ form, so it certifies the discrete system the solver actually iterates.
 Shared passes.  A multidimensional transform is a sequence of 1-d passes
 (Frigo & Johnson 2005), and a spatial derivative is a multiplier along the
 space axes only.  ``_derivative_nodes`` therefore inverts several derivative
-fields of one spectrum together: one pass over the time axis for all of
-them, one x3 pass per distinct x3 order, and a 2-d real transform over
-(x2, x1) per field.  The node values of u and its gradient, which the
-transport needs on every Picard step, cost 11 one-dimensional passes per
-component instead of the 16 of four separate inverse transforms.
+fields of one spectrum as a tree of passes: one pass over the time axis for
+all of them, one x3 pass per distinct x3 order, one x2 pass per distinct
+(x3, x2) orders, and one real x1 pass per field.  Each order is raised in
+place from the one below it, D^(a+1) = (i xi) D^a, on the array it shares.
+The node values of u and its gradient, which the transport needs on every
+Picard step, cost 10 one-dimensional passes per component instead of the 16
+of four separate inverse transforms.  No leaf is a multi-axis real
+transform, which would copy its whole complex input before its last pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -235,16 +239,37 @@ def _nyquist_free(coeffs: np.ndarray) -> bool:
     return not (coeffs[..., -1].any() or plane[:, :, n3 // 2].any() or plane[..., n2 // 2].any())
 
 
+def _raised_passes(
+    values: np.ndarray, orders: Iterable[int], ixi: np.ndarray, transform: Callable[..., np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(a, transform(ixi**a * values))`` for the ascending ``orders`` along one axis.
+
+    ``values`` is raised from one order to the next in place, one ``*= ixi``
+    per unit of order, and only the last transform may overwrite it.
+    """
+    orders = list(orders)
+    done = 0
+    for a in orders:
+        for _ in range(a - done):
+            values *= ixi
+        done = a
+        yield a, transform(values, overwrite_x=a == orders[-1])
+
+
 def _derivative_nodes(
     spec: SpectralField, orders: Sequence[tuple[int, int, int]]
 ) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
     """Yield ``(alpha, nodes)`` with the real node values of D^alpha ``spec`` for each order.
 
-    The inverse transform of every field shares passes with the others: one
-    complex pass over the time axis for all orders, one x3 pass for each
-    distinct a3, then a 2-d real transform over (x2, x1) per order.  Fields
-    come out grouped by a3, in the given order within a group, one at a
-    time; at most the time-pass array and one x3-pass array are held.
+    The inverse transforms form a tree of 1-d passes: one complex pass over
+    the time axis for all orders, one x3 pass per distinct a3, one x2 pass
+    per distinct (a3, a2), then one real x1 pass per field.  Along each axis
+    the orders are visited upwards and raised in place on the shared array,
+    so fields come out one at a time, ascending in (a3, a2, a1), each order
+    once; (0, 0, 0), when requested, comes first.  At most one time-pass,
+    one x3-pass and one x2-pass array are held, the last user of each
+    overwrites it, and ``spec.coeffs`` and the yielded arrays are never
+    written.
 
     Each field raises ``NotHermitian`` exactly when ``inverse`` of
     ``spec.coeffs * factor`` would.  The factor maps conjugate pairs to
@@ -258,25 +283,19 @@ def _derivative_nodes(
     if _plane_defect(coeffs) > 0.0 or not _nyquist_free(coeffs):
         for alpha in orders:
             _check_real(coeffs * _derivative_factor(grid, alpha))
-    n1, n2, _ = grid.n_space
-    timed = _fft.ifft(coeffs, axis=1, norm="forward", workers=-1)
-    for a3 in dict.fromkeys(alpha[2] for alpha in orders):
-        along_x3 = _fft.ifft(
-            timed * _derivative_factor(grid, (0, 0, a3)) if a3 else timed,
-            axis=2,
-            norm="forward",
-            overwrite_x=bool(a3),
-            workers=-1,
-        )
-        for alpha in orders:
-            if alpha[2] != a3:
-                continue
-            yield alpha, _fft.irfft2(
-                along_x3 * _derivative_factor(grid, alpha[:2] + (0,)) if alpha[:2] != (0, 0) else along_x3,
-                s=(n2, n1),
-                norm="forward",
-                workers=-1,
-            )
+    tree: dict[int, dict[int, list[int]]] = {}
+    for a1, a2, a3 in sorted(set(orders), key=lambda alpha: alpha[::-1]):
+        tree.setdefault(a3, {}).setdefault(a2, []).append(a1)
+    ifft = partial(_fft.ifft, norm="forward", workers=-1)
+    x1_pass = partial(_fft.irfft, n=grid.n_space[0], axis=4, norm="forward", workers=-1)
+    timed = ifft(coeffs, axis=1)
+    # Each ``del`` drops an array before the pass that replaces it is made.
+    for a3, along_x3 in _raised_passes(timed, tree, 1j * grid.xi3, partial(ifft, axis=2)):
+        for a2, along_x2 in _raised_passes(along_x3, tree[a3], 1j * grid.xi2, partial(ifft, axis=3)):
+            for a1, nodes in _raised_passes(along_x2, tree[a3][a2], 1j * grid.xi1, x1_pass):
+                yield (a1, a2, a3), nodes
+                del nodes
+            del along_x2
         del along_x3
 
 

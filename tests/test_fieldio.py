@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ def test_round_trip_is_byte_exact(tmp_path, grid8):
         second = tmp_path / f"again_{components}.field"
         write_field(second, back)
         assert second.read_bytes() == path.read_bytes()
+
+
+def test_reading_a_field_holds_its_payload_once(tmp_path, grid16):
+    """The payload is read straight into the returned array, not through a bytes copy."""
+    path = tmp_path / "u.field"
+    write_field(path, sample_field(grid16))
+    payload = 3 * 16**4 * 8
+    tracemalloc.start()
+    try:
+        field = read_field(path, grid16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.values.flags.writeable
+    assert peak < 1.1 * payload
 
 
 def test_round_trip_preserves_anisotropic_grid(tmp_path):

@@ -5,6 +5,8 @@ a box, resolutions and period that differ per axis, and compares with plain
 ``scipy.fft.fftn`` computations written out in the test.
 """
 
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -36,9 +38,15 @@ from periodicflow import (
     solve,
     spectral_sum,
 )
-from periodicflow import solver
+from periodicflow import fourier, solver
 from periodicflow.diagnostics import _MULTI_INDICES
-from periodicflow.fourier import _abs_sq, _derivative_factor, _derivative_nodes, _lattice_norm
+from periodicflow.fourier import (
+    _UNIT_INDICES,
+    _abs_sq,
+    _derivative_factor,
+    _derivative_nodes,
+    _lattice_norm,
+)
 from periodicflow.multipliers import _oseen_symbol
 from halfspec import full_forward, full_spectrum, negate_modes
 
@@ -214,16 +222,25 @@ def test_parseval_on_random_even_shapes(n, box, seed):
     assert isinstance(spec, SpectralField) and spec.coeffs.shape[1:] == grid.spectral_shape
 
 
-def assert_derivative_nodes_match_inverse(spec):
-    """Every order of ``_MULTI_INDICES`` against its own inverse transform, to 1e-14 relative."""
+def assert_derivative_nodes_match_inverse(spec, orders=_MULTI_INDICES):
+    """Each of ``orders`` against its own inverse transform, to 1e-14 relative.
+
+    The fields come once each, ascending in (a3, a2, a1); the input is left
+    bit for bit as it was, and no yielded array shares memory with it or with
+    another.
+    """
     grid = spec.grid
-    got = dict(_derivative_nodes(spec, _MULTI_INDICES))
-    assert sorted(got) == sorted(_MULTI_INDICES)
-    for alpha in _MULTI_INDICES:
+    before = spec.coeffs.copy()
+    stream = list(_derivative_nodes(spec, orders))
+    assert [alpha for alpha, _ in stream] == sorted(orders, key=lambda alpha: alpha[::-1])
+    assert spec.coeffs.tobytes() == before.tobytes()
+    arrays = [spec.coeffs] + [nodes for _, nodes in stream]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    for alpha, nodes in stream:
         factor = _derivative_factor(grid, alpha)
         expected = inverse(SpectralField(grid, spec.coeffs * factor)).values
-        assert got[alpha].shape == expected.shape
-        assert np.abs(got[alpha] - expected).max() <= 1e-14 * np.abs(expected).max(), alpha
+        assert nodes.shape == expected.shape
+        assert np.abs(nodes - expected).max() <= 1e-14 * np.abs(expected).max(), alpha
 
 
 def test_derivative_nodes_match_separate_inverses(grid):
@@ -236,10 +253,66 @@ def test_derivative_nodes_match_separate_inverses(grid):
     n=st.tuples(*[st.sampled_from((4, 6, 8, 10)) for _ in range(4)]),
     box=st.tuples(*[st.floats(0.5, 8.0) for _ in range(3)]),
     seed=st.integers(0, 2**32 - 1),
+    orders=st.lists(st.sampled_from(_MULTI_INDICES), min_size=1, unique=True),
 )
-def test_derivative_nodes_on_random_even_shapes(n, box, seed):
+def test_derivative_nodes_on_random_even_shapes(n, box, seed, orders):
+    """Any non-empty subset of the orders, in any order, gaps such as (0, 0, 2) alone included."""
     grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=1.3)
-    assert_derivative_nodes_match_inverse(forward(PhysicalField(grid, random_values(grid, seed))))
+    spec = forward(PhysicalField(grid, random_values(grid, seed)))
+    assert_derivative_nodes_match_inverse(spec, orders)
+
+
+class CountingFFT:
+    """Stands in for ``scipy.fft`` inside ``fourier`` and counts calls by function and axis."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        function = getattr(scipy.fft, name)
+
+        def counted(x, *args, **kwargs):
+            self.calls[name, kwargs.get("axis", kwargs.get("axes"))] += 1
+            return function(x, *args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize(
+    "orders, expected",
+    [
+        # u and grad u of the transport: 10 one-dimensional passes per component
+        (((0, 0, 0),) + _UNIT_INDICES, {("ifft", 1): 1, ("ifft", 2): 2, ("ifft", 3): 3, ("irfft", 4): 4}),
+        # grad v alone, as B(u, v) and the gradient in manufactured take it: 9
+        (_UNIT_INDICES, {("ifft", 1): 1, ("ifft", 2): 2, ("ifft", 3): 3, ("irfft", 4): 3}),
+        # the ten fields of norms: 20 passes
+        (_MULTI_INDICES, {("ifft", 1): 1, ("ifft", 2): 3, ("ifft", 3): 6, ("irfft", 4): 10}),
+    ],
+    ids=["u and grad u", "grad u", "norms"],
+)
+def test_derivative_nodes_pass_tree(grid, monkeypatch, orders, expected):
+    """One time pass, one x3 pass per a3, one x2 pass per (a3, a2), one real x1 pass per field."""
+    spec = forward(PhysicalField(grid, random_values(grid, 4)))
+    counter = CountingFFT()
+    monkeypatch.setattr(fourier, "_fft", counter)
+    for _ in _derivative_nodes(spec, orders):
+        pass
+    assert counter.calls == expected
+
+
+def test_transport_step_costs_fourteen_passes(grid, monkeypatch):
+    """The convective term of a Picard step: 10 inverse passes of the tree and one 4-d forward transform."""
+    spec = forward(PhysicalField(grid, random_values(grid, 5)))
+    counter = CountingFFT()
+    monkeypatch.setattr(fourier, "_fft", counter)
+    convective(spec)
+    assert counter.calls == {
+        ("ifft", 1): 1,
+        ("ifft", 2): 2,
+        ("ifft", 3): 3,
+        ("irfft", 4): 4,
+        ("rfftn", fourier._AXES): 1,
+    }
 
 
 def spectrum_with(grid, entries):

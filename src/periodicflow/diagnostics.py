@@ -224,17 +224,22 @@ def norms(
 ) -> NormReport:
     """Evaluate every norm family for each requested exponent.
 
-    Each q must lie in (1, 2) because the steady-part family is evaluated for
-    all of them; each r must lie in (1, inf).  ``u`` must have 3 components
-    and ``p`` 1; without a pressure the xpres entries are left empty.  Every
-    field is transformed once per call, however many exponents are
-    requested, and the derivative fields of one spectrum share their
+    At least one q is needed, and each must lie in (1, 2) because the
+    steady-part family is evaluated for all of them; with a pressure, at
+    least one r is needed, and each must lie in (1, inf).  ``u`` must have 3
+    components and ``p`` 1; without a pressure the xpres entries are left
+    empty.  Every field is transformed once per call, however many exponents
+    are requested, and the derivative fields of one spectrum share their
     transform passes.
     """
+    if not q_list:
+        raise ValueError("q (the norm exponent) needs at least one value")
     for q in q_list:
         if not 1.0 < q < 2.0:
             raise ValueError(f"q (the norm exponent) must lie in the open interval (1, 2), got {q}")
     if p is not None:
+        if not r_list:
+            raise ValueError("r (the pressure gradient exponent) needs at least one value")
         for r in r_list:
             if not (1.0 < r and math.isfinite(r)):
                 raise ValueError(f"r (the pressure gradient exponent) must lie in (1, inf), got {r}")

@@ -35,6 +35,10 @@ from .fourier import PhysicalField
 __all__ = ["write_field", "read_field", "load_config"]
 
 MAGIC = "PERIODICFLOW-FIELD 1"
+# Bounds on the header a reader accepts: ``write_field`` writes 8 lines, each
+# under 100 bytes, so any other file fails after a few KiB read at most.
+_HEADER_LINES = 16
+_HEADER_LINE_BYTES = 256
 
 
 def write_field(path: str | Path, field: PhysicalField) -> None:
@@ -52,10 +56,9 @@ def write_field(path: str | Path, field: PhysicalField) -> None:
             "",
         ]
     )
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
-        handle.write(payload)
+        handle.write(np.ascontiguousarray(field.values, dtype="<f8"))
 
 
 def _parse_header(lines: list[str], path: str) -> dict[str, list[str]]:
@@ -93,18 +96,22 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
 def _read_open_field(handle: BinaryIO, path: str, expected_grid: Grid | None) -> PhysicalField:
     """``read_field`` on an open file: the header line by line, then the payload into its array.
 
-    Only the header is read before the checks, and the payload goes straight
-    into the returned array, so a field costs its own size and no copy.
+    Only the header is read before the checks, at most ``_HEADER_LINES``
+    lines of ``_HEADER_LINE_BYTES`` each, and the payload goes straight into
+    the returned array, so a field costs its own size and no copy.
     """
-    header, line = bytearray(), b""
-    for line in handle:
+    not_a_field = FieldFormatError(f"{path}: not a field file (bad magic or missing data marker)")
+    if handle.readline(_HEADER_LINE_BYTES) != MAGIC.encode("ascii") + b"\n":
+        raise not_a_field
+    header = bytearray()
+    for _ in range(_HEADER_LINES - 1):
+        line = handle.readline(_HEADER_LINE_BYTES)
         if line == b"data\n":
             break
         header += line
-    if line != b"data\n" or not header.startswith(MAGIC.encode("ascii")):
-        raise FieldFormatError(f"{path}: not a field file (bad magic or missing data marker)")
-    header_lines = header.decode("ascii", errors="replace").splitlines()[1:]
-    entries = _parse_header(header_lines, path)
+    else:
+        raise not_a_field
+    entries = _parse_header(header.decode("ascii", errors="replace").splitlines(), path)
 
     try:
         components = int(entries["components"][0])

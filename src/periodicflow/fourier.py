@@ -21,8 +21,8 @@ each surviving mode has an exact conjugate partner on the lattice.
 Real-ness.  A half spectrum is real by construction everywhere except on the
 n1 = 0 and n1 = N1/2 planes, whose modes pair with modes of the same plane.
 Those two planes are the only place an input can break the symmetry, so
-``inverse`` checks them alone and raises ``NotHermitian`` when their
-conjugate pairs disagree by more than a fixed 1e-10 of the largest
+the inverse transform checks them alone and raises ``NotHermitian`` when
+their conjugate pairs disagree by more than a fixed 1e-10 of the largest
 coefficient.  ``forward`` makes the n1 = 0 plane exactly symmetric and every
 multiplier of the package preserves that bit for bit, so computed spectra
 pass with no defect at all.  ``_FLOOR`` (1e-300), the floor under every data
@@ -42,7 +42,9 @@ all of them, one x3 pass per distinct x3 order, one x2 pass per distinct
 place from the one below it, D^(a+1) = (i xi) D^a, on the array it shares.
 The node values of u and its gradient, which the transport needs on every
 Picard step, cost 10 one-dimensional passes per component instead of the 16
-of four separate inverse transforms.  No leaf is a multi-axis real
+of four separate 4-d transforms.  ``inverse`` is the tree's (0, 0, 0) leaf,
+so every spectrum-to-nodes transform of the package runs through these
+passes and their one ``NotHermitian`` gate.  No leaf is a multi-axis real
 transform, which would copy its whole complex input before its last pass.
 """
 
@@ -271,8 +273,9 @@ def _derivative_nodes(
     overwrites it, and ``spec.coeffs`` and the yielded arrays are never
     written.
 
-    Each field raises ``NotHermitian`` exactly when ``inverse`` of
-    ``spec.coeffs * factor`` would.  The factor maps conjugate pairs to
+    Each field raises ``NotHermitian`` when the n1 = 0 or n1 = N1/2 plane of
+    ``spec.coeffs * factor`` has a conjugate-pair defect above 1e-10 of its
+    largest coefficient.  The factor maps conjugate pairs to
     conjugate pairs bit for bit except where it fails to change sign with the
     mode: on the n1 = N1/2 plane and on the x2 and x3 Nyquist rows of the
     n1 = 0 plane.  So an input with no defect and nothing there yields
@@ -302,9 +305,10 @@ def _derivative_nodes(
 def inverse(spec: SpectralField) -> PhysicalField:
     """Transform half-spectrum coefficients back to real node values.
 
-    The rectangle rule is exact for trigonometric polynomials, so the time
-    mean of the returned nodes is the node field of the k = 0 plane alone:
-    the steady part of a field needs no transform of its own.
+    This is the (0, 0, 0) leaf of ``_derivative_nodes``: one pass over each
+    axis.  The rectangle rule is exact for trigonometric polynomials, so the
+    time mean of the returned nodes is the node field of the k = 0 plane
+    alone: the steady part of a field needs no transform of its own.
 
     Raises
     ------
@@ -313,8 +317,7 @@ def inverse(spec: SpectralField) -> PhysicalField:
         more than 1e-10 times the largest coefficient, which means the
         coefficients are not the spectrum of a real field.
     """
-    _check_real(spec.coeffs)
-    values = _fft.irfftn(spec.coeffs, s=spec.grid.shape, axes=_AXES, norm="forward", workers=-1)
+    ((_, values),) = _derivative_nodes(spec, ((0, 0, 0),))
     return PhysicalField(spec.grid, values)
 
 

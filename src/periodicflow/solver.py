@@ -120,16 +120,12 @@ def picard_step(u: SpectralField, f_hat: SpectralField, params: Params) -> Spect
     return SpectralField(u.grid, _resolve_in_place(_project_in_place(rhs, u.grid), u.grid, params))
 
 
-def _as_spectral(f: SpectralField | PhysicalField) -> SpectralField:
-    return f if isinstance(f, SpectralField) else forward(f)
-
-
 def _checked_spectrum(field: SpectralField | PhysicalField, name: str, components: int) -> SpectralField:
     """Spectrum of ``field``, checked to carry ``components`` components; ``name`` labels the error."""
     if field.components != components:
         noun = "component" if components == 1 else "components"
         raise ValueError(f"{name} must have {components} {noun}, got {field.components}")
-    return _as_spectral(field)
+    return field if isinstance(field, SpectralField) else forward(field)
 
 
 def solve(

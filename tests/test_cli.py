@@ -335,6 +335,10 @@ def test_help_exits_zero(capsys):
         (("norms", *GRID8, "--velocity", "u.field", "--q", "3"), None, "--q: q (the norm exponent)"),
         (("norms", *GRID8, "--velocity", "u.field", "--pressure", "p.field", "--r", "1"), None,
          "--r: r (the pressure gradient exponent)"),
+        # empty exponent lists, which would give a table without rows or a NaN pressure norm
+        (("norms", *GRID8, "--velocity", "u.field", "--q", ""), None, "--q: q (the norm exponent)"),
+        (("norms", *GRID8, "--velocity", "u.field", "--pressure", "p.field", "--r", ","), None,
+         "--r: r (the pressure gradient exponent)"),
     ],
 )
 def test_bad_value_is_one_usage_line_naming_its_setting(tmp_path, capsys, grid8, monkeypatch, argv, config, named):

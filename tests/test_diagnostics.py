@@ -113,6 +113,17 @@ def test_invalid_exponents_are_rejected(grid8, params1):
         norms(u, params1, p=p, q_list=(3.0,), r_list=(6.0,))
 
 
+def test_empty_exponent_lists_are_rejected(grid8, params1):
+    u = zero_field(grid8)
+    p = forward(zero_field(grid8, components=1))
+    with pytest.raises(ValueError, match=r"^q .* at least one value"):
+        norms(u, params1, q_list=())
+    with pytest.raises(ValueError, match=r"^r .* at least one value"):
+        norms(u, params1, p=p, r_list=())
+    # without a pressure no r is read, so none is needed
+    assert norms(u, params1, r_list=()).xpres == {}
+
+
 def test_energy_balance_of_rest_state(grid8):
     zero = forward(zero_field(grid8))
     report = energy_balance(zero, zero)

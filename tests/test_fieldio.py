@@ -48,6 +48,20 @@ def test_reading_a_field_holds_its_payload_once(tmp_path, grid16):
     assert peak < 1.1 * payload
 
 
+def test_writing_a_field_copies_no_payload(tmp_path, grid16):
+    """The payload goes to the file from the field's own buffer, not through a bytes copy."""
+    field = sample_field(grid16)
+    payload = 3 * 16**4 * 8
+    tracemalloc.start()
+    try:
+        write_field(tmp_path / "u.field", field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "u.field").stat().st_size > payload
+    assert peak < 0.1 * payload
+
+
 def test_round_trip_preserves_anisotropic_grid(tmp_path):
     grid = Grid(box=(1.0, 2.0, 3.0), n_space=(4, 6, 8), n_time=4, period=0.7)
     u = sample_field(grid, seed=5)
@@ -74,6 +88,36 @@ def test_bad_magic_is_rejected(tmp_path, grid8):
     path.write_bytes(b"NOT-A-FIELD 9" + raw[len(b"PERIODICFLOW-FIELD 1") :])
     with pytest.raises(FieldFormatError):
         read_field(path)
+    # a magic line that only starts like this format's, as another version's would
+    path.write_bytes(b"PERIODICFLOW-FIELD 12" + raw[len(b"PERIODICFLOW-FIELD 1") :])
+    with pytest.raises(FieldFormatError, match="bad magic"):
+        read_field(path)
+
+
+LARGE = 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"PERIODICFLOW-FIELD 1\n" + b"key value\n" * (LARGE // 10),
+        b"\0" * LARGE,
+        b"NOT-A-FIELD 9\n" + b"key value\n" * (LARGE // 10),
+    ],
+    ids=["magic-without-marker", "no-newline", "bad-magic"],
+)
+def test_a_large_non_field_file_is_rejected_from_a_bounded_header(tmp_path, content):
+    """Untrusted input costs a bounded header read, not the size of the file."""
+    path = tmp_path / "big.field"
+    path.write_bytes(content)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldFormatError, match="not a field file"):
+            read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_truncated_payload_is_rejected(tmp_path, grid8):

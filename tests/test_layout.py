@@ -223,7 +223,7 @@ def test_parseval_on_random_even_shapes(n, box, seed):
 
 
 def assert_derivative_nodes_match_inverse(spec, orders=_MULTI_INDICES):
-    """Each of ``orders`` against its own inverse transform, to 1e-14 relative.
+    """Each of ``orders`` against its own multi-axis ``scipy.fft.irfftn``, to 1e-14 relative.
 
     The fields come once each, ascending in (a3, a2, a1); the input is left
     bit for bit as it was, and no yielded array shares memory with it or with
@@ -238,7 +238,7 @@ def assert_derivative_nodes_match_inverse(spec, orders=_MULTI_INDICES):
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
     for alpha, nodes in stream:
         factor = _derivative_factor(grid, alpha)
-        expected = inverse(SpectralField(grid, spec.coeffs * factor)).values
+        expected = scipy.fft.irfftn(spec.coeffs * factor, s=grid.shape, axes=AXES, norm="forward")
         assert nodes.shape == expected.shape
         assert np.abs(nodes - expected).max() <= 1e-14 * np.abs(expected).max(), alpha
 
@@ -262,6 +262,32 @@ def test_derivative_nodes_on_random_even_shapes(n, box, seed, orders):
     assert_derivative_nodes_match_inverse(spec, orders)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.tuples(*[st.sampled_from((4, 6, 8, 10)) for _ in range(4)]),
+    box=st.tuples(*[st.floats(0.5, 8.0) for _ in range(3)]),
+    seed=st.integers(0, 2**32 - 1),
+    components=st.sampled_from((1, 3)),
+    case=st.sampled_from(("forward", "defect below tolerance", "raw rfftn")),
+)
+def test_inverse_is_irfftn_bit_for_bit(n, box, seed, components, case):
+    """``inverse``, the (0, 0, 0) leaf of the pass tree, equals scipy's multi-axis irfftn to the bit."""
+    grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=1.3)
+    values = random_values(grid, seed, components)
+    if case == "raw rfftn":
+        # Nyquist content kept, the n1 = 0 and n1 = N1/2 planes symmetric to rounding only
+        coeffs = scipy.fft.rfftn(values, axes=AXES, norm="forward")
+    else:
+        coeffs = forward(PhysicalField(grid, values)).coeffs
+    if case == "defect below tolerance":
+        # mode (k, n3, n2, n1) = (1, 0, 1, 0) moves away from its partner (-1, 0, -1, 0)
+        coeffs[0, 1, 0, 1, 0] += 1e-12 * np.abs(coeffs).max()
+    expected = scipy.fft.irfftn(coeffs, s=grid.shape, axes=AXES, norm="forward")
+    nodes = inverse(SpectralField(grid, coeffs)).values
+    assert nodes.shape == expected.shape
+    assert nodes.tobytes() == expected.tobytes()
+
+
 class CountingFFT:
     """Stands in for ``scipy.fft`` inside ``fourier`` and counts calls by function and axis."""
 
@@ -278,25 +304,33 @@ class CountingFFT:
         return counted
 
 
+def tree_of(orders):
+    return lambda spec: list(_derivative_nodes(spec, orders))
+
+
 @pytest.mark.parametrize(
-    "orders, expected",
+    "transform, expected",
     [
         # u and grad u of the transport: 10 one-dimensional passes per component
-        (((0, 0, 0),) + _UNIT_INDICES, {("ifft", 1): 1, ("ifft", 2): 2, ("ifft", 3): 3, ("irfft", 4): 4}),
+        (
+            tree_of(((0, 0, 0),) + _UNIT_INDICES),
+            {("ifft", 1): 1, ("ifft", 2): 2, ("ifft", 3): 3, ("irfft", 4): 4},
+        ),
         # grad v alone, as B(u, v) and the gradient in manufactured take it: 9
-        (_UNIT_INDICES, {("ifft", 1): 1, ("ifft", 2): 2, ("ifft", 3): 3, ("irfft", 4): 3}),
+        (tree_of(_UNIT_INDICES), {("ifft", 1): 1, ("ifft", 2): 2, ("ifft", 3): 3, ("irfft", 4): 3}),
         # the ten fields of norms: 20 passes
-        (_MULTI_INDICES, {("ifft", 1): 1, ("ifft", 2): 3, ("ifft", 3): 6, ("irfft", 4): 10}),
+        (tree_of(_MULTI_INDICES), {("ifft", 1): 1, ("ifft", 2): 3, ("ifft", 3): 6, ("irfft", 4): 10}),
+        # inverse is the (0, 0, 0) leaf: one pass per axis, 4 in all
+        (inverse, {("ifft", 1): 1, ("ifft", 2): 1, ("ifft", 3): 1, ("irfft", 4): 1}),
     ],
-    ids=["u and grad u", "grad u", "norms"],
+    ids=["u and grad u", "grad u", "norms", "inverse"],
 )
-def test_derivative_nodes_pass_tree(grid, monkeypatch, orders, expected):
+def test_derivative_nodes_pass_tree(grid, monkeypatch, transform, expected):
     """One time pass, one x3 pass per a3, one x2 pass per (a3, a2), one real x1 pass per field."""
     spec = forward(PhysicalField(grid, random_values(grid, 4)))
     counter = CountingFFT()
     monkeypatch.setattr(fourier, "_fft", counter)
-    for _ in _derivative_nodes(spec, orders):
-        pass
+    transform(spec)
     assert counter.calls == expected
 
 

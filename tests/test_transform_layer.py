@@ -4,7 +4,10 @@ The package has one transform layer: every forward and inverse transform, and
 every shared derivative pass, runs in ``fourier``.  Transform counts taken by
 wrapping that module's functions rely on it.  This check finds an FFT import
 or an ``np.fft`` reference in any other module with the standard ``ast``
-module.
+module.  Within ``fourier`` it pins the FFT functions to the ones the pass
+tree and the forward transform need: a multi-axis inverse such as ``irfftn``
+would copy its whole complex input, and a complex ``fftn`` would transform
+twice the data a real transform does.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "periodicflow").glob("*.py"))
 FFT_MODULES = ("scipy.fft", "scipy.fftpack", "numpy.fft", "np.fft")
 TRANSFORM_LAYER = "fourier.py"
+LAYER_FUNCTIONS = {"rfftn", "ifft", "irfft"}
 
 
 def is_fft(name: str) -> bool:
@@ -50,10 +54,42 @@ def test_the_check_finds_every_form_of_fft_use():
     ]
 
 
+def fft_functions(source: str) -> set[str]:
+    """Names of the FFT functions ``source`` reaches: imported directly, or as attributes of an FFT module."""
+    tree = ast.parse(source)
+    modules = set(FFT_MODULES)  # expressions that name an FFT module, aliases added below
+    functions = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if is_fft(alias.name)}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if name in FFT_MODULES:
+                    modules.add(alias.asname or alias.name)
+                elif is_fft(name):
+                    functions.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules:
+            functions.add(node.attr)
+    return functions
+
+
+def test_the_check_names_every_fft_function_reached():
+    source = (
+        "import numpy as np\nimport scipy.fft\nfrom scipy import fft as _fft\nfrom numpy.fft import irfft2\n"
+        "a = _fft.irfftn(x)\nb = scipy.fft.fftn(x)\nc = np.fft.ifft(x)\nd = _fft.rfftn(x)\n"
+    )
+    assert fft_functions(source) == {"irfftn", "fftn", "ifft", "irfft2", "rfftn"}
+    assert fft_functions(source) - LAYER_FUNCTIONS == {"irfftn", "fftn", "irfft2"}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_transform_layer_uses_fft(path):
-    uses = fft_uses(path.read_text())
+    source = path.read_text()
+    uses = fft_uses(source)
     if path.name == TRANSFORM_LAYER:
         assert uses
+        assert fft_functions(source) <= LAYER_FUNCTIONS
     else:
         assert uses == []

@@ -203,6 +203,7 @@ def _xpres(
     np.sqrt(mag_gp, out=mag_gp)
     dt_weight = grid.period / grid.n_time
     volume = grid.volume
+    lr_gp = {r: _lq_spacetime(mag_gp, r, grid) for r in r_list}
     out = {}
     for q in q_list:
         s = 3.0 * q / (3.0 - q)
@@ -211,7 +212,7 @@ def _xpres(
         slice_gp = (volume * np.mean(mag_gp**q, axis=(1, 2, 3))) ** (1.0 / q)
         inner = float(np.sum(dt_weight * (slice_p**q + slice_gp**q)))
         for r in r_list:
-            out[(q, r)] = float(inner ** (1.0 / q)) + _lq_spacetime(mag_gp, r, grid)
+            out[(q, r)] = float(inner ** (1.0 / q)) + lr_gp[r]
     return out
 
 

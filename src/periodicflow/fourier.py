@@ -46,11 +46,37 @@ of four separate 4-d transforms.  ``inverse`` is the tree's (0, 0, 0) leaf,
 so every spectrum-to-nodes transform of the package runs through these
 passes and their one ``NotHermitian`` gate.  No leaf is a multi-axis real
 transform, which would copy its whole complex input before its last pass.
+The tree is three pieces: ``_gated_tree`` (the gate and the order tree), the
+time pass, and ``_space_tree``, which walks the x3, x2 and x1 passes of any
+run of time nodes.
+
+Transport pipeline.  ``_transport_spectrum``, the body of the transport
+(u . grad) v, runs as three phases, each on ``os.cpu_count()`` threads
+with the calling thread doing one share.  Phase A inverts the time axis of
+a copy of v in place, over slabs of n1 columns.  Phase B takes one time
+node per task: it walks the spatial tree of that node, forms
+sum_j u_j d_j v in place, and runs the forward x1, x2 and x3 passes into
+that node of the output spectrum.  Phase C transforms the time axis
+forward in place, over slabs of n1 columns, and ``_finish_forward``, which
+``forward`` calls too, zeroes the Nyquist planes and makes the n1 = 0
+plane symmetric.  A phase B task holds the arrays of one time node, so
+each thread's memory is bounded by one node, and a transport still costs 14
+one-dimensional passes per component (10 inverse, 4 forward).  The thread
+rule: a pass over a whole array uses scipy's own threads (``workers=-1``,
+the same core count), and a pass inside a pipeline task uses
+``workers=1``, since the pipeline already runs a task on every core.
+Worker threads call no public function of the package, so a tracer that
+wraps those sees the calling thread alone.  Every coefficient comes from
+the same operations whichever thread or slab computes it, so the result
+does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -190,7 +216,12 @@ def forward(field: PhysicalField) -> SpectralField:
     symmetric and ``inverse`` finds no defect in them.
     """
     coeffs = _fft.rfftn(field.values, axes=_AXES, norm="forward", workers=-1)
-    m, n3, n2, n1h = field.grid.spectral_shape
+    return SpectralField(field.grid, _finish_forward(coeffs, field.grid))
+
+
+def _finish_forward(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Zero the Nyquist planes of every axis and make the n1 = 0 plane symmetric, in place."""
+    m, n3, n2, n1h = grid.spectral_shape
     coeffs[:, m // 2] = 0.0
     coeffs[:, :, n3 // 2] = 0.0
     coeffs[:, :, :, n2 // 2] = 0.0
@@ -198,7 +229,7 @@ def forward(field: PhysicalField) -> SpectralField:
     plane = coeffs[..., 0]
     plane += _partner(plane)
     plane *= 0.5
-    return SpectralField(field.grid, coeffs)
+    return coeffs
 
 
 def _plane_defect(coeffs: np.ndarray) -> float:
@@ -258,6 +289,50 @@ def _raised_passes(
         yield a, transform(values, overwrite_x=a == orders[-1])
 
 
+def _gated_tree(
+    spec: SpectralField, orders: Sequence[tuple[int, int, int]]
+) -> dict[int, dict[int, list[int]]]:
+    """Check ``spec`` for the derivative ``orders``; return them as the tree a3 -> a2 -> [a1].
+
+    Each order raises ``NotHermitian`` when the n1 = 0 or n1 = N1/2 plane of
+    ``spec.coeffs * factor`` has a conjugate-pair defect above 1e-10 of its
+    largest coefficient.  The factor maps conjugate pairs to
+    conjugate pairs bit for bit except where it fails to change sign with the
+    mode: on the n1 = N1/2 plane and on the x2 and x3 Nyquist rows of the
+    n1 = 0 plane.  So an input with no defect and nothing there yields
+    symmetric fields, and only other inputs are checked order by order.
+    """
+    coeffs = spec.coeffs
+    if _plane_defect(coeffs) > 0.0 or not _nyquist_free(coeffs):
+        for alpha in orders:
+            _check_real(coeffs * _derivative_factor(spec.grid, alpha))
+    tree: dict[int, dict[int, list[int]]] = {}
+    for a1, a2, a3 in sorted(set(orders), key=lambda alpha: alpha[::-1]):
+        tree.setdefault(a3, {}).setdefault(a2, []).append(a1)
+    return tree
+
+
+def _space_tree(
+    timed: np.ndarray, grid: Grid, tree: dict[int, dict[int, list[int]]], workers: int
+) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
+    """Yield ``(alpha, nodes)`` for the orders of ``tree`` from ``timed``, inverted over time already.
+
+    One x3 pass per a3, one x2 pass per (a3, a2), one real x1 pass per field,
+    each with scipy's ``workers``.  ``timed`` may hold any run of time nodes;
+    it is raised in place and its last x3 pass overwrites it.
+    """
+    ifft = partial(_fft.ifft, norm="forward", workers=workers)
+    x1_pass = partial(_fft.irfft, n=grid.n_space[0], axis=4, norm="forward", workers=workers)
+    # Each ``del`` drops an array before the pass that replaces it is made.
+    for a3, along_x3 in _raised_passes(timed, tree, 1j * grid.xi3, partial(ifft, axis=2)):
+        for a2, along_x2 in _raised_passes(along_x3, tree[a3], 1j * grid.xi2, partial(ifft, axis=3)):
+            for a1, nodes in _raised_passes(along_x2, tree[a3][a2], 1j * grid.xi1, x1_pass):
+                yield (a1, a2, a3), nodes
+                del nodes
+            del along_x2
+        del along_x3
+
+
 def _derivative_nodes(
     spec: SpectralField, orders: Sequence[tuple[int, int, int]]
 ) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
@@ -271,35 +346,110 @@ def _derivative_nodes(
     once; (0, 0, 0), when requested, comes first.  At most one time-pass,
     one x3-pass and one x2-pass array are held, the last user of each
     overwrites it, and ``spec.coeffs`` and the yielded arrays are never
-    written.
-
-    Each field raises ``NotHermitian`` when the n1 = 0 or n1 = N1/2 plane of
-    ``spec.coeffs * factor`` has a conjugate-pair defect above 1e-10 of its
-    largest coefficient.  The factor maps conjugate pairs to
-    conjugate pairs bit for bit except where it fails to change sign with the
-    mode: on the n1 = N1/2 plane and on the x2 and x3 Nyquist rows of the
-    n1 = 0 plane.  So an input with no defect and nothing there yields
-    symmetric fields, and only other inputs are checked order by order.
+    written.  ``_gated_tree`` raises ``NotHermitian`` before the first pass
+    where a per-field inverse of ``spec.coeffs * factor`` would.
     """
-    grid = spec.grid
-    coeffs = spec.coeffs
-    if _plane_defect(coeffs) > 0.0 or not _nyquist_free(coeffs):
-        for alpha in orders:
-            _check_real(coeffs * _derivative_factor(grid, alpha))
-    tree: dict[int, dict[int, list[int]]] = {}
-    for a1, a2, a3 in sorted(set(orders), key=lambda alpha: alpha[::-1]):
-        tree.setdefault(a3, {}).setdefault(a2, []).append(a1)
-    ifft = partial(_fft.ifft, norm="forward", workers=-1)
-    x1_pass = partial(_fft.irfft, n=grid.n_space[0], axis=4, norm="forward", workers=-1)
-    timed = ifft(coeffs, axis=1)
-    # Each ``del`` drops an array before the pass that replaces it is made.
-    for a3, along_x3 in _raised_passes(timed, tree, 1j * grid.xi3, partial(ifft, axis=2)):
-        for a2, along_x2 in _raised_passes(along_x3, tree[a3], 1j * grid.xi2, partial(ifft, axis=3)):
-            for a1, nodes in _raised_passes(along_x2, tree[a3][a2], 1j * grid.xi1, x1_pass):
-                yield (a1, a2, a3), nodes
-                del nodes
-            del along_x2
-        del along_x3
+    tree = _gated_tree(spec, orders)
+    timed = _fft.ifft(spec.coeffs, axis=1, norm="forward", workers=-1)
+    yield from _space_tree(timed, spec.grid, tree, -1)
+
+
+def _cores() -> int:
+    """Threads of the transport pipeline: every core, as scipy's ``workers=-1`` counts them."""
+    return os.cpu_count() or 1
+
+
+def _slabs(n: int, count: int) -> list[slice]:
+    """``range(n)`` cut into ``min(count, n)`` contiguous slices, lengths differing by at most one."""
+    count = max(1, min(count, n))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _on_every_core(tasks: Sequence[Callable[[], object]]) -> list:
+    """Run ``tasks`` on ``_cores()`` threads, the caller among them; return the results in order.
+
+    Each thread takes the next untaken task until none is left, or until a
+    task has failed.  Each helper thread runs in a copy of the caller's
+    context, so numpy's error state applies to every task alike.  Every
+    thread is joined before this returns, and the first failure is raised then.
+    """
+    results: list = [None] * len(tasks)
+    errors: list[BaseException] = []
+    untaken = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(untaken, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i]()
+            except BaseException as error:  # raised again by the calling thread
+                with lock:
+                    errors.append(error)
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(min(_cores(), len(tasks)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _transport_spectrum(v: SpectralField, u_nodes: np.ndarray | None) -> np.ndarray:
+    """Half spectrum of sum_j u_j d_j v (u = v when ``u_nodes`` is None), as ``forward`` returns it.
+
+    The three phases of the module notes, on ``_cores()`` threads.  Raises
+    ``NotHermitian`` where ``_derivative_nodes(v, ...)`` would, and
+    ``ValueError`` where ``forward`` would find the product not finite.
+    """
+    grid = v.grid
+    orders = _UNIT_INDICES if u_nodes is not None else ((0, 0, 0),) + _UNIT_INDICES
+    tree = _gated_tree(v, orders)
+    timed = np.empty_like(v.coeffs)
+    spectrum = np.empty_like(v.coeffs)
+    # Every pass runs on the thread of its task, in place where scipy allows it.
+    ifft = partial(_fft.ifft, norm="forward", workers=1, overwrite_x=True)
+    fft = partial(_fft.fft, norm="forward", workers=1, overwrite_x=True)
+
+    def invert_time(columns: slice) -> None:
+        slab = timed[..., columns]
+        slab[...] = v.coeffs[..., columns]
+        ifft(slab, axis=1)
+
+    def transport(t: int) -> bool:
+        node = slice(t, t + 1)
+        fields = _space_tree(timed[:, node], grid, tree, 1)
+        u = next(fields)[1] if u_nodes is None else u_nodes[:, node]
+        total = None
+        for alpha, dv_j in fields:
+            dv_j *= u[alpha.index(1)]
+            total = dv_j if total is None else np.add(total, dv_j, out=total)
+        if not (np.isfinite(total.max()) and np.isfinite(total.min())):
+            return False
+        slab = spectrum[:, node]
+        slab[...] = fft(_fft.rfft(total, axis=4, norm="forward", workers=1), axis=3)
+        fft(slab, axis=2)
+        return True
+
+    def forward_time(columns: slice) -> None:
+        fft(spectrum[..., columns], axis=1)
+
+    columns = _slabs(grid.spectral_shape[-1], _cores())
+    _on_every_core([partial(invert_time, c) for c in columns])
+    if not all(_on_every_core([partial(transport, t) for t in range(grid.n_time)])):
+        raise ValueError("field values must be finite")
+    _on_every_core([partial(forward_time, c) for c in columns])
+    return _finish_forward(spectrum, grid)
 
 
 def inverse(spec: SpectralField) -> PhysicalField:

@@ -11,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Grid
-from .fourier import (
-    _UNIT_INDICES,
-    PhysicalField,
-    SpectralField,
-    _derivative_nodes,
-    forward,
-    inverse,
-)
+from .fourier import PhysicalField, SpectralField, _transport_spectrum, forward, inverse
 
 __all__ = [
     "convective",
@@ -52,17 +45,7 @@ def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralF
     """
     if v.components != 3:
         raise ValueError("transport expects a 3-component field")
-    g = v.grid
-    if u_nodes is None:
-        fields = _derivative_nodes(v, ((0, 0, 0),) + _UNIT_INDICES)
-        u_nodes = next(fields)[1]
-    else:
-        fields = _derivative_nodes(v, _UNIT_INDICES)
-    out = np.zeros((3,) + g.shape, dtype=np.float64)
-    for alpha, dv_j in fields:
-        dv_j *= u_nodes[alpha.index(1)]
-        out += dv_j
-    return forward(PhysicalField(g, out))
+    return SpectralField(v.grid, _transport_spectrum(v, u_nodes))
 
 
 def convective(u: SpectralField) -> SpectralField:

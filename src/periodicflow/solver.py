@@ -105,15 +105,18 @@ def split(u: SpectralField) -> tuple[SpectralField, SpectralField]:
     return time_mean_part(u), oscillatory_part(u)
 
 
-def picard_step(u: SpectralField, f_hat: SpectralField, params: Params) -> SpectralField:
+def picard_step(
+    u: SpectralField, f_hat: SpectralField | PhysicalField, params: Params
+) -> SpectralField:
     """One fixed-point update: resolvent of the projected forcing minus transport.
 
     P_H is linear, so the forcing and the transport are projected together,
     once per step, in place on the transport's array (see the module notes);
     the result is ``oseen_inverse(helmholtz(f_hat - convective(u)), params)``
-    bit for bit, ``MeanModeNonzero`` judged against the same scale.
+    bit for bit, ``MeanModeNonzero`` judged against the same scale.  Node
+    values as forcing are transformed first.
     """
-    _checked_spectrum(f_hat, "forcing", 3)
+    f_hat = _checked_spectrum(f_hat, "forcing", 3)
     _check_same_grid(u, f_hat)
     rhs = convective(u).coeffs if u.coeffs.any() else np.zeros_like(f_hat.coeffs)
     np.subtract(f_hat.coeffs, rhs, out=rhs)

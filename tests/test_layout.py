@@ -8,6 +8,9 @@ a box, resolutions and period that differ per axis, and compares with plain
 import collections
 import itertools
 import math
+import os
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,16 +292,29 @@ def test_inverse_is_irfftn_bit_for_bit(n, box, seed, components, case):
 
 
 class CountingFFT:
-    """Stands in for ``scipy.fft`` inside ``fourier`` and counts calls by function and axis."""
+    """Stands in for ``scipy.fft`` inside ``fourier`` and sums the volume each function transforms along each axis.
 
-    def __init__(self):
-        self.calls = collections.Counter()
+    The volume of a call is the size of its input in units of one field of
+    ``components`` components: node values for a real input, a half spectrum
+    for a complex one.  A pass cut into slabs therefore counts as one pass
+    however many calls, on however many threads, it takes; a lock keeps the
+    sums exact when calls come from several threads at once.
+    """
+
+    def __init__(self, grid, components=3):
+        real, half_spectrum = math.prod(grid.shape), math.prod(grid.spectral_shape)
+        self.units = {False: components * real, True: components * half_spectrum}
+        self.volume = collections.Counter()
+        self.lock = threading.Lock()
 
     def __getattr__(self, name):
         function = getattr(scipy.fft, name)
 
         def counted(x, *args, **kwargs):
-            self.calls[name, kwargs.get("axis", kwargs.get("axes"))] += 1
+            key = name, kwargs.get("axis", kwargs.get("axes"))
+            share = Fraction(x.size, self.units[np.iscomplexobj(x)])
+            with self.lock:
+                self.volume[key] += share
             return function(x, *args, **kwargs)
 
         return counted
@@ -328,25 +344,31 @@ def tree_of(orders):
 def test_derivative_nodes_pass_tree(grid, monkeypatch, transform, expected):
     """One time pass, one x3 pass per a3, one x2 pass per (a3, a2), one real x1 pass per field."""
     spec = forward(PhysicalField(grid, random_values(grid, 4)))
-    counter = CountingFFT()
+    counter = CountingFFT(grid)
     monkeypatch.setattr(fourier, "_fft", counter)
     transform(spec)
-    assert counter.calls == expected
+    assert counter.volume == expected
 
 
 def test_transport_step_costs_fourteen_passes(grid, monkeypatch):
-    """The convective term of a Picard step: 10 inverse passes of the tree and one 4-d forward transform."""
+    """The convective term of a Picard step: the tree's 10 inverse passes and 4 forward passes, on any thread count."""
     spec = forward(PhysicalField(grid, random_values(grid, 5)))
-    counter = CountingFFT()
-    monkeypatch.setattr(fourier, "_fft", counter)
-    convective(spec)
-    assert counter.calls == {
-        ("ifft", 1): 1,
-        ("ifft", 2): 2,
-        ("ifft", 3): 3,
-        ("irfft", 4): 4,
-        ("rfftn", fourier._AXES): 1,
-    }
+    for cores in (1, 2, 3):
+        counter = CountingFFT(grid)
+        monkeypatch.setattr(fourier, "_fft", counter)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        convective(spec)
+        assert counter.volume == {
+            ("ifft", 1): 1,
+            ("ifft", 2): 2,
+            ("ifft", 3): 3,
+            ("irfft", 4): 4,
+            ("rfft", 4): 1,
+            ("fft", 3): 1,
+            ("fft", 2): 1,
+            ("fft", 1): 1,
+        }, cores
+        assert sum(counter.volume.values()) == 14
 
 
 def spectrum_with(grid, entries):

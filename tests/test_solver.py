@@ -262,6 +262,16 @@ def test_picard_step_rejects_a_scalar_forcing(grid8, params1, at_rest):
         recover_pressure(start, f_hat)
 
 
+@pytest.mark.parametrize("at_rest", [True, False], ids=["from-rest", "moving"])
+def test_picard_step_takes_node_values_as_forcing(grid8, params1, at_rest):
+    f, u, _ = trig_problem(grid8, params1)
+    assert isinstance(f, PhysicalField)
+    start = zero_spectrum(grid8) if at_rest else forward(u)
+    by_nodes = picard_step(start, f, params1)
+    by_spectrum = picard_step(start, forward(f), params1)
+    assert by_nodes.coeffs.tobytes() == by_spectrum.coeffs.tobytes()
+
+
 @pytest.mark.parametrize("scale", [0.0, 1.0], ids=["zero", "nonzero"])
 def test_solve_rejects_a_scalar_initial_guess(grid8, params1, scale):
     # a zero guess is never transported, so the check must come before the loop

@@ -5,9 +5,10 @@ every shared derivative pass, runs in ``fourier``.  Transform counts taken by
 wrapping that module's functions rely on it.  This check finds an FFT import
 or an ``np.fft`` reference in any other module with the standard ``ast``
 module.  Within ``fourier`` it pins the FFT functions to the ones the pass
-tree and the forward transform need: a multi-axis inverse such as ``irfftn``
-would copy its whole complex input, and a complex ``fftn`` would transform
-twice the data a real transform does.
+tree, the forward transform and the transport pipeline need (its forward
+passes are ``rfft`` over x1 and ``fft`` over x2, x3 and time): a multi-axis
+inverse such as ``irfftn`` would copy its whole complex input, and a complex
+``fftn`` would transform twice the data a real transform does.
 """
 
 import ast
@@ -18,7 +19,7 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "periodicflow").glob("*.py"))
 FFT_MODULES = ("scipy.fft", "scipy.fftpack", "numpy.fft", "np.fft")
 TRANSFORM_LAYER = "fourier.py"
-LAYER_FUNCTIONS = {"rfftn", "ifft", "irfft"}
+LAYER_FUNCTIONS = {"rfftn", "ifft", "irfft", "rfft", "fft"}
 
 
 def is_fft(name: str) -> bool:

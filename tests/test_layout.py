@@ -8,7 +8,6 @@ a box, resolutions and period that differ per axis, and compares with plain
 import collections
 import itertools
 import math
-import os
 import threading
 from fractions import Fraction
 
@@ -296,8 +295,8 @@ class CountingFFT:
 
     The volume of a call is the size of its input in units of one field of
     ``components`` components: node values for a real input, a half spectrum
-    for a complex one.  A pass cut into slabs therefore counts as one pass
-    however many calls, on however many threads, it takes; a lock keeps the
+    for a complex one.  A pass cut into time nodes therefore counts as one
+    pass however many calls, on however many threads, it takes; a lock keeps the
     sums exact when calls come from several threads at once.
     """
 
@@ -356,7 +355,7 @@ def test_transport_step_costs_fourteen_passes(grid, monkeypatch):
     for cores in (1, 2, 3):
         counter = CountingFFT(grid)
         monkeypatch.setattr(fourier, "_fft", counter)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(fourier, "_cores", lambda: cores)
         convective(spec)
         assert counter.volume == {
             ("ifft", 1): 1,

@@ -1,8 +1,7 @@
 """The threaded transport of ``fourier._transport_spectrum`` against the same product written out.
 
-The pipeline cuts the work into slabs and runs them on ``os.cpu_count()``
-threads.  Its output must not depend on the thread count or on where the
-slabs are cut, it must raise what the written-out transport (one derivative
+The pipeline runs one task per time node on ``fourier._cores()`` threads.
+Its output must not depend on the thread count, it must raise what the written-out transport (one derivative
 tree, the product, ``forward``) raises, on the same inputs, and it must leave
 no thread behind.
 """
@@ -14,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,11 +59,39 @@ def test_transport_is_byte_identical_on_one_two_and_three_threads(n_space, n_tim
     u_nodes = np.random.default_rng(seed + 1).standard_normal((3,) + grid.shape) if advected else None
     outputs = []
     for cores in (1, 2, 3):
-        with mock.patch.object(os, "cpu_count", return_value=cores):
+        with mock.patch.object(fourier, "_cores", return_value=cores):
             outputs.append(_transport(v, u_nodes).coeffs)
     assert outputs[0].tobytes() == outputs[1].tobytes() == outputs[2].tobytes()
     expected = written_out(v, u_nodes)
     assert np.abs(outputs[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class FreshOutput:
+    """A ``scipy.fft`` whose every result is a new array, and which fills an input it may overwrite with NaN.
+
+    scipy promises no more than that: ``overwrite_x`` lets a transform destroy
+    its input, not return its result there.
+    """
+
+    def __getattr__(self, name):
+        function = getattr(scipy.fft, name)
+
+        def fresh(x, *args, overwrite_x=False, **kwargs):
+            out = function(x, *args, **kwargs)
+            if overwrite_x:
+                x[...] = np.nan
+            return out
+
+        return fresh
+
+
+def test_transport_uses_only_what_each_pass_returns(grid, monkeypatch):
+    v = random_spectrum(grid, 18)
+    u_nodes = np.random.default_rng(19).standard_normal((3,) + grid.shape)
+    expected = [_transport(v).coeffs, _transport(v, u_nodes).coeffs]
+    monkeypatch.setattr(fourier, "_fft", FreshOutput())
+    got = [_transport(v).coeffs, _transport(v, u_nodes).coeffs]
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
 
 def outcome(action):
@@ -105,7 +133,7 @@ def broken(grid, case):
 )
 @pytest.mark.parametrize("cores", [1, 3])
 def test_transport_raises_what_the_written_out_transport_raises(grid, monkeypatch, case, raised, cores):
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(fourier, "_cores", lambda: cores)
     v, u_nodes = broken(grid, case)
     with np.errstate(all="ignore"):
         expected = outcome(lambda: written_out(v, u_nodes))
@@ -130,7 +158,7 @@ def test_transport_rejects_a_scalar_field_before_any_pass(grid, monkeypatch):
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_transport_leaves_no_thread_behind(grid, monkeypatch, cores):
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(fourier, "_cores", lambda: cores)
     before = threading.active_count()
     convective(random_spectrum(grid, 13))
     assert threading.active_count() == before
@@ -151,28 +179,49 @@ def test_convective_calls_neither_forward_nor_inverse(grid, monkeypatch):
     for module in (fourier, nonlinear):
         monkeypatch.setattr(module, "forward", refuse)
         monkeypatch.setattr(module, "inverse", refuse)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(fourier, "_cores", lambda: 3)
     convective(v)
     _transport(v, u_nodes)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_threads_follow_the_cpu_affinity_not_the_machine(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
+    assert fourier._cores() == 2
+
+
 def test_every_core_runs_each_task_once_and_raises_the_first_failure(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(fourier, "_cores", lambda: 3)
     before = threading.active_count()
     assert _on_every_core([lambda i=i: i * i for i in range(40)]) == [i * i for i in range(40)]
 
     def failing():
-        raise MemoryError("no room for a slab")
+        raise MemoryError("no room for a node")
 
-    with pytest.raises(MemoryError, match="no room for a slab"):
+    with pytest.raises(MemoryError, match="no room for a node"):
         _on_every_core([lambda: None] * 5 + [failing] + [lambda: None] * 5)
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cores", [2, 3])
+def test_every_core_runs_a_task_at_the_same_time(monkeypatch, cores):
+    """Each task waits for all the others, so this passes only if ``cores`` threads, the caller among them, run at once."""
+    monkeypatch.setattr(fourier, "_cores", lambda: cores)
+    meeting = threading.Barrier(cores, timeout=10)
+
+    def meet():
+        meeting.wait()
+        return threading.get_ident()
+
+    idents = _on_every_core([meet] * cores)
+    assert len(set(idents)) == cores and threading.get_ident() in idents
+
+
 @pytest.mark.parametrize("node", [0, 4, 9])
 def test_the_callers_error_state_holds_on_every_thread(grid, monkeypatch, node):
-    """An overflow in any one time slab raises under the caller's ``np.errstate``, whichever thread meets it."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    """An overflow in any one time node raises under the caller's ``np.errstate``, whichever thread meets it."""
+    monkeypatch.setattr(fourier, "_cores", lambda: 3)
     v = SpectralField(grid, 10.0 * random_spectrum(grid, 16).coeffs)
     u_nodes = np.ones((3,) + grid.shape)
     u_nodes[:, node] = 1e308
@@ -183,9 +232,9 @@ def test_the_callers_error_state_holds_on_every_thread(grid, monkeypatch, node):
 def test_more_threads_than_cores_under_fast_switching(grid, monkeypatch):
     """Eight threads on this machine's cores, switching every microsecond: each task runs once, the bytes hold."""
     v = random_spectrum(grid, 17)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(fourier, "_cores", lambda: 1)
     serial = _transport(v).coeffs
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(fourier, "_cores", lambda: 8)
     ran = []
     outputs = []
 

@@ -20,9 +20,10 @@ from .fourier import (
     PhysicalField,
     SpectralField,
     _abs_sq,
-    _derivative_nodes,
+    _gated_tree,
     _lattice_norm,
-    inverse,
+    _per_node,
+    _space_tree,
     oscillatory_part,
     spectral_sum,
     time_derivative,
@@ -130,38 +131,44 @@ class NormReport:
         return rows
 
 
+def _power_sums(values: np.ndarray, exponents: tuple[float, ...]) -> np.ndarray:
+    """Sum of |values|^e over the nodes for each exponent e, |.| the magnitude over components."""
+    mag = _magnitude(values)
+    return np.array([np.sum(mag**e) for e in exponents])
+
+
 def _w21q(
     u: SpectralField, q_list: tuple[float, ...], grid: Grid
 ) -> tuple[dict[float, float], dict[float, float], dict[tuple[int, int, int], np.ndarray]]:
     """Anisotropic Sobolev norms of the oscillatory part w of ``u``, with L^q of u and |D^alpha v|^2.
 
-    Each derivative field D^alpha u comes from shared transform passes and
-    serves every q.  The rectangle rule is exact for trigonometric
-    polynomials, so its time mean is D^alpha v, the steady part, and removing
-    that mean leaves D^alpha w.  The time derivative has no k = 0 content and
-    needs no split.  Returns (lq of u, w21q of w, the squared magnitudes of
-    D^alpha v keyed by alpha).
+    The time mean of the nodes of D^alpha u, D^alpha v, is the field of the
+    k = 0 plane alone (see ``inverse``), so it comes from the space passes of
+    that plane, and removing it leaves D^alpha w.  Each node task reduces its
+    fields to sums of |u|^q and |D^alpha w|^q for every q; the time
+    derivative has no k = 0 content.  Returns (lq of u, w21q of w, the
+    squared magnitudes of D^alpha v keyed by alpha).
     """
+    steady = dict(_space_tree(u.coeffs[:, :1].copy(), grid, _gated_tree(u, _MULTI_INDICES)))
 
-    def fields():
-        yield from _derivative_nodes(u, _MULTI_INDICES)
-        yield None, inverse(time_derivative(u)).values
+    def node_sums(t: int, fields) -> tuple[np.ndarray, np.ndarray]:
+        w_sums = np.zeros(len(q_list))
+        for alpha, values in fields:
+            if alpha == (0, 0, 0):
+                u_sums = _power_sums(values, q_list)
+            values -= steady[alpha]
+            w_sums += _power_sums(values, q_list)
+        return u_sums, w_sums
 
-    totals = dict.fromkeys(q_list, 0.0)
-    lq = {}
-    steady_sq = {}
-    for alpha, values in fields():
-        if alpha == (0, 0, 0):
-            mag = _magnitude(values)
-            lq = {q: _lq_spacetime(mag, q, grid) for q in q_list}
-        if alpha is not None:
-            steady = values.mean(axis=1)
-            steady_sq[alpha] = np.einsum("c...,c...->...", steady, steady)
-            values -= steady[:, np.newaxis]
-        mag = _magnitude(values)
-        for q in totals:
-            totals[q] += _lq_spacetime(mag, q, grid) ** q
-    return lq, {q: float(total ** (1.0 / q)) for q, total in totals.items()}, steady_sq
+    # per-node sums, combined in node order
+    u_sums, w_sums = (sum(parts) for parts in zip(*_per_node(u, _MULTI_INDICES, node_sums)))
+    dt_sums = _per_node(time_derivative(u), ((0, 0, 0),), lambda t, leaf: _power_sums(next(leaf)[1], q_list))
+    w_sums += sum(dt_sums)
+    scale = grid.volume / grid.size
+    lq = {q: float((scale * total) ** (1.0 / q)) for q, total in zip(q_list, u_sums)}
+    w21q = {q: float((scale * total) ** (1.0 / q)) for q, total in zip(q_list, w_sums)}
+    steady_sq = {alpha: np.einsum("c...,c...->...", values, values) for alpha, values in steady.items()}
+    return lq, w21q, steady_sq
 
 
 def _xoseen(
@@ -194,26 +201,23 @@ def _xoseen(
 def _xpres(
     p: SpectralField, q_list: tuple[float, ...], r_list: tuple[float, ...], grid: Grid
 ) -> dict[tuple[float, float], float]:
-    """Mixed time-space pressure norms for every (q, r); p and grad p share one set of passes."""
-    fields = _derivative_nodes(p, ((0, 0, 0),) + _UNIT_INDICES)
-    mag_p = _magnitude(next(fields)[1])
-    mag_gp = np.zeros(grid.shape)
-    for _, values in fields:
-        mag_gp += np.square(values[0])
-    np.sqrt(mag_gp, out=mag_gp)
-    dt_weight = grid.period / grid.n_time
-    volume = grid.volume
-    lr_gp = {r: _lq_spacetime(mag_gp, r, grid) for r in r_list}
-    out = {}
-    for q in q_list:
-        s = 3.0 * q / (3.0 - q)
-        # per-slice norms over the box, one per time node
-        slice_p = (volume * np.mean(mag_p**s, axis=(1, 2, 3))) ** (1.0 / s)
-        slice_gp = (volume * np.mean(mag_gp**q, axis=(1, 2, 3))) ** (1.0 / q)
-        inner = float(np.sum(dt_weight * (slice_p**q + slice_gp**q)))
-        for r in r_list:
-            out[(q, r)] = float(inner ** (1.0 / q)) + lr_gp[r]
-    return out
+    """Mixed time-space pressure norms for every (q, r); each node task reduces p and grad p at once."""
+    q = np.array(q_list)
+    s = 3.0 * q / (3.0 - q)
+
+    def node_sums(t: int, fields) -> tuple[np.ndarray, np.ndarray]:
+        (_, values), *grad = fields
+        grad_p = np.concatenate([component for _, component in grad])
+        return _power_sums(values, tuple(s)), _power_sums(grad_p, q_list + r_list)
+
+    sums = _per_node(p, ((0, 0, 0),) + _UNIT_INDICES, node_sums)
+    # one row per time node, summed in node order; inner holds the q-th powers of the per-slice norms
+    p_sums, gp_sums = (np.array(parts) for parts in zip(*sums))
+    per_slice = grid.volume * grid.n_time / grid.size
+    inner = (per_slice * p_sums) ** (q / s) + per_slice * gp_sums[:, : len(q_list)]
+    outer = (grid.period / grid.n_time * inner.sum(axis=0)) ** (1.0 / q)
+    lr_gp = (grid.volume / grid.size * gp_sums[:, len(q_list) :].sum(axis=0)) ** (1.0 / np.array(r_list))
+    return {(qi, r): float(outer[i] + lr_gp[j]) for i, qi in enumerate(q_list) for j, r in enumerate(r_list)}
 
 
 def norms(

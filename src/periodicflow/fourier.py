@@ -35,39 +35,34 @@ form, so it certifies the discrete system the solver actually iterates.
 
 Shared passes.  A multidimensional transform is a sequence of 1-d passes
 (Frigo & Johnson 2005), and a spatial derivative is a multiplier along the
-space axes only.  ``_derivative_nodes`` therefore inverts several derivative
-fields of one spectrum as a tree of passes: one pass over the time axis for
-all of them, one x3 pass per distinct x3 order, one x2 pass per distinct
-(x3, x2) orders, and one real x1 pass per field.  Each order is raised in
-place from the one below it, D^(a+1) = (i xi) D^a, on the array it shares.
-The node values of u and its gradient, which the transport needs on every
-Picard step, cost 10 one-dimensional passes per component instead of the 16
-of four separate 4-d transforms.  ``inverse`` is the tree's (0, 0, 0) leaf,
-so every spectrum-to-nodes transform of the package runs through these
-passes and their one ``NotHermitian`` gate.  No leaf is a multi-axis real
+space axes only.  So the derivative fields of one spectrum are inverted as
+a tree of passes: one pass over the time axis for all of them, one x3 pass
+per distinct x3 order, one x2 pass per distinct (x3, x2) orders, and one
+real x1 pass per field, each order raised in place from the one below it,
+D^(a+1) = (i xi) D^a.  u and its gradient, which the transport needs on
+every Picard step, cost 10 one-dimensional passes per component instead of
+the 16 of four separate 4-d transforms.  No leaf is a multi-axis real
 transform, which would copy its whole complex input before its last pass.
-The tree is three pieces: ``_gated_tree`` (the gate and the order tree), the
-time pass, and ``_space_tree``, which walks the x3, x2 and x1 passes of any
-run of time nodes.
 
-Transport pipeline.  ``_transport_spectrum``, the body of the transport
-(u . grad) v, runs as three phases.  Phase A inverts the time axis of v, the
-same pass ``_derivative_nodes`` makes.  Phase B takes one time node per
-task, on ``_cores()`` threads, the caller among them: it walks the spatial
-tree of that node, forms sum_j u_j d_j v in place, and runs the forward
-x1, x2 and x3 passes into that node of the output spectrum.  Phase C
-transforms the time axis forward in place, and ``_finish_forward``, which
-``forward`` calls too, zeroes the Nyquist planes and makes the n1 = 0
-plane symmetric.  A phase B task holds the arrays of one time node, so
-each thread's memory is bounded by one node, and a transport still costs
-14 one-dimensional passes per component (10 inverse, 4 forward).  The
-thread rule: a pass over a whole array uses scipy's own threads
-(``workers=-1``), and a pass inside a pipeline task uses ``workers=1``,
-since the pipeline already runs a task on every core.  Worker threads call
-no public function of the package, so a tracer that wraps those sees the
-calling thread alone.  Every coefficient comes from the same operations
-whichever thread computes it, so the result does not depend on the thread
-count.
+Node pipeline.  ``_per_node`` is the one way the tree is run: the one
+``NotHermitian`` gate (``_gated_tree``), the time pass over the whole array,
+then one task per time node on ``_cores()`` threads, the caller among them.
+A task gets the fields of its node from ``_space_tree`` (the x3, x2 and x1
+passes) and returns what it makes of them, in node order.  ``inverse``
+writes each node's (0, 0, 0) leaf into its output, ``diagnostics.norms``
+reduces each node's fields to partial sums, and ``_transport_spectrum``
+forms sum_j u_j d_j v and runs the forward x1, x2 and x3 passes, then the
+forward time pass and ``_finish_forward`` (shared with ``forward``: it zeroes
+the Nyquist planes and makes the n1 = 0 plane symmetric).  A transport costs
+14 one-dimensional passes per component (10 inverse, 4 forward).  A task
+holds the arrays of one time node, so each thread's memory is bounded by
+one node.  The one thread rule: a time pass runs over the whole array with
+scipy's own threads (``workers=-1``); every spatial pass runs with
+``workers=1`` inside a node task, since the pipeline already runs a task on
+every core.  Worker threads call no public function of the package, so a
+tracer that wraps those sees the calling thread alone.  Every value comes
+from the same operations on any thread, and callers combine per-node
+results in node order, so no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -319,16 +314,18 @@ def _gated_tree(
 
 
 def _space_tree(
-    timed: np.ndarray, grid: Grid, tree: dict[int, dict[int, list[int]]], workers: int
+    timed: np.ndarray, grid: Grid, tree: dict[int, dict[int, list[int]]]
 ) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
     """Yield ``(alpha, nodes)`` for the orders of ``tree`` from ``timed``, inverted over time already.
 
     One x3 pass per a3, one x2 pass per (a3, a2), one real x1 pass per field,
-    each with scipy's ``workers``.  ``timed`` may hold any run of time nodes;
-    it is raised in place and its last x3 pass overwrites it.
+    on one thread.  Each axis visits its orders upwards, raised in place on
+    the shared array, so fields come once each, ascending in (a3, a2, a1).
+    ``timed`` (any run of time nodes) is raised in place and its last x3
+    pass overwrites it.
     """
-    ifft = partial(_fft.ifft, norm="forward", workers=workers)
-    x1_pass = partial(_fft.irfft, n=grid.n_space[0], axis=4, norm="forward", workers=workers)
+    ifft = partial(_fft.ifft, norm="forward", workers=1)
+    x1_pass = partial(_fft.irfft, n=grid.n_space[0], axis=4, norm="forward", workers=1)
     # Each ``del`` drops an array before the pass that replaces it is made.
     for a3, along_x3 in _raised_passes(timed, tree, 1j * grid.xi3, partial(ifft, axis=2)):
         for a2, along_x2 in _raised_passes(along_x3, tree[a3], 1j * grid.xi2, partial(ifft, axis=3)):
@@ -339,29 +336,24 @@ def _space_tree(
         del along_x3
 
 
-def _derivative_nodes(
-    spec: SpectralField, orders: Sequence[tuple[int, int, int]]
-) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
-    """Yield ``(alpha, nodes)`` with the real node values of D^alpha ``spec`` for each order.
+def _per_node(spec: SpectralField, orders: Sequence[tuple[int, int, int]], task: Callable) -> list:
+    """``task(t, fields)`` for each time node t, the results in node order.
 
-    The inverse transforms form a tree of 1-d passes: one complex pass over
-    the time axis for all orders, one x3 pass per distinct a3, one x2 pass
-    per distinct (a3, a2), then one real x1 pass per field.  Along each axis
-    the orders are visited upwards and raised in place on the shared array,
-    so fields come out one at a time, ascending in (a3, a2, a1), each order
-    once; (0, 0, 0), when requested, comes first.  At most one time-pass,
-    one x3-pass and one x2-pass array are held, the last user of each
-    overwrites it, and ``spec.coeffs`` and the yielded arrays are never
-    written.  ``_gated_tree`` raises ``NotHermitian`` before the first pass
-    where a per-field inverse of ``spec.coeffs * factor`` would.
+    ``fields`` yields ``(alpha, nodes)``, the node values of D^alpha ``spec``
+    at node t shaped (components, 1, N3, N2, N1), in ``_space_tree``'s order.
+    ``_gated_tree`` raises ``NotHermitian`` before any pass; ``spec.coeffs`` is never written.
     """
     tree = _gated_tree(spec, orders)
     timed = _fft.ifft(spec.coeffs, axis=1, norm="forward", workers=-1)
-    yield from _space_tree(timed, spec.grid, tree, -1)
+
+    def node(t: int):
+        return task(t, _space_tree(timed[:, t : t + 1], spec.grid, tree))
+
+    return _on_every_core([partial(node, t) for t in range(spec.grid.n_time)])
 
 
 def _cores() -> int:
-    """Threads of the transport pipeline: the cores this process may run on."""
+    """Threads of the node pipeline: the cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -401,20 +393,16 @@ def _on_every_core(tasks: Sequence[Callable[[], object]]) -> list:
 def _transport_spectrum(v: SpectralField, u_nodes: np.ndarray | None) -> np.ndarray:
     """Half spectrum of sum_j u_j d_j v (u = v when ``u_nodes`` is None), as ``forward`` returns it.
 
-    The three phases of the module notes.  Raises ``NotHermitian`` where
-    ``_derivative_nodes(v, ...)`` would, and ``ValueError`` where ``forward``
-    would find the product not finite.
+    The node pipeline of the module notes.  Raises ``NotHermitian`` where
+    ``_per_node(v, ...)`` does, and ``ValueError`` where ``forward`` would
+    find the product not finite.
     """
-    grid = v.grid
     orders = _UNIT_INDICES if u_nodes is not None else ((0, 0, 0),) + _UNIT_INDICES
-    tree = _gated_tree(v, orders)
-    timed = _fft.ifft(v.coeffs, axis=1, norm="forward", workers=-1)
-    spectrum = np.empty_like(timed)
+    spectrum = np.empty(v.coeffs.shape, dtype=np.complex128)
     fft = partial(_fft.fft, norm="forward", workers=1, overwrite_x=True)
 
-    def transport(t: int) -> bool:
+    def transport(t: int, fields) -> bool:
         node = slice(t, t + 1)
-        fields = _space_tree(timed[:, node], grid, tree, 1)
         u = next(fields)[1] if u_nodes is None else u_nodes[:, node]
         total = None
         for alpha, dv_j in fields:
@@ -426,19 +414,21 @@ def _transport_spectrum(v: SpectralField, u_nodes: np.ndarray | None) -> np.ndar
         spectrum[:, node] = fft(fft(along_x1, axis=3), axis=2)
         return True
 
-    if not all(_on_every_core([partial(transport, t) for t in range(grid.n_time)])):
+    if not all(_per_node(v, orders, transport)):
         raise ValueError(_NOT_FINITE)
-    spectrum = _fft.fft(spectrum, axis=1, norm="forward", workers=-1, overwrite_x=True)
-    return _finish_forward(spectrum, grid)
+    # Not in place: this array lies below the time pass that ``_per_node`` freed, and
+    # reusing it made glibc's default heap fault 17k pages per ``picard-aniso`` solve, not 4k.
+    spectrum = _fft.fft(spectrum, axis=1, norm="forward", workers=-1)
+    return _finish_forward(spectrum, v.grid)
 
 
 def inverse(spec: SpectralField) -> PhysicalField:
     """Transform half-spectrum coefficients back to real node values.
 
-    This is the (0, 0, 0) leaf of ``_derivative_nodes``: one pass over each
-    axis.  The rectangle rule is exact for trigonometric polynomials, so the
-    time mean of the returned nodes is the node field of the k = 0 plane
-    alone: the steady part of a field needs no transform of its own.
+    Each node task of ``_per_node`` writes its (0, 0, 0) leaf: one pass
+    over each axis.  The rectangle rule is exact for trigonometric
+    polynomials, so the time mean of the returned nodes is the node field of
+    the k = 0 plane alone, which ``diagnostics.norms`` uses.
 
     Raises
     ------
@@ -447,7 +437,13 @@ def inverse(spec: SpectralField) -> PhysicalField:
         more than 1e-10 times the largest coefficient, which means the
         coefficients are not the spectrum of a real field.
     """
-    ((_, values),) = _derivative_nodes(spec, ((0, 0, 0),))
+    values = np.empty((spec.components,) + spec.grid.shape)
+
+    def leaf(t: int, fields) -> None:
+        for _, nodes in fields:
+            values[:, t : t + 1] = nodes
+
+    _per_node(spec, ((0, 0, 0),), leaf)
     return PhysicalField(spec.grid, values)
 
 

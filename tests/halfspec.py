@@ -1,8 +1,12 @@
-"""Test helpers that relate the half-spectrum layout to the full complex lattice."""
+"""Test helpers that relate the half-spectrum layout to the full complex lattice, and a pass counter."""
 
+import collections
 import math
+import threading
+from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 
 from periodicflow import SpectralField
 
@@ -32,8 +36,6 @@ def full_spectrum(coeffs, grid):
 
 def full_forward(values, grid):
     """Reference transform: complex fftn over all four axes, Nyquist planes zeroed."""
-    import scipy.fft
-
     full = scipy.fft.fftn(values, axes=(-4, -3, -2, -1)) / grid.size
     for axis, n in zip((-4, -3, -2, -1), grid.shape):
         index = [slice(None)] * full.ndim
@@ -54,3 +56,32 @@ def wrong_branch_half_derivative(spec):
     """
     factor = np.exp(1j * math.pi / 4.0) * np.sqrt(np.abs(spec.grid.omega))
     return SpectralField(spec.grid, spec.coeffs * factor)
+
+
+class CountingFFT:
+    """Stands in for ``scipy.fft`` inside ``fourier`` and sums the volume each function transforms along each axis.
+
+    The volume of a call is the size of its input in units of one field of
+    ``components`` components: node values for a real input, a half spectrum
+    for a complex one.  A pass cut into time nodes therefore counts as one
+    pass however many calls, on however many threads, it takes; a lock keeps the
+    sums exact when calls come from several threads at once.
+    """
+
+    def __init__(self, grid, components=3):
+        real, half_spectrum = math.prod(grid.shape), math.prod(grid.spectral_shape)
+        self.units = {False: components * real, True: components * half_spectrum}
+        self.volume = collections.Counter()
+        self.lock = threading.Lock()
+
+    def __getattr__(self, name):
+        function = getattr(scipy.fft, name)
+
+        def counted(x, *args, **kwargs):
+            key = name, kwargs.get("axis", kwargs.get("axes"))
+            share = Fraction(x.size, self.units[np.iscomplexobj(x)])
+            with self.lock:
+                self.volume[key] += share
+            return function(x, *args, **kwargs)
+
+        return counted

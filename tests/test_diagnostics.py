@@ -1,7 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from periodicflow import (
     Grid,
@@ -14,6 +17,7 @@ from periodicflow import (
     energy_balance,
     energy_inequality_check,
     forward,
+    inverse,
     manufactured,
     manufactured_preset,
     norms,
@@ -25,8 +29,9 @@ from periodicflow import (
     split,
     time_mean_part,
 )
+from periodicflow import fourier
 from periodicflow.diagnostics import _lq_spacetime
-from halfspec import wrong_branch_half_derivative
+from halfspec import CountingFFT, wrong_branch_half_derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,29 +266,31 @@ def test_norms_batched_over_exponents_match_single_calls(grid8, params1):
 
 
 def test_norms_transform_count_does_not_grow_with_exponents(grid8, params1, monkeypatch):
-    import periodicflow.diagnostics as diagnostics
+    """One ``norms`` call, in passes over one scalar field, whatever the number of exponents.
 
-    calls = []
-
-    def counting(original):
-        def wrapper(spec, *args, **kwargs):
-            calls.append(spec.components)
-            return original(spec, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("inverse", "_derivative_nodes"):
-        monkeypatch.setattr(diagnostics, name, counting(getattr(diagnostics, name)))
+    u costs the ten-field tree (20 passes), the tree of its k = 0 plane (19
+    passes on 1/M of the volume) and the (0, 0, 0) leaf of its time
+    derivative (4), three components each; p adds its value and gradient
+    tree (10).
+    """
     rng = np.random.default_rng(108)
     u = forward(PhysicalField(grid8, rng.standard_normal((3,) + grid8.shape)))
     p = forward(PhysicalField(grid8, rng.standard_normal((1,) + grid8.shape)))
-    counts = []
+    plane = Fraction(1, grid8.n_time)
+    # the ten-field tree, the k = 0 plane's tree, and the leaf of du/dt
+    velocity = {
+        ("ifft", 1): 1 + 1,
+        ("ifft", 2): 3 + 3 * plane + 1,
+        ("ifft", 3): 6 + 6 * plane + 1,
+        ("irfft", 4): 10 + 10 * plane + 1,
+    }
+    pressure = {("ifft", 1): 1, ("ifft", 2): 2, ("ifft", 3): 3, ("irfft", 4): 4}
     for q_list in ((1.2,), (1.2, 1.5, 1.8), (1.1, 1.2, 1.3, 1.4, 1.5, 1.6)):
-        calls.clear()
+        counter = CountingFFT(grid8, components=1)
+        monkeypatch.setattr(fourier, "_fft", counter)
         norms(u, params1, p=p, q_list=q_list, r_list=(4.0, 6.0))
-        counts.append(len(calls))
-    assert counts[0] > 0
-    assert counts == [counts[0]] * len(counts)
+        assert counter.volume == {key: 3 * n + pressure[key] for key, n in velocity.items()}, q_list
+        assert sum(counter.volume.values()) == 3 * (20 + 19 * plane + 4) + 10
 
 
 @pytest.mark.parametrize("check", [energy_balance, energy_inequality_check], ids=lambda f: f.__name__)
@@ -344,3 +351,79 @@ def test_steady_field_has_no_oscillatory_norm():
     for q, lq in report.lq.items():
         assert lq > 0.0
         assert report.w21q[q] <= 1e-13 * lq
+
+
+# every spatial order (a1, a2, a3) up to two
+MULTI_INDICES = [alpha for alpha in itertools.product(range(3), repeat=3) if sum(alpha) <= 2]
+
+
+def whole_array_norms(u, p, q_list, r_list, lam):
+    """The norm families written out over whole 4-d arrays: each field from its own ``scipy.fft.irfftn``."""
+    grid = u.grid
+    volume, dt = grid.volume, grid.period / grid.n_time
+
+    def nodes(coeffs, alpha=(0, 0, 0)):
+        factor = (1j * grid.xi1) ** alpha[0] * (1j * grid.xi2) ** alpha[1] * (1j * grid.xi3) ** alpha[2]
+        return scipy.fft.irfftn(coeffs * factor, s=grid.shape, axes=(-4, -3, -2, -1), norm="forward")
+
+    def magnitude(values):
+        return np.sqrt(np.sum(values**2, axis=0))
+
+    def norm(mag, q, axis=None):
+        """L^q with the rectangle rule over every node (or over the box alone, per time node)."""
+        return (volume * np.mean(mag**q, axis=axis)) ** (1.0 / q)
+
+    u_alpha = {alpha: nodes(u.coeffs, alpha) for alpha in MULTI_INDICES}
+    v_alpha = {alpha: values.mean(axis=1) for alpha, values in u_alpha.items()}
+    w_mags = [magnitude(u_alpha[alpha] - v_alpha[alpha][:, np.newaxis]) for alpha in MULTI_INDICES]
+    w_mags.append(magnitude(nodes(u.coeffs * (1j * grid.omega))))
+    hessian = [(1.0 if 2 in alpha else 2.0) * v_alpha[alpha] ** 2 for alpha in MULTI_INDICES if sum(alpha) == 2]
+    v_gradient = np.sqrt(sum(v_alpha[alpha] ** 2 for alpha in ((1, 0, 0), (0, 1, 0), (0, 0, 1))).sum(axis=0))
+    p_nodes = nodes(p.coeffs)[0]
+    grad_p = magnitude(np.concatenate([nodes(p.coeffs, alpha) for alpha in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]))
+    out = {"lq": {}, "w21q": {}, "xoseen": {}, "xpres": {}}
+    for q in q_list:
+        out["lq"][q] = norm(magnitude(u_alpha[(0, 0, 0)]), q)
+        out["w21q"][q] = sum(norm(mag, q) ** q for mag in w_mags) ** (1.0 / q)
+        out["xoseen"][q] = (
+            abs(lam) ** 0.5 * norm(magnitude(v_alpha[(0, 0, 0)]), 2.0 * q / (2.0 - q)),
+            abs(lam) ** 0.25 * norm(v_gradient, 4.0 / (4.0 - q)),
+            abs(lam) * norm(magnitude(v_alpha[(1, 0, 0)]), q),
+            norm(np.sqrt(sum(hessian).sum(axis=0)), q),
+        )
+        s = 3.0 * q / (3.0 - q)
+        per_node = norm(np.abs(p_nodes), s, axis=(1, 2, 3)) ** q + norm(grad_p, q, axis=(1, 2, 3)) ** q
+        for r in r_list:
+            out["xpres"][(q, r)] = np.sum(dt * per_node) ** (1.0 / q) + norm(grad_p, r)
+    return out
+
+
+def test_norms_match_the_whole_array_reference():
+    """``norms`` with a pressure, node by node, against the families written out over whole arrays."""
+    q_list, r_list = (1.2, 1.5, 1.8), (4.0, 6.0)
+    rng = np.random.default_rng(309)
+    u = forward(random_smooth(seed=309, amplitude=1.0, cutoff_shell=3, grid=ANISO_GRID))
+    p = forward(PhysicalField(ANISO_GRID, rng.standard_normal((1,) + ANISO_GRID.shape)))
+    report = norms(u, ANISO_PARAMS, p=p, q_list=q_list, r_list=r_list)
+    expected = whole_array_norms(u, p, q_list, r_list, ANISO_PARAMS.lam)
+    for q in q_list:
+        assert report.lq[q] == pytest.approx(expected["lq"][q], rel=1e-12)
+        assert report.w21q[q] == pytest.approx(expected["w21q"][q], rel=1e-12)
+        terms = report.xoseen[q]
+        got = (terms.amplitude, terms.gradient, terms.drift, terms.hessian)
+        assert got == pytest.approx(expected["xoseen"][q], rel=1e-12)
+        assert all(value > 0.0 for value in got)
+        for r in r_list:
+            assert report.xpres[(q, r)] == pytest.approx(expected["xpres"][(q, r)], rel=1e-12)
+
+
+def test_norms_and_inverse_are_byte_identical_on_one_two_and_three_threads(monkeypatch):
+    u = forward(random_smooth(seed=310, amplitude=1.0, cutoff_shell=3, grid=ANISO_GRID))
+    p = forward(PhysicalField(ANISO_GRID, np.random.default_rng(310).standard_normal((1,) + ANISO_GRID.shape)))
+    reports, nodes = [], []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fourier, "_cores", lambda: cores)
+        reports.append(norms(u, ANISO_PARAMS, p=p, q_list=(1.2, 1.5, 1.8), r_list=(4.0, 6.0)))
+        nodes.append(inverse(u).values.tobytes() + inverse(p).values.tobytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert nodes[0] == nodes[1] == nodes[2]

@@ -5,11 +5,8 @@ a box, resolutions and period that differ per axis, and compares with plain
 ``scipy.fft.fftn`` computations written out in the test.
 """
 
-import collections
 import itertools
 import math
-import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,11 +43,11 @@ from periodicflow.fourier import (
     _UNIT_INDICES,
     _abs_sq,
     _derivative_factor,
-    _derivative_nodes,
     _lattice_norm,
+    _per_node,
 )
 from periodicflow.multipliers import _oseen_symbol
-from halfspec import full_forward, full_spectrum, negate_modes
+from halfspec import CountingFFT, full_forward, full_spectrum, negate_modes
 
 AXES = (-4, -3, -2, -1)
 LAMS = (0.0, -1.5)
@@ -224,21 +221,36 @@ def test_parseval_on_random_even_shapes(n, box, seed):
     assert isinstance(spec, SpectralField) and spec.coeffs.shape[1:] == grid.spectral_shape
 
 
-def assert_derivative_nodes_match_inverse(spec, orders=_MULTI_INDICES):
-    """Each of ``orders`` against its own multi-axis ``scipy.fft.irfftn``, to 1e-14 relative.
+def node_fields(spec, orders):
+    """The ``(alpha, nodes)`` lists that ``_per_node`` hands its tasks, one list per time node."""
+    return _per_node(spec, orders, lambda t, fields: list(fields))
 
-    The fields come once each, ascending in (a3, a2, a1); the input is left
-    bit for bit as it was, and no yielded array shares memory with it or with
-    another.
+
+def joined(per_node):
+    """The fields of ``node_fields``, each joined along the time axis."""
+    return [
+        (alpha, np.concatenate([fields[i][1] for fields in per_node], axis=1))
+        for i, (alpha, _) in enumerate(per_node[0])
+    ]
+
+
+def assert_derivative_nodes_match_inverse(spec, orders=_MULTI_INDICES):
+    """Each of ``orders`` from ``_per_node`` against its own multi-axis ``scipy.fft.irfftn``, to 1e-14 relative.
+
+    Every node gets the fields once each, ascending in (a3, a2, a1); the
+    input is left bit for bit as it was, and no field of any node shares
+    memory with it or with another.
     """
     grid = spec.grid
     before = spec.coeffs.copy()
-    stream = list(_derivative_nodes(spec, orders))
-    assert [alpha for alpha, _ in stream] == sorted(orders, key=lambda alpha: alpha[::-1])
+    per_node = node_fields(spec, orders)
+    assert len(per_node) == grid.n_time
+    for fields in per_node:
+        assert [alpha for alpha, _ in fields] == sorted(orders, key=lambda alpha: alpha[::-1])
     assert spec.coeffs.tobytes() == before.tobytes()
-    arrays = [spec.coeffs] + [nodes for _, nodes in stream]
+    arrays = [spec.coeffs] + [nodes for fields in per_node for _, nodes in fields]
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
-    for alpha, nodes in stream:
+    for alpha, nodes in joined(per_node):
         factor = _derivative_factor(grid, alpha)
         expected = scipy.fft.irfftn(spec.coeffs * factor, s=grid.shape, axes=AXES, norm="forward")
         assert nodes.shape == expected.shape
@@ -290,37 +302,8 @@ def test_inverse_is_irfftn_bit_for_bit(n, box, seed, components, case):
     assert nodes.tobytes() == expected.tobytes()
 
 
-class CountingFFT:
-    """Stands in for ``scipy.fft`` inside ``fourier`` and sums the volume each function transforms along each axis.
-
-    The volume of a call is the size of its input in units of one field of
-    ``components`` components: node values for a real input, a half spectrum
-    for a complex one.  A pass cut into time nodes therefore counts as one
-    pass however many calls, on however many threads, it takes; a lock keeps the
-    sums exact when calls come from several threads at once.
-    """
-
-    def __init__(self, grid, components=3):
-        real, half_spectrum = math.prod(grid.shape), math.prod(grid.spectral_shape)
-        self.units = {False: components * real, True: components * half_spectrum}
-        self.volume = collections.Counter()
-        self.lock = threading.Lock()
-
-    def __getattr__(self, name):
-        function = getattr(scipy.fft, name)
-
-        def counted(x, *args, **kwargs):
-            key = name, kwargs.get("axis", kwargs.get("axes"))
-            share = Fraction(x.size, self.units[np.iscomplexobj(x)])
-            with self.lock:
-                self.volume[key] += share
-            return function(x, *args, **kwargs)
-
-        return counted
-
-
 def tree_of(orders):
-    return lambda spec: list(_derivative_nodes(spec, orders))
+    return lambda spec: joined(node_fields(spec, orders))
 
 
 @pytest.mark.parametrize(
@@ -341,12 +324,14 @@ def tree_of(orders):
     ids=["u and grad u", "grad u", "norms", "inverse"],
 )
 def test_derivative_nodes_pass_tree(grid, monkeypatch, transform, expected):
-    """One time pass, one x3 pass per a3, one x2 pass per (a3, a2), one real x1 pass per field."""
+    """One time pass, one x3 pass per a3, one x2 pass per (a3, a2), one real x1 pass per field, on 1-3 threads."""
     spec = forward(PhysicalField(grid, random_values(grid, 4)))
-    counter = CountingFFT(grid)
-    monkeypatch.setattr(fourier, "_fft", counter)
-    transform(spec)
-    assert counter.volume == expected
+    for cores in (1, 2, 3):
+        counter = CountingFFT(grid)
+        monkeypatch.setattr(fourier, "_fft", counter)
+        monkeypatch.setattr(fourier, "_cores", lambda: cores)
+        transform(spec)
+        assert counter.volume == expected, cores
 
 
 def test_transport_step_costs_fourteen_passes(grid, monkeypatch):
@@ -418,7 +403,7 @@ def test_derivative_nodes_flag_what_separate_inverses_flag(grid, case, entries, 
         )
         for alpha in _MULTI_INDICES
     )
-    shared = raises_not_hermitian(lambda: list(_derivative_nodes(spec, _MULTI_INDICES)))
+    shared = raises_not_hermitian(lambda: node_fields(spec, _MULTI_INDICES))
     assert per_field == shared == flagged
 
 

@@ -1,9 +1,9 @@
 """The threaded transport of ``fourier._transport_spectrum`` against the same product written out.
 
 The pipeline runs one task per time node on ``fourier._cores()`` threads.
-Its output must not depend on the thread count, it must raise what the written-out transport (one derivative
-tree, the product, ``forward``) raises, on the same inputs, and it must leave
-no thread behind.
+Its output must not depend on the thread count, it must raise what the
+written-out transport (one ``inverse`` per field, the product, ``forward``)
+raises, on the same inputs, and it must leave no thread behind.
 """
 
 import os
@@ -17,9 +17,9 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodicflow import Grid, NotHermitian, PhysicalField, SpectralField, convective, forward
+from periodicflow import Grid, NotHermitian, PhysicalField, SpectralField, convective, forward, inverse
 from periodicflow import fourier, nonlinear
-from periodicflow.fourier import _UNIT_INDICES, _derivative_nodes, _on_every_core
+from periodicflow.fourier import _UNIT_INDICES, _derivative_factor, _on_every_core
 from periodicflow.nonlinear import _transport
 
 
@@ -34,15 +34,15 @@ def random_spectrum(grid, seed):
 
 
 def written_out(v, u_nodes=None):
-    """(u . grad) v as one derivative tree, the product summed over j, and ``forward``."""
-    orders = _UNIT_INDICES if u_nodes is not None else ((0, 0, 0),) + _UNIT_INDICES
-    fields = _derivative_nodes(v, orders)
+    """(u . grad) v with each field from its own ``inverse``, the product summed over j, and ``forward``."""
+    grid = v.grid
     if u_nodes is None:
-        u_nodes = next(fields)[1]
-    total = np.zeros((3,) + v.grid.shape)
-    for alpha, dv_j in fields:
-        total += dv_j * u_nodes[alpha.index(1)]
-    return forward(PhysicalField(v.grid, total)).coeffs
+        u_nodes = inverse(v).values
+    total = np.zeros((3,) + grid.shape)
+    for j, alpha in enumerate(_UNIT_INDICES):
+        dv_j = inverse(SpectralField(grid, v.coeffs * _derivative_factor(grid, alpha))).values
+        total += dv_j * u_nodes[j]
+    return forward(PhysicalField(grid, total)).coeffs
 
 
 @settings(max_examples=30, deadline=None)

@@ -54,11 +54,6 @@ def _magnitude(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("c...,c...->...", values, values))
 
 
-def _lq_spacetime(mag: np.ndarray, q: float, grid: Grid) -> float:
-    """L^q norm of node magnitudes; a single time slice gives the norm over the box alone."""
-    return float((grid.volume * np.mean(mag**q)) ** (1.0 / q))
-
-
 _MULTI_INDICES = (
     (0, 0, 0),
     (1, 0, 0),
@@ -137,17 +132,22 @@ def _power_sums(values: np.ndarray, exponents: tuple[float, ...]) -> np.ndarray:
     return np.array([np.sum(mag**e) for e in exponents])
 
 
+def _lebesgue(measure: float, sums: np.ndarray, exponents: tuple[float, ...] | np.ndarray) -> np.ndarray:
+    """The norms (measure * sum |.|^e)^(1/e) of the power sums ``sums``, one per exponent e."""
+    return (measure * sums) ** (1.0 / np.asarray(exponents))
+
+
 def _w21q(
     u: SpectralField, q_list: tuple[float, ...], grid: Grid
 ) -> tuple[dict[float, float], dict[float, float], dict[tuple[int, int, int], np.ndarray]]:
-    """Anisotropic Sobolev norms of the oscillatory part w of ``u``, with L^q of u and |D^alpha v|^2.
+    """Anisotropic Sobolev norms of the oscillatory part w of ``u``, with L^q of u and the fields D^alpha v.
 
     The time mean of the nodes of D^alpha u, D^alpha v, is the field of the
     k = 0 plane alone (see ``inverse``), so it comes from the space passes of
     that plane, and removing it leaves D^alpha w.  Each node task reduces its
     fields to sums of |u|^q and |D^alpha w|^q for every q; the time
     derivative has no k = 0 content.  Returns (lq of u, w21q of w, the
-    squared magnitudes of D^alpha v keyed by alpha).
+    fields D^alpha v of one time node, keyed by alpha).
     """
     steady = dict(_space_tree(u.coeffs[:, :1].copy(), grid, _gated_tree(u, _MULTI_INDICES)))
 
@@ -164,38 +164,36 @@ def _w21q(
     u_sums, w_sums = (sum(parts) for parts in zip(*_per_node(u, _MULTI_INDICES, node_sums)))
     dt_sums = _per_node(time_derivative(u), ((0, 0, 0),), lambda t, leaf: _power_sums(next(leaf)[1], q_list))
     w_sums += sum(dt_sums)
-    scale = grid.volume / grid.size
-    lq = {q: float((scale * total) ** (1.0 / q)) for q, total in zip(q_list, u_sums)}
-    w21q = {q: float((scale * total) ** (1.0 / q)) for q, total in zip(q_list, w_sums)}
-    steady_sq = {alpha: np.einsum("c...,c...->...", values, values) for alpha, values in steady.items()}
-    return lq, w21q, steady_sq
+    measure = grid.volume / grid.size
+    lq = dict(zip(q_list, _lebesgue(measure, u_sums, q_list).tolist()))
+    w21q = dict(zip(q_list, _lebesgue(measure, w_sums, q_list).tolist()))
+    return lq, w21q, steady
 
 
 def _xoseen(
-    steady_sq: dict[tuple[int, int, int], np.ndarray], q_list: tuple[float, ...], lam: float, grid: Grid
+    steady: dict[tuple[int, int, int], np.ndarray], q_list: tuple[float, ...], lam: float, grid: Grid
 ) -> dict[float, OseenTerms]:
-    """Drift-weighted steady-part norms from the squared magnitudes |D^alpha v|^2 of ``_w21q``.
+    """Drift-weighted steady-part norms from the fields D^alpha v of ``_w21q``.
 
-    The gradient and Hessian magnitudes are sums of squares, the Hessian's
-    mixed entries counting twice.
+    The gradient and Hessian magnitudes run over their concatenated entries;
+    each mixed Hessian entry stands for two and is scaled by sqrt(2).
     """
-    amplitude = np.sqrt(steady_sq[(0, 0, 0)])
-    drift = np.sqrt(steady_sq[(1, 0, 0)])
-    gradient_mag = np.sqrt(sum(steady_sq[alpha] for alpha in _UNIT_INDICES))
-    hessian_mag = np.sqrt(
-        sum((1.0 if 2 in alpha else 2.0) * sq for alpha, sq in steady_sq.items() if sum(alpha) == 2)
+    gradient = np.concatenate([steady[alpha] for alpha in _UNIT_INDICES])
+    hessian = np.concatenate(
+        [(1.0 if 2 in alpha else math.sqrt(2.0)) * values for alpha, values in steady.items() if sum(alpha) == 2]
     )
-
+    q = np.array(q_list)
     abs_lam = abs(lam)
-    return {
-        q: OseenTerms(
-            amplitude=abs_lam**0.5 * _lq_spacetime(amplitude, 2.0 * q / (2.0 - q), grid),
-            gradient=abs_lam**0.25 * _lq_spacetime(gradient_mag, 4.0 / (4.0 - q), grid),
-            drift=abs_lam * _lq_spacetime(drift, q, grid),
-            hessian=_lq_spacetime(hessian_mag, q, grid),
-        )
-        for q in q_list
-    }
+    # (weight, fields, exponent for each q) of each term, in the order of ``OseenTerms``
+    terms = [
+        (abs_lam**0.5, steady[(0, 0, 0)], 2.0 * q / (2.0 - q)),
+        (abs_lam**0.25, gradient, 4.0 / (4.0 - q)),
+        (abs_lam, steady[(1, 0, 0)], q),
+        (1.0, hessian, q),
+    ]
+    measure = grid.volume * grid.n_time / grid.size
+    columns = [weight * _lebesgue(measure, _power_sums(values, tuple(e)), e) for weight, values, e in terms]
+    return {qi: OseenTerms(*map(float, row)) for qi, row in zip(q_list, zip(*columns))}
 
 
 def _xpres(
@@ -215,8 +213,8 @@ def _xpres(
     p_sums, gp_sums = (np.array(parts) for parts in zip(*sums))
     per_slice = grid.volume * grid.n_time / grid.size
     inner = (per_slice * p_sums) ** (q / s) + per_slice * gp_sums[:, : len(q_list)]
-    outer = (grid.period / grid.n_time * inner.sum(axis=0)) ** (1.0 / q)
-    lr_gp = (grid.volume / grid.size * gp_sums[:, len(q_list) :].sum(axis=0)) ** (1.0 / np.array(r_list))
+    outer = _lebesgue(grid.period / grid.n_time, inner.sum(axis=0), q)
+    lr_gp = _lebesgue(grid.volume / grid.size, gp_sums[:, len(q_list) :].sum(axis=0), r_list)
     return {(qi, r): float(outer[i] + lr_gp[j]) for i, qi in enumerate(q_list) for j, r in enumerate(r_list)}
 
 
@@ -251,9 +249,9 @@ def norms(
 
     u_hat = _checked_spectrum(u, "velocity", 3)
     grid = u_hat.grid
-    lq, w21q, steady_sq = _w21q(u_hat, q_list, grid)
-    xoseen = _xoseen(steady_sq, q_list, params.lam, grid)
-    xpres = _xpres(_checked_spectrum(p, "pressure", 1), q_list, r_list, grid) if p is not None else {}
+    lq, w21q, steady = _w21q(u_hat, q_list, grid)
+    xoseen = _xoseen(steady, q_list, params.lam, grid)
+    xpres = _xpres(_checked_spectrum(p, "pressure", 1, grid), q_list, r_list, grid) if p is not None else {}
 
     return NormReport(
         lam=params.lam,
@@ -291,7 +289,7 @@ def energy_balance(
     divergence-free field.
     """
     u_hat = _checked_spectrum(u, "velocity", 3)
-    f_hat = _checked_spectrum(f, "forcing", 3)
+    f_hat = _checked_spectrum(f, "forcing", 3, u_hat.grid)
     grid = u_hat.grid
     dissipation = grid.volume * spectral_sum(grid.xi_sq * _abs_sq(u_hat.coeffs).sum(axis=0), grid)
     power = grid.volume * spectral_sum(np.real(np.conj(f_hat.coeffs) * u_hat.coeffs), grid)
@@ -306,9 +304,7 @@ def cross_orthogonality(v: SpectralField, w: SpectralField) -> float:
     k = 0 content into w shows up directly in the returned value.
     """
     v = _checked_spectrum(v, "steady part", 3)
-    w = _checked_spectrum(w, "oscillatory part", 3)
-    if v.grid != w.grid:
-        raise ValueError("fields live on different grids")
+    w = _checked_spectrum(w, "oscillatory part", 3, v.grid)
     grid = v.grid
     prod = np.real(np.einsum("c...,c...->...", np.conj(v.coeffs), w.coeffs))
     return grid.volume * spectral_sum(grid.xi_sq * prod, grid)

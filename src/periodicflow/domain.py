@@ -86,11 +86,16 @@ class Grid:
 
     def __post_init__(self):
         box = tuple(float(b) for b in self.box)
-        n_space = tuple(int(n) for n in self.n_space)
-        if len(box) != 3 or len(n_space) != 3:
+        if len(box) != 3 or len(self.n_space) != 3:
             raise ValueError("box and n_space must have three entries")
+        # Checked before the conversion to int truncates: a non-integral value is not even.
+        for name, resolutions in (("n_space", self.n_space), ("n_time", (self.n_time,))):
+            if any(nj < 4 or nj % 2 != 0 for nj in resolutions):
+                raise ValueError(
+                    f"{name} resolutions must be even integers, at least 4, got {getattr(self, name)}"
+                )
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "n_space", n_space)
+        object.__setattr__(self, "n_space", tuple(int(n) for n in self.n_space))
         object.__setattr__(self, "n_time", int(self.n_time))
         object.__setattr__(self, "period", float(self.period))
 
@@ -99,11 +104,6 @@ class Grid:
                 raise ValueError(f"box lengths must be positive, got {self.box}")
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise ValueError(f"period must be positive, got {self.period}")
-        for name, resolutions in (("n_space", self.n_space), ("n_time", (self.n_time,))):
-            if any(nj < 4 or nj % 2 != 0 for nj in resolutions):
-                raise ValueError(
-                    f"{name} resolutions must be even and at least 4, got {getattr(self, name)}"
-                )
 
         n1, n2, n3 = self.n_space
         m = self.n_time

@@ -5,7 +5,7 @@ A manufactured pair (u*, p*) is sampled on the grid and the forcing
     f = du*/dt - Lap u* - lam d(u*)/dx1 + grad p* + (u* . grad) u*
 
 is assembled from the solver's own operators: ``oseen_apply`` for the first
-three terms, the spectral gradient, and ``nonlinear._transport`` for the
+three terms, the spectral gradient, and ``fourier._transport`` for the
 last, advected by the samples and not truncated.  Solving with this f must
 return u* whenever the amplitude sits inside the contraction regime.
 """
@@ -23,6 +23,7 @@ from .fourier import (
     _FLOOR,
     PhysicalField,
     SpectralField,
+    _transport,
     coeff_norm,
     divergence,
     forward,
@@ -30,7 +31,6 @@ from .fourier import (
     inverse,
 )
 from .multipliers import helmholtz, oseen_apply
-from .nonlinear import _transport
 
 __all__ = [
     "manufactured",
@@ -104,6 +104,7 @@ def manufactured(
             "use a curl-based recipe"
         )
 
+    # The raw samples advect, not the nodes of their spectrum, which ``forward`` strips of Nyquist content.
     f_hat = oseen_apply(u_hat, params) + gradient(p_hat) + _transport(u_hat, u_field.values)
     # Every term of the continuum forcing has zero space-time mean; after
     # sampling, unresolved tails of the transport product can alias a tiny

@@ -44,25 +44,27 @@ every Picard step, cost 10 one-dimensional passes per component instead of
 the 16 of four separate 4-d transforms.  No leaf is a multi-axis real
 transform, which would copy its whole complex input before its last pass.
 
-Node pipeline.  ``_per_node`` is the one way the tree is run: the one
+Node pipeline.  ``_per_node`` runs the tree over the time nodes: the one
 ``NotHermitian`` gate (``_gated_tree``), the time pass over the whole array,
 then one task per time node on ``_cores()`` threads, the caller among them.
 A task gets the fields of its node from ``_space_tree`` (the x3, x2 and x1
-passes) and returns what it makes of them, in node order.  ``inverse``
-writes each node's (0, 0, 0) leaf into its output, ``diagnostics.norms``
-reduces each node's fields to partial sums, and ``_transport_spectrum``
-forms sum_j u_j d_j v and runs the forward x1, x2 and x3 passes, then the
-forward time pass and ``_finish_forward`` (shared with ``forward``: it zeroes
-the Nyquist planes and makes the n1 = 0 plane symmetric).  A transport costs
-14 one-dimensional passes per component (10 inverse, 4 forward).  A task
-holds the arrays of one time node, so each thread's memory is bounded by
-one node.  The one thread rule: a time pass runs over the whole array with
-scipy's own threads (``workers=-1``); every spatial pass runs with
-``workers=1`` inside a node task, since the pipeline already runs a task on
-every core.  Worker threads call no public function of the package, so a
-tracer that wraps those sees the calling thread alone.  Every value comes
-from the same operations on any thread, and callers combine per-node
-results in node order, so no result depends on the thread count.
+passes) and returns what it makes of them, in node order.  ``inverse`` writes
+each node's (0, 0, 0) leaf into its output, ``diagnostics.norms`` reduces
+each node's fields to partial sums, and ``_transport`` forms sum_j u_j d_j v,
+raises ``ValueError`` if it is not finite, and runs the forward x1, x2 and x3
+passes, then the forward time pass and ``_finish_forward`` (shared with
+``forward``: it zeroes the Nyquist planes and makes the n1 = 0 plane
+symmetric).  ``diagnostics._w21q`` also calls ``_space_tree`` itself, once,
+on the k = 0 plane, which needs no time pass.  A transport costs 14
+one-dimensional passes per component (10 inverse, 4 forward).  A task holds
+the arrays of one time node, so each thread's memory is bounded by one node.
+The one thread rule: a time pass runs over the whole array with scipy's own
+threads (``workers=-1``); every spatial pass runs with ``workers=1`` inside a
+node task, since the pipeline already runs a task on every core.  Worker
+threads call no public function of the package, so a tracer that wraps those
+sees the calling thread alone.  Every value comes from the same operations on
+any thread, and callers combine per-node results in node order, so no result
+depends on the thread count.
 """
 
 from __future__ import annotations
@@ -390,18 +392,21 @@ def _on_every_core(tasks: Sequence[Callable[[], object]]) -> list:
     return results
 
 
-def _transport_spectrum(v: SpectralField, u_nodes: np.ndarray | None) -> np.ndarray:
-    """Half spectrum of sum_j u_j d_j v (u = v when ``u_nodes`` is None), as ``forward`` returns it.
+def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralField:
+    """Spectrum of (u . grad) v in convective form, without dealiasing, as ``forward`` returns it.
 
-    The node pipeline of the module notes.  Raises ``NotHermitian`` where
-    ``_per_node(v, ...)`` does, and ``ValueError`` where ``forward`` would
-    find the product not finite.
+    With ``u_nodes`` omitted u is v, and its nodes share the transform passes
+    of its gradient; B(u, v) is ``_transport(v, inverse(u).values)``.  Raises
+    ``NotHermitian`` where ``_per_node(v, ...)`` does, and ``ValueError``
+    where ``forward`` would find the product not finite.
     """
+    if v.components != 3:
+        raise ValueError("transport expects a 3-component field")
     orders = _UNIT_INDICES if u_nodes is not None else ((0, 0, 0),) + _UNIT_INDICES
     spectrum = np.empty(v.coeffs.shape, dtype=np.complex128)
     fft = partial(_fft.fft, norm="forward", workers=1, overwrite_x=True)
 
-    def transport(t: int, fields) -> bool:
+    def transport(t: int, fields) -> None:
         node = slice(t, t + 1)
         u = next(fields)[1] if u_nodes is None else u_nodes[:, node]
         total = None
@@ -409,17 +414,15 @@ def _transport_spectrum(v: SpectralField, u_nodes: np.ndarray | None) -> np.ndar
             dv_j *= u[alpha.index(1)]
             total = dv_j if total is None else np.add(total, dv_j, out=total)
         if not _all_finite(total):
-            return False
+            raise ValueError(_NOT_FINITE)
         along_x1 = _fft.rfft(total, axis=4, norm="forward", workers=1)
         spectrum[:, node] = fft(fft(along_x1, axis=3), axis=2)
-        return True
 
-    if not all(_per_node(v, orders, transport)):
-        raise ValueError(_NOT_FINITE)
+    _per_node(v, orders, transport)
     # Not in place: this array lies below the time pass that ``_per_node`` freed, and
     # reusing it made glibc's default heap fault 17k pages per ``picard-aniso`` solve, not 4k.
     spectrum = _fft.fft(spectrum, axis=1, norm="forward", workers=-1)
-    return _finish_forward(spectrum, v.grid)
+    return SpectralField(v.grid, _finish_forward(spectrum, v.grid))
 
 
 def inverse(spec: SpectralField) -> PhysicalField:

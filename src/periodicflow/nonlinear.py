@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Grid
-from .fourier import PhysicalField, SpectralField, _transport_spectrum, forward, inverse
+from .fourier import PhysicalField, SpectralField, _transport, forward, inverse
 
 __all__ = [
     "convective",
@@ -32,20 +32,6 @@ def _dealias_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 def _band_radius(grid: Grid) -> int:
     """Largest integer radius whose shell lies inside the 2/3 band of every axis."""
     return min(n // 3 for n in grid.n_space + (grid.n_time,))
-
-
-def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralField:
-    """Spectrum of (u . grad) v in convective form, without dealiasing.
-
-    With ``u_nodes`` omitted u is v, and its nodes share the transform passes
-    of its gradient; B(u, v) is ``_transport(v, inverse(u).values)``.
-    ``manufactured`` advects with its raw samples, not the nodes of their
-    spectrum: ``forward`` zeroes Nyquist planes, so the two differ wherever
-    the samples carry Nyquist content, and the forcing would change there.
-    """
-    if v.components != 3:
-        raise ValueError("transport expects a 3-component field")
-    return SpectralField(v.grid, _transport_spectrum(v, u_nodes))
 
 
 def convective(u: SpectralField) -> SpectralField:

@@ -26,7 +26,6 @@ from .fourier import (
     _FLOOR,
     PhysicalField,
     SpectralField,
-    _check_same_grid,
     _lattice_norm,
     coeff_norm,
     forward,
@@ -40,7 +39,6 @@ from .nonlinear import convective
 __all__ = [
     "SolverConfig",
     "Solution",
-    "split",
     "picard_step",
     "solve",
     "recover_pressure",
@@ -68,8 +66,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if not (self.max_iter >= 1 and self.max_iter % 1 == 0):
+            raise ValueError(f"max_iter must be a whole number, at least 1, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,6 @@ class Solution:
         return oscillatory_part(self.u)
 
 
-def split(u: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Steady / oscillatory decomposition; the parts recombine exactly."""
-    return time_mean_part(u), oscillatory_part(u)
-
-
 def picard_step(
     u: SpectralField, f_hat: SpectralField | PhysicalField, params: Params
 ) -> SpectralField:
@@ -116,18 +110,21 @@ def picard_step(
     bit for bit, ``MeanModeNonzero`` judged against the same scale.  Node
     values as forcing are transformed first.
     """
-    f_hat = _checked_spectrum(f_hat, "forcing", 3)
-    _check_same_grid(u, f_hat)
+    f_hat = _checked_spectrum(f_hat, "forcing", 3, u.grid)
     rhs = convective(u).coeffs if u.coeffs.any() else np.zeros_like(f_hat.coeffs)
     np.subtract(f_hat.coeffs, rhs, out=rhs)
     return SpectralField(u.grid, _resolve_in_place(_project_in_place(rhs, u.grid), u.grid, params))
 
 
-def _checked_spectrum(field: SpectralField | PhysicalField, name: str, components: int) -> SpectralField:
-    """Spectrum of ``field``, checked to carry ``components`` components; ``name`` labels the error."""
+def _checked_spectrum(
+    field: SpectralField | PhysicalField, name: str, components: int, grid: Grid | None = None
+) -> SpectralField:
+    """Spectrum of ``field``, checked to carry ``components`` components and lie on ``grid`` if given."""
     if field.components != components:
         noun = "component" if components == 1 else "components"
         raise ValueError(f"{name} must have {components} {noun}, got {field.components}")
+    if grid is not None and field.grid != grid:
+        raise ValueError(f"{name} lies on {field.grid}, not on {grid}")
     return field if isinstance(field, SpectralField) else forward(field)
 
 
@@ -154,17 +151,13 @@ def solve(
     NoConvergence
         If ``config.max_iter`` iterations pass without meeting ``config.tol``.
     """
-    f_hat = _checked_spectrum(f, "forcing", 3)
-    if f_hat.grid != grid:
-        raise ValueError("forcing grid does not match the requested grid")
+    f_hat = _checked_spectrum(f, "forcing", 3, grid)
     _check_period(params, grid)
 
     if config.initial_guess is None:
         u = SpectralField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
     else:
-        u = _checked_spectrum(config.initial_guess, "initial guess", 3)
-        if u.grid != grid:
-            raise ValueError("initial guess grid does not match the requested grid")
+        u = _checked_spectrum(config.initial_guess, "initial guess", 3, grid)
 
     history: list[float] = []
     growth_streak = 0
@@ -229,7 +222,7 @@ def recover_pressure(u: SpectralField, f_hat: SpectralField) -> SpectralField:
     so grad p + P_H g = g holds to rounding by construction.  The
     spatial-mean plane of the pressure is zero at every temporal frequency.
     """
-    return _pressure(_checked_spectrum(f_hat, "forcing", 3) - convective(u))
+    return _pressure(_checked_spectrum(f_hat, "forcing", 3, u.grid) - convective(u))
 
 
 def _pressure(rhs: SpectralField) -> SpectralField:
@@ -250,7 +243,9 @@ def pde_residual(
     system it actually solved.  The residual is normalized by the largest
     term magnitude; identically zero data gives zero.
     """
-    return _residual(u, p, _checked_spectrum(f, "forcing", 3), convective(u), params)
+    u = _checked_spectrum(u, "velocity", 3)
+    p = _checked_spectrum(p, "pressure", 1, u.grid)
+    return _residual(u, p, _checked_spectrum(f, "forcing", 3, u.grid), convective(u), params)
 
 
 def _residual(

@@ -37,7 +37,6 @@ from periodicflow import (
     regularity_bootstrap_check,
     solve,
     spectrum_decay,
-    split,
     time_derivative,
     time_mean_part,
 )
@@ -208,7 +207,7 @@ def test_criterion_06_contraction_and_uniqueness(trig_run, params):
 def test_criterion_07_energy_equality(trig_run):
     _, f, _, _, sol = trig_run
     balance = energy_balance(sol.u, f)
-    cross = abs(cross_orthogonality(*split(sol.u)))
+    cross = abs(cross_orthogonality(sol.v, sol.w))
     ok = balance.relative_gap <= 1e-6 and cross <= 1e-13
     report(
         "criterion 07 energy equality",

@@ -26,11 +26,10 @@ from periodicflow import (
     regularity_bootstrap_check,
     solve,
     spectrum_decay,
-    split,
     time_mean_part,
 )
 from periodicflow import fourier
-from periodicflow.diagnostics import _lq_spacetime
+from periodicflow.diagnostics import _lebesgue, _power_sums
 from halfspec import CountingFFT, wrong_branch_half_derivative
 
 TWO_PI = 2.0 * math.pi
@@ -98,7 +97,7 @@ def test_space_time_lebesgue_oracle(grid8):
     x1 = np.broadcast_to(grid8.coordinate_fields()[0], grid8.shape)
     u = PhysicalField(grid8, (amp * np.cos(x1))[np.newaxis])
     # grid-exact quadrature of |A cos x1|^2 gives A^2/2 per unit volume
-    val = _lq_spacetime(np.abs(u.values[0]), 2.0, grid8)
+    val = _lebesgue(grid8.volume / grid8.size, _power_sums(u.values, (2.0,)), (2.0,))[0]
     expected = math.sqrt(grid8.volume * amp * amp / 2.0)
     assert val == pytest.approx(expected, rel=1e-12)
     spec = forward(u)
@@ -161,7 +160,7 @@ def test_energy_inequality_check_interface(grid8, trig_solution):
 
 def test_cross_orthogonality_of_split_parts(grid8):
     u = random_spectrum(grid8, seed=103)
-    v, w = split(u)
+    v, w = time_mean_part(u), oscillatory_part(u)
     assert cross_orthogonality(v, w) == 0.0
     zero = forward(zero_field(grid8))
     assert cross_orthogonality(v, zero) == 0.0
@@ -318,7 +317,8 @@ def test_norms_reject_a_scalar_velocity_and_a_vector_pressure(grid8, params1):
 
 
 def test_cross_orthogonality_rejects_a_scalar_part(grid8):
-    v, w = split(random_spectrum(grid8, seed=302))
+    u = random_spectrum(grid8, seed=302)
+    v, w = time_mean_part(u), oscillatory_part(u)
     with pytest.raises(ValueError, match="steady part must have 3 components, got 1"):
         cross_orthogonality(SpectralField(grid8, v.coeffs[:1]), w)
     with pytest.raises(ValueError, match="oscillatory part must have 3 components, got 1"):

@@ -51,6 +51,27 @@ def test_grid_rejects_odd_or_tiny_resolutions():
     Grid(box=(1, 1, 1), n_space=(6, 8, 8), n_time=8, period=1.0)
 
 
+@pytest.mark.parametrize(
+    "n_space, n_time, name",
+    [
+        ((8.7, 8, 8), 8, "n_space"),
+        ((8, 8, 8), 8.2, "n_time"),
+        ((8, 8, float("nan")), 8, "n_space"),
+        ((8, 8, 8), float("inf"), "n_time"),
+    ],
+)
+def test_grid_rejects_non_integral_resolutions(n_space, n_time, name):
+    """Rejected before ``int`` truncates them; the message starts with the field's name, for the CLI."""
+    with pytest.raises(ValueError, match=rf"^{name} resolutions must be even integers"):
+        Grid(box=(1, 1, 1), n_space=n_space, n_time=n_time, period=1.0)
+
+
+def test_grid_takes_integral_floats_as_ints():
+    grid = Grid(box=(1, 1, 1), n_space=(8.0, 8, 6.0), n_time=4.0, period=1.0)
+    assert grid == Grid(box=(1, 1, 1), n_space=(8, 8, 6), n_time=4, period=1.0)
+    assert all(type(n) is int for n in grid.n_space + (grid.n_time,))
+
+
 def test_grid_rejects_bad_box_and_period():
     with pytest.raises(ValueError):
         Grid(box=(0.0, 1, 1), n_space=(4, 4, 4), n_time=4, period=1.0)

@@ -12,8 +12,8 @@ from periodicflow import (
     random_smooth,
     spectral_sum,
 )
-from periodicflow.fourier import _plane_defect
-from periodicflow.nonlinear import _dealias_in_place, _tensor_divergence, _transport
+from periodicflow.fourier import _plane_defect, _transport
+from periodicflow.nonlinear import _dealias_in_place, _tensor_divergence
 
 
 def smooth_solenoidal(grid, seed, amplitude=1.0):

@@ -77,7 +77,6 @@ USERS = {
     "dealiased_tensor_product": module_file("diagnostics"),
     "SolverConfig": CLI,
     "Solution": "return type of solve",
-    "split": "tests/test_acceptance.py",
     "picard_step": "benchmarks/workloads.py",
     "solve": CLI,
     "recover_pressure": "README.md",

@@ -5,6 +5,7 @@ import pytest
 
 from periodicflow import (
     Diverging,
+    Grid,
     NoConvergence,
     Params,
     PhysicalField,
@@ -12,19 +13,26 @@ from periodicflow import (
     SolverConfig,
     SpectralField,
     coeff_norm,
+    cross_orthogonality,
     divergence,
+    energy_balance,
+    energy_inequality_check,
     forward,
+    inverse,
     manufactured,
     manufactured_preset,
+    norms,
+    oscillatory_part,
     pde_residual,
     picard_step,
     random_smooth,
     recover_pressure,
     solve,
-    split,
     time_mean_part,
 )
 from periodicflow import solver
+
+TWO_PI = 2.0 * np.pi
 
 
 def zero_spectrum(grid, components=3):
@@ -44,7 +52,7 @@ def relative_gap(a, b):
 def test_split_recombines_exactly(grid8):
     rng = np.random.default_rng(90)
     u = forward(PhysicalField(grid8, rng.standard_normal((3,) + grid8.shape)))
-    v, w = split(u)
+    v, w = time_mean_part(u), oscillatory_part(u)
     assert np.abs(v.coeffs[:, 1:, :, :, :]).max() == 0.0
     assert np.abs(w.coeffs[:, 0]).max() == 0.0
     assert np.array_equal(v.coeffs + w.coeffs, u.coeffs)
@@ -172,6 +180,16 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # unchecked, 2.5 would fail later in ``range``; the message starts with the field's name, for the CLI
+    for max_iter in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^max_iter must be a whole number"):
+            SolverConfig(max_iter=max_iter)
+
+
+def test_solver_config_takes_an_integral_float_max_iter(grid8, params1):
+    config = SolverConfig(max_iter=3.0)
+    assert type(config.max_iter) is int
+    solve(zero_spectrum(grid8), params1, grid8, config)
 
 
 def test_grid_mismatch_is_rejected(grid8, grid16, params1):
@@ -181,6 +199,43 @@ def test_grid_mismatch_is_rejected(grid8, grid16, params1):
     guess = zero_spectrum(grid8)
     with pytest.raises(ValueError):
         solve(zero_spectrum(grid16), params1, grid16, SolverConfig(initial_guess=guess))
+
+
+CUBE = Grid(box=(TWO_PI,) * 3, n_space=(8, 8, 8), n_time=8, period=TWO_PI)
+# the shape of ``CUBE`` on another box and period
+SMALL_BOX = Grid(box=(np.pi,) * 3, n_space=(8, 8, 8), n_time=8, period=1.0)
+
+
+def random_field(grid, seed, components=3):
+    return forward(PhysicalField(grid, np.random.default_rng(seed).standard_normal((components,) + grid.shape)))
+
+
+def grid_mismatch_cases():
+    """One case per entry point and operand: that operand on ``SMALL_BOX``, every other field on ``CUBE``."""
+    params = Params(lam=1.0, period=TWO_PI)
+    u, f, p = random_field(CUBE, 1), random_field(CUBE, 2), random_field(CUBE, 3, components=1)
+    u_off, p_off = random_field(SMALL_BOX, 1), random_field(SMALL_BOX, 3, components=1)
+    f_off = inverse(random_field(SMALL_BOX, 2))  # node values take the same check
+    calls = [
+        ("solve", "forcing", lambda: solve(f_off, params, CUBE)),
+        ("solve", "initial guess", lambda: solve(f, params, CUBE, SolverConfig(initial_guess=u_off))),
+        ("picard_step", "forcing", lambda: picard_step(u, f_off, params)),
+        ("pde_residual", "pressure", lambda: pde_residual(u, p_off, f, params)),
+        ("pde_residual", "forcing", lambda: pde_residual(u, p, f_off, params)),
+        ("recover_pressure", "forcing", lambda: recover_pressure(u, f_off)),
+        ("norms", "pressure", lambda: norms(u, params, p=p_off)),
+        ("energy_balance", "forcing", lambda: energy_balance(u, f_off)),
+        ("energy_inequality_check", "forcing", lambda: energy_inequality_check(u, f_off)),
+        ("cross_orthogonality", "oscillatory part", lambda: cross_orthogonality(u, u_off)),
+    ]
+    return [pytest.param(operand, call, id=f"{name}-{operand}") for name, operand, call in calls]
+
+
+@pytest.mark.parametrize("operand, call", grid_mismatch_cases())
+def test_a_field_on_another_grid_of_the_same_shape_is_rejected(operand, call):
+    """Unchecked, such a field would be computed on the first field's grid, or fail later without being named."""
+    with pytest.raises(ValueError, match=f"^{operand} lies on Grid"):
+        call()
 
 
 def test_period_mismatch_is_rejected(grid8, params1):

@@ -1,4 +1,4 @@
-"""The threaded transport of ``fourier._transport_spectrum`` against the same product written out.
+"""The threaded transport of ``fourier._transport`` against the same product written out.
 
 The pipeline runs one task per time node on ``fourier._cores()`` threads.
 Its output must not depend on the thread count, it must raise what the
@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from periodicflow import Grid, NotHermitian, PhysicalField, SpectralField, convective, forward, inverse
 from periodicflow import fourier, nonlinear
-from periodicflow.fourier import _UNIT_INDICES, _derivative_factor, _on_every_core
-from periodicflow.nonlinear import _transport
+from periodicflow.fourier import _UNIT_INDICES, _derivative_factor, _on_every_core, _transport
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +147,7 @@ def test_transport_raises_what_the_written_out_transport_raises(grid, monkeypatc
 
 
 def test_transport_rejects_a_scalar_field_before_any_pass(grid, monkeypatch):
-    monkeypatch.setattr(fourier, "_transport_spectrum", None)  # calling it would fail otherwise
+    monkeypatch.setattr(fourier, "_per_node", None)  # calling it would fail otherwise
     scalar = SpectralField(grid, random_spectrum(grid, 12).coeffs[:1])
     with pytest.raises(ValueError, match="transport expects a 3-component field"):
         _transport(scalar)

@@ -19,13 +19,12 @@ from .fourier import (
     _UNIT_INDICES,
     PhysicalField,
     SpectralField,
-    _abs_sq,
     _gated_tree,
+    _lattice_dot,
     _lattice_norm,
     _per_node,
     _space_tree,
     oscillatory_part,
-    spectral_sum,
     time_derivative,
 )
 from .multipliers import _regularity_factor, half_time_derivative
@@ -184,10 +183,10 @@ def _xoseen(
     )
     q = np.array(q_list)
     abs_lam = abs(lam)
-    # (weight, fields, exponent for each q) of each term, in the order of ``OseenTerms``
+    # (weight, fields, exponent for each q) of each term of the Oseen estimate, in the order of ``OseenTerms``
     terms = [
         (abs_lam**0.5, steady[(0, 0, 0)], 2.0 * q / (2.0 - q)),
-        (abs_lam**0.25, gradient, 4.0 / (4.0 - q)),
+        (abs_lam**0.25, gradient, 4.0 * q / (4.0 - q)),
         (abs_lam, steady[(1, 0, 0)], q),
         (1.0, hessian, q),
     ]
@@ -199,7 +198,11 @@ def _xoseen(
 def _xpres(
     p: SpectralField, q_list: tuple[float, ...], r_list: tuple[float, ...], grid: Grid
 ) -> dict[tuple[float, float], float]:
-    """Mixed time-space pressure norms for every (q, r); each node task reduces p and grad p at once."""
+    """Mixed time-space pressure norms for every (q, r); each node task reduces p and grad p at once.
+
+    The time norm weights each node by dt = T/M, not by the dt/T of the other
+    families, so it grows with the period as T^(1/q).
+    """
     q = np.array(q_list)
     s = 3.0 * q / (3.0 - q)
 
@@ -291,8 +294,8 @@ def energy_balance(
     u_hat = _checked_spectrum(u, "velocity", 3)
     f_hat = _checked_spectrum(f, "forcing", 3, u_hat.grid)
     grid = u_hat.grid
-    dissipation = grid.volume * spectral_sum(grid.xi_sq * _abs_sq(u_hat.coeffs).sum(axis=0), grid)
-    power = grid.volume * spectral_sum(np.real(np.conj(f_hat.coeffs) * u_hat.coeffs), grid)
+    dissipation = grid.volume * _lattice_dot(u_hat.coeffs, grid.xi_sq * u_hat.coeffs, grid)
+    power = grid.volume * _lattice_dot(f_hat.coeffs, u_hat.coeffs, grid)
     gap = abs(dissipation - power) / max(abs(dissipation), abs(power), _FLOOR)
     return EnergyReport(dissipation=dissipation, power_in=power, relative_gap=gap)
 
@@ -306,8 +309,7 @@ def cross_orthogonality(v: SpectralField, w: SpectralField) -> float:
     v = _checked_spectrum(v, "steady part", 3)
     w = _checked_spectrum(w, "oscillatory part", 3, v.grid)
     grid = v.grid
-    prod = np.real(np.einsum("c...,c...->...", np.conj(v.coeffs), w.coeffs))
-    return grid.volume * spectral_sum(grid.xi_sq * prod, grid)
+    return grid.volume * _lattice_dot(v.coeffs, grid.xi_sq * w.coeffs, grid)
 
 
 def energy_inequality_check(
@@ -330,7 +332,6 @@ class SpectrumTable:
     """Shell-wise coefficient magnitudes over the integer dual lattice."""
 
     shells: np.ndarray
-    counts: np.ndarray
     max_abs: np.ndarray
     monotone_from_peak: bool
 
@@ -354,12 +355,11 @@ def spectrum_decay(spec: SpectralField) -> SpectrumTable:
     """Bin coefficient magnitudes by integer shells of sqrt(|n|^2 + k^2).
 
     Nyquist planes are excluded (their coefficients are pinned to zero).
-    Counts cover the whole lattice: each stored mode off the
-    n1 = 0 plane also stands for its conjugate partner, which has the same
-    radius and magnitude.  The monotone flag records whether shell maxima
-    never increase beyond the peak shell; maxima within rounding of zero
-    (1e-14 of the peak) count as flat, so transform noise in empty shells
-    does not flip the flag.
+    A stored mode's conjugate partner has the same radius and magnitude, so
+    the half spectrum gives the shell maxima of the whole lattice.  The
+    monotone flag records whether shell maxima never increase beyond the peak
+    shell; maxima within rounding of zero (1e-14 of the peak) count as flat,
+    so transform noise in empty shells does not flip the flag.
     """
     grid = spec.grid
     mag = _magnitude(np.abs(spec.coeffs))
@@ -371,20 +371,15 @@ def spectrum_decay(spec: SpectralField) -> SpectrumTable:
     )
     keep = np.ix_(*(np.flatnonzero(2 * np.abs(modes) != n) for modes, n in axes))
     radii = np.rint(np.sqrt(grid.mode_radius_sq()[keep])).astype(np.int64).ravel()
-    values = mag[keep]
-    weights = np.broadcast_to(grid.x1_weight[keep[3]], values.shape).ravel()
-    values = values.ravel()
     n_shells = int(radii.max()) + 1
-    counts = np.rint(np.bincount(radii, weights=weights, minlength=n_shells)).astype(np.int64)
     maxima = np.zeros(n_shells)
-    np.maximum.at(maxima, radii, values)
+    np.maximum.at(maxima, radii, mag[keep].ravel())
     peak_idx = int(np.argmax(maxima))
     floor = maxima[peak_idx] * 1e-14
     tail = np.maximum(maxima[peak_idx:], floor)
     monotone = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + 1e-12) + 1e-300))
     return SpectrumTable(
         shells=np.arange(n_shells),
-        counts=counts,
         max_abs=maxima,
         monotone_from_peak=monotone,
     )

@@ -5,11 +5,11 @@ c(-m) = conj(c(m)), and only half of it is stored: a real-to-complex
 transform (Frigo & Johnson 2005) keeps the x1 modes n1 = 0..N1/2 and the full
 range of every other axis, so a scalar spectrum has shape
 ``grid.spectral_shape`` = (M, N3, N2, N1/2 + 1).  Each stored mode off the
-n1 = 0 and n1 = N1/2 planes stands for itself and its conjugate partner, so a
-sum over the whole lattice of a symmetric quantity such as |c|^2 is the
-half-spectrum sum weighted by 2 off those two planes (``spectral_sum``, with
-the weights ``grid.x1_weight``).  Every whole-spectrum sum of the package
-uses those weights, so it returns the full-lattice value to rounding.
+n1 = 0 and n1 = N1/2 planes stands for itself and its conjugate partner, so
+the lattice inner product Re sum conj(a) b is the half-spectrum sum weighted
+by 2 off those two planes (``grid.x1_weight``).  ``_lattice_dot`` is the one
+reader of those weights: every whole-lattice norm and inner product of the
+package goes through it, so each returns the full-lattice value to rounding.
 
 Normalization.  The forward transform divides by the total node count, so
 the (0,0) mode coefficient is the plain space-time grid mean and the inverse
@@ -95,7 +95,6 @@ __all__ = [
     "time_derivative",
     "gradient",
     "divergence",
-    "spectral_sum",
     "coeff_norm",
 ]
 
@@ -488,26 +487,19 @@ def divergence(spec: SpectralField) -> SpectralField:
     return SpectralField(g, out[np.newaxis])
 
 
-def spectral_sum(values: np.ndarray, grid: Grid) -> float:
-    """Full-lattice sum of a real quantity given on the half spectrum.
+def _lattice_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """Re sum conj(a) b over the whole lattice, in one pass over the (re, im) float views.
 
-    ``values`` ends in the half x1 axis and must be even under m -> -m, as
-    |c|^2 or Re(conj(a) b) are for spectra of real fields; each stored plane
-    then counts ``grid.x1_weight`` times (twice off n1 = 0 and n1 = N1/2).
+    A stored x1 plane counts ``grid.x1_weight`` times: twice off n1 = 0 and n1 = N1/2, for the partners.
     """
-    per_plane = values.sum(axis=tuple(range(values.ndim - 1)))
-    return float(per_plane @ grid.x1_weight)
-
-
-def _abs_sq(coeffs: np.ndarray) -> np.ndarray:
-    """|coeffs|^2 elementwise, without the square root of np.abs."""
-    return np.square(coeffs.real) + np.square(coeffs.imag)
+    rows = 2 * a.shape[-1]
+    parts_a, parts_b = (np.ascontiguousarray(c).view(np.float64).reshape(-1, rows) for c in (a, b))
+    return float(np.einsum("ij,ij->j", parts_a, parts_b) @ np.repeat(grid.x1_weight, 2))
 
 
 def _lattice_norm(coeffs: np.ndarray, grid: Grid) -> float:
-    """2-norm of ``coeffs`` over the whole lattice, in one pass over its (re, im) float view."""
-    parts = np.ascontiguousarray(coeffs).view(np.float64).reshape(-1, 2 * coeffs.shape[-1])
-    return math.sqrt(float(np.einsum("ij,ij->j", parts, parts) @ np.repeat(grid.x1_weight, 2)))
+    """2-norm of ``coeffs`` over the whole lattice."""
+    return math.sqrt(_lattice_dot(coeffs, coeffs, grid))
 
 
 def coeff_norm(spec: SpectralField) -> float:

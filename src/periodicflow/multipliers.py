@@ -120,8 +120,6 @@ def half_time_derivative(spec: SpectralField) -> SpectralField:
 
 def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
     """Regularity multiplier (i*omega)^(1/2) (i*xi_axis) / (|xi|^2 + i*omega) on k != 0, zero on k = 0."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
     osc = (grid.k_modes != 0).reshape(grid.n_time, 1, 1, 1)
     denom = grid.xi_sq + 1j * grid.omega
     safe = np.where(osc, denom, 1.0)

@@ -64,7 +64,6 @@ USERS = {
     "time_derivative": module_file("diagnostics"),
     "gradient": module_file("solver"),
     "divergence": module_file("forcing"),
-    "spectral_sum": module_file("diagnostics"),
     "coeff_norm": module_file("solver"),
     "helmholtz": module_file("forcing"),
     "oseen_apply": module_file("forcing"),

@@ -12,6 +12,10 @@ floats.  The header names the grid so a file is self-describing:
     endian little
     data
 
+A reader takes exactly these lines in this order, each within 256 bytes and
+with one space before each value.  Any other header (a repeated, missing,
+unknown or reordered key, extra values, a long line) is not a field file.
+
 The binary payload holds node samples in canonical traversal order: the
 component index outermost, then time-major, then x3, x2, x1, each ascending
 from node zero.  Configuration files are flat key = value text grouped into
@@ -35,44 +39,29 @@ from .fourier import PhysicalField
 __all__ = ["write_field", "read_field", "load_config"]
 
 MAGIC = "PERIODICFLOW-FIELD 1"
-# Bounds on the header a reader accepts: ``write_field`` writes 8 lines, each
-# under 100 bytes, so any other file fails after a few KiB read at most.
-_HEADER_LINES = 16
+# The header between the magic line and the ``data`` marker: one line per row,
+# in this order, holding the key and exactly ``count`` values of its type.
+_HEADER = (
+    ("components", int, 1),
+    ("n_space", int, 3),
+    ("n_time", int, 1),
+    ("box", float, 3),
+    ("period", float, 1),
+    ("endian", str, 1),
+)
+# ``write_field`` writes each header line in under 100 bytes, so a reader that
+# takes at most this much per line fails on any other file within 2 KiB.
 _HEADER_LINE_BYTES = 256
 
 
 def write_field(path: str | Path, field: PhysicalField) -> None:
     grid = field.grid
-    header = "\n".join(
-        [
-            MAGIC,
-            f"components {field.components}",
-            "n_space " + " ".join(str(n) for n in grid.n_space),
-            f"n_time {grid.n_time}",
-            "box " + " ".join(repr(b) for b in grid.box),
-            f"period {grid.period!r}",
-            "endian little",
-            "data",
-            "",
-        ]
-    )
+    rows = ((field.components,), grid.n_space, (grid.n_time,), grid.box, (grid.period,), ("little",))
+    lines = [" ".join(map(str, (key, *values))) for (key, _, _), values in zip(_HEADER, rows)]
+    header = "\n".join([MAGIC, *lines, "data", ""])
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
         handle.write(np.ascontiguousarray(field.values, dtype="<f8"))
-
-
-def _parse_header(lines: list[str], path: str) -> dict[str, list[str]]:
-    entries: dict[str, list[str]] = {}
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            raise FieldFormatError(f"{path}: blank header line")
-        entries[parts[0]] = parts[1:]
-    required = ("components", "n_space", "n_time", "box", "period", "endian")
-    for key in required:
-        if key not in entries:
-            raise FieldFormatError(f"{path}: header is missing {key!r}")
-    return entries
 
 
 def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalField:
@@ -81,7 +70,8 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
     Raises
     ------
     FieldFormatError
-        For a bad magic line, missing keys, a bad component count or payload length.
+        For a header other than the one ``write_field`` writes, a bad
+        component count, grid or payload length, or a non-finite payload.
     GridMismatch
         When ``expected_grid`` is given and the header disagrees with it.
     """
@@ -96,32 +86,26 @@ def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalF
 def _read_open_field(handle: BinaryIO, path: str, expected_grid: Grid | None) -> PhysicalField:
     """``read_field`` on an open file: the header line by line, then the payload into its array.
 
-    Only the header is read before the checks, at most ``_HEADER_LINES``
-    lines of ``_HEADER_LINE_BYTES`` each, and the payload goes straight into
-    the returned array, so a field costs its own size and no copy.
+    Only the header is read before the checks, exactly the lines that
+    ``write_field`` writes and each within ``_HEADER_LINE_BYTES``, and the
+    payload goes straight into the returned array, so a field costs its own
+    size and no copy.
     """
-    not_a_field = FieldFormatError(f"{path}: not a field file (bad magic or missing data marker)")
     if handle.readline(_HEADER_LINE_BYTES) != MAGIC.encode("ascii") + b"\n":
-        raise not_a_field
-    header = bytearray()
-    for _ in range(_HEADER_LINES - 1):
+        raise FieldFormatError(f"{path}: not a field file (bad magic)")
+    header = []
+    for key, kind, count in _HEADER:
         line = handle.readline(_HEADER_LINE_BYTES)
-        if line == b"data\n":
-            break
-        header += line
-    else:
-        raise not_a_field
-    entries = _parse_header(header.decode("ascii", errors="replace").splitlines(), path)
-
-    try:
-        components = int(entries["components"][0])
-        n_space = tuple(int(v) for v in entries["n_space"])
-        n_time = int(entries["n_time"][0])
-        box = tuple(float(v) for v in entries["box"])
-        period = float(entries["period"][0])
-        endian = entries["endian"][0]
-    except (ValueError, IndexError) as exc:
-        raise FieldFormatError(f"{path}: malformed header value ({exc})") from exc
+        words = line[:-1].decode("ascii", errors="replace").split(" ")
+        if line[-1:] != b"\n" or words[0] != key or len(words) != 1 + count:
+            raise FieldFormatError(f"{path}: not a field file (expected a {key} line with {count} value(s))")
+        try:
+            header.append(tuple(map(kind, words[1:])))
+        except ValueError as exc:
+            raise FieldFormatError(f"{path}: malformed header value ({exc})") from exc
+    if handle.readline(_HEADER_LINE_BYTES) != b"data\n":
+        raise FieldFormatError(f"{path}: not a field file (missing data marker)")
+    (components,), n_space, (n_time,), box, (period,), (endian,) = header
     if endian != "little":
         raise FieldFormatError(f"{path}: unsupported endianness {endian!r}")
     if components not in (1, 3):

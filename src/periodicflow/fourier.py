@@ -148,10 +148,6 @@ class PhysicalField:
         _check_same_grid(self, other)
         return PhysicalField(self.grid, self.values + other.values)
 
-    def __sub__(self, other: "PhysicalField") -> "PhysicalField":
-        _check_same_grid(self, other)
-        return PhysicalField(self.grid, self.values - other.values)
-
     def __mul__(self, scalar: float) -> "PhysicalField":
         return PhysicalField(self.grid, self.values * float(scalar))
 

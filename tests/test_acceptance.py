@@ -191,17 +191,34 @@ def test_criterion_05_manufactured_solution(trig_run, params):
     )
 
 
-def test_criterion_06_contraction_and_uniqueness(trig_run, params):
-    grid, f, _, _, sol = trig_run
+def check_contraction_and_uniqueness(label, grid, f, params, sol):
     guess = random_smooth(seed=99, amplitude=0.1, cutoff_shell=2, grid=grid)
     second = solve(f, params, grid, SolverConfig(initial_guess=guess))
     gap = coeff_norm(second.u - sol.u) / max(coeff_norm(sol.u), 1e-300)
     ok = sol.contraction_estimate <= 0.5 and gap <= 1e-8
     report(
-        "criterion 06 contraction and uniqueness",
+        label,
         ok,
         f"contraction {sol.contraction_estimate:.3e} <= 0.5, initial-guess gap {gap:.3e} <= 1e-8",
     )
+
+
+def test_criterion_06_contraction_and_uniqueness(trig_run, params):
+    grid, f, _, _, sol = trig_run
+    check_contraction_and_uniqueness("criterion 06 contraction and uniqueness", grid, f, params, sol)
+
+
+def test_criterion_06_contraction_and_uniqueness_in_the_nonlinear_regime(params):
+    """The trig preset makes the Picard map linear (2 iterations, contraction 0.000).
+
+    The analytic preset at amplitude 1 contracts at about 0.4 over some 25
+    iterations, so the probe from a second initial guess meets the nonlinearity.
+    """
+    grid = make_grid(12)
+    u_star, p_star = manufactured_preset("analytic", amplitude=1.0, grid=grid)
+    f, _, _ = manufactured(u_star, p_star, params, grid, solenoidal_tol=1e-2)
+    sol = solve(f, params, grid)
+    check_contraction_and_uniqueness("criterion 06 nonlinear contraction and uniqueness", grid, f, params, sol)
 
 
 def test_criterion_07_energy_equality(trig_run):

@@ -209,6 +209,21 @@ def test_verify_requires_field_paths(capsys):
     assert "error=Usage" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_scalar_velocity_file(tmp_path, capsys, grid8):
+    path = tmp_path / "scalar.field"
+    write_field(path, PhysicalField(grid8, np.zeros((1,) + grid8.shape)))
+    code = run("verify", *GRID8, "--preset", "trig", "--velocity", str(path), "--pressure", str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error=Usage" in err
+    assert "--velocity must hold 3 component(s), found 1" in err
+
+
+def test_driftless_solve_says_its_drift_weighted_norms_degenerate(tmp_path, capsys):
+    assert solve_into(tmp_path / "run", "--lambda", "0") == 0
+    assert "note=driftless lambda is zero" in capsys.readouterr().out
+
+
 def test_corrupted_field_exits_io(tmp_path, capsys, grid8):
     path = tmp_path / "u.field"
     write_field(path, PhysicalField(grid8, np.zeros((3,) + grid8.shape)))

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -199,4 +200,90 @@ def test_oversized_header_is_rejected_before_any_grid_is_built(
     path = tmp_path / "huge.field"
     path.write_bytes(header.encode("ascii") + payload)
     with pytest.raises(FieldFormatError, match=match):
+        read_field(path)
+
+
+SMALL = Grid(box=(1.0, 1.0, 1.0), n_space=(4, 4, 4), n_time=4, period=1.0)
+
+
+def edited_field(tmp_path, old, new):
+    """A 3-component field file on ``SMALL`` with ``old`` in its header replaced by ``new``."""
+    path = tmp_path / "u.field"
+    write_field(path, sample_field(SMALL))
+    header, payload = path.read_bytes().split(b"data\n", 1)
+    assert header.count(old) == 1
+    path.write_bytes(header.replace(old, new) + b"data\n" + payload)
+    return path
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"period 1.0\n", b"period 1.0\nperiod 2.0\n"),
+        (b"components 3\n", b"components 3 7\n"),
+        (b"endian little\n", b"endian little big\n"),
+        (b"endian little\n", b"endian little\ncolour blue\n"),
+        (b"period 1.0\n", b"period 1.0" + b" " * 250 + b"period 7.0\n"),
+        # a reader that took the first 256 bytes for the whole line would lose the 7
+        (b"period 1.0\nendian little\n", b"period 1." + b"0" * 246 + b"7endian little\n"),
+        (b"components 3\nn_space 4 4 4\nn_time 4\n", b"n_time 4\nn_space 4 4 4\ncomponents 3\n"),
+        (b"n_time 4\n", b"n_time  4\n"),
+        (b"n_time 4\n", b"n_time\t4\n"),
+    ],
+    ids=[
+        "repeated-key",
+        "extra-components",
+        "extra-endian",
+        "unknown-key",
+        "long-line",
+        "line-past-the-bound",
+        "reordered",
+        "two-spaces",
+        "tab",
+    ],
+)
+def test_a_header_write_field_never_writes_is_rejected(tmp_path, old, new):
+    """The reader takes the header's lines in write_field's order, each key with exactly its values."""
+    with pytest.raises(FieldFormatError, match="not a field file"):
+        read_field(edited_field(tmp_path, old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        (b"n_time 4\n", b"n_time four\n", "malformed header value"),
+        (b"endian little\n", b"endian big\n", "unsupported endianness"),
+        (b"box 1.0 1.0 1.0\n", b"box -1.0 1.0 1.0\n", "invalid grid in header"),
+    ],
+    ids=["malformed-value", "big-endian", "invalid-grid"],
+)
+def test_a_bad_header_value_is_rejected(tmp_path, old, new, match):
+    with pytest.raises(FieldFormatError, match=match):
+        read_field(edited_field(tmp_path, old, new))
+
+
+def test_a_non_finite_payload_is_rejected(tmp_path):
+    path = tmp_path / "u.field"
+    write_field(path, sample_field(SMALL))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(FieldFormatError, match="must be finite"):
+        read_field(path)
+
+
+def test_a_payload_shorter_than_its_reported_size_is_rejected(tmp_path, monkeypatch):
+    """A file that shrinks between ``fstat`` and the read fails, and never returns a partly read field."""
+    import periodicflow.fieldio
+
+    path = tmp_path / "u.field"
+    write_field(path, sample_field(SMALL))
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-16])
+    real_fstat = os.fstat
+
+    def fstat_before_the_shrink(fd):
+        return os.stat_result((*real_fstat(fd)[:6], full, *real_fstat(fd)[7:]))
+
+    monkeypatch.setattr(periodicflow.fieldio.os, "fstat", fstat_before_the_shrink)
+    with pytest.raises(FieldFormatError, match="payload shrank"):
         read_field(path)

@@ -206,6 +206,23 @@ def test_field_validation(grid8):
     del u
 
 
+def test_spectral_field_validation(grid8):
+    with pytest.raises(ValueError, match="does not match grid"):
+        SpectralField(grid8, np.zeros((3,) + grid8.shape, dtype=np.complex128))
+    with pytest.raises(ValueError, match="1 or 3 components"):
+        SpectralField(grid8, np.zeros((2,) + grid8.spectral_shape, dtype=np.complex128))
+    for shape in (grid8.spectral_shape[1:], (1, 1) + grid8.spectral_shape):
+        with pytest.raises(ValueError, match="4 or 5 axes"):
+            SpectralField(grid8, np.zeros(shape, dtype=np.complex128))
+
+
+def test_scaling_a_field_from_either_side(grid8):
+    u = random_field(grid8, seed=42)
+    for scaled in (u * 2.5, 2.5 * u):
+        assert isinstance(scaled, PhysicalField) and scaled.grid == grid8
+        assert np.array_equal(scaled.values, 2.5 * u.values)
+
+
 def test_coeff_norm_matches_parseval(grid8):
     u = representable(random_field(grid8, seed=41))
     spec = forward(u)

@@ -168,6 +168,23 @@ def test_oversized_forcing_diverges(grid8, params1):
     assert len(info.value.update_history) >= 1
 
 
+@pytest.mark.parametrize(
+    "scale, match, history",
+    [
+        (1e61, r"iterate norm passed 1e\+120", (1.0,)),
+        (1e80, "iterates stopped being finite", ()),
+    ],
+    ids=["norm-past-the-blowup-bound", "not-finite"],
+)
+def test_a_huge_initial_guess_diverges_before_overflow(grid8, params1, scale, match, history):
+    """A guess this large trips an overflow guard on the first step, before any growth streak."""
+    f = random_smooth(seed=1, amplitude=1e-2, cutoff_shell=2, grid=grid8)
+    guess = random_smooth(seed=2, amplitude=scale, cutoff_shell=2, grid=grid8)
+    with pytest.raises(Diverging, match=match) as info:
+        solve(f, params1, grid8, SolverConfig(initial_guess=guess))
+    assert info.value.update_history == history
+
+
 def test_iteration_budget_is_enforced(grid8, params1):
     f = forward(random_smooth(seed=33, amplitude=0.2, cutoff_shell=2, grid=grid8))
     with pytest.raises(NoConvergence) as info:

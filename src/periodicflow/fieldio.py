@@ -39,14 +39,32 @@ from .fourier import PhysicalField
 __all__ = ["write_field", "read_field", "load_config"]
 
 MAGIC = "PERIODICFLOW-FIELD 1"
+
+
+def _exact_int(word: str) -> int:
+    """An integer spelled as ``str`` writes it: no sign, underscore or leading zero."""
+    value = int(word)
+    if str(value) != word:
+        raise ValueError(f"integer {word!r} is not written as {value}")
+    return value
+
+
+def _plain_float(word: str) -> float:
+    """A float without the underscores ``float`` accepts; any precision reads."""
+    if "_" in word:
+        raise ValueError(f"float {word!r} contains '_'")
+    return float(word)
+
+
 # The header between the magic line and the ``data`` marker: one line per row,
-# in this order, holding the key and exactly ``count`` values of its type.
+# in this order, holding the key and exactly ``count`` values, each read by
+# the row's reader.
 _HEADER = (
-    ("components", int, 1),
-    ("n_space", int, 3),
-    ("n_time", int, 1),
-    ("box", float, 3),
-    ("period", float, 1),
+    ("components", _exact_int, 1),
+    ("n_space", _exact_int, 3),
+    ("n_time", _exact_int, 1),
+    ("box", _plain_float, 3),
+    ("period", _plain_float, 1),
     ("endian", str, 1),
 )
 # ``write_field`` writes each header line in under 100 bytes, so a reader that
@@ -94,13 +112,13 @@ def _read_open_field(handle: BinaryIO, path: str, expected_grid: Grid | None) ->
     if handle.readline(_HEADER_LINE_BYTES) != MAGIC.encode("ascii") + b"\n":
         raise FieldFormatError(f"{path}: not a field file (bad magic)")
     header = []
-    for key, kind, count in _HEADER:
+    for key, read, count in _HEADER:
         line = handle.readline(_HEADER_LINE_BYTES)
         words = line[:-1].decode("ascii", errors="replace").split(" ")
         if line[-1:] != b"\n" or words[0] != key or len(words) != 1 + count:
             raise FieldFormatError(f"{path}: not a field file (expected a {key} line with {count} value(s))")
         try:
-            header.append(tuple(map(kind, words[1:])))
+            header.append(tuple(map(read, words[1:])))
         except ValueError as exc:
             raise FieldFormatError(f"{path}: malformed header value ({exc})") from exc
     if handle.readline(_HEADER_LINE_BYTES) != b"data\n":

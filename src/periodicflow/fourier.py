@@ -45,26 +45,31 @@ the 16 of four separate 4-d transforms.  No leaf is a multi-axis real
 transform, which would copy its whole complex input before its last pass.
 
 Node pipeline.  ``_per_node`` runs the tree over the time nodes: the one
-``NotHermitian`` gate (``_gated_tree``), the time pass over the whole array,
-then one task per time node on ``_cores()`` threads, the caller among them.
-A task gets the fields of its node from ``_space_tree`` (the x3, x2 and x1
-passes) and returns what it makes of them, in node order.  ``inverse`` writes
-each node's (0, 0, 0) leaf into its output, ``diagnostics.norms`` reduces
-each node's fields to partial sums, and ``_transport`` forms sum_j u_j d_j v,
-raises ``ValueError`` if it is not finite, and runs the forward x1, x2 and x3
-passes, then the forward time pass and ``_finish_forward`` (shared with
-``forward``: it zeroes the Nyquist planes and makes the n1 = 0 plane
-symmetric).  ``diagnostics._w21q`` also calls ``_space_tree`` itself, once,
-on the k = 0 plane, which needs no time pass.  A transport costs 14
-one-dimensional passes per component (10 inverse, 4 forward).  A task holds
-the arrays of one time node, so each thread's memory is bounded by one node.
-The one thread rule: a time pass runs over the whole array with scipy's own
-threads (``workers=-1``); every spatial pass runs with ``workers=1`` inside a
-node task, since the pipeline already runs a task on every core.  Worker
-threads call no public function of the package, so a tracer that wraps those
-sees the calling thread alone.  Every value comes from the same operations on
-any thread, and callers combine per-node results in node order, so no result
-depends on the thread count.
+``NotHermitian`` gate (``_gated_tree``) and the time pass over the whole
+array (``_time_passed``), then one task per time node on ``_cores()``
+threads, the caller among them.  A task gets the fields of its node from
+``_space_tree`` (the x3, x2 and x1 passes) and returns what it makes of
+them, in node order.  ``inverse`` writes each node's (0, 0, 0) leaf into its
+output, and ``diagnostics.norms`` reduces each node's fields to partial
+sums.  ``_transport`` runs the same steps itself, because its tasks write
+back into the time-passed array: each forms sum_j u_j d_j v, raises
+``ValueError`` if it is not finite, and writes the forward x1, x2 and x3
+passes of it (``_space_forward``, which ``forward``'s tasks run too) over
+its own node, which the tree no longer needs.  The forward time pass and
+``_finish_forward`` (it zeroes the Nyquist planes and makes the n1 = 0
+plane symmetric) follow, as in ``forward``.  ``diagnostics._w21q`` also
+calls ``_space_tree`` itself, once, on the k = 0 plane, which needs no time
+pass.  A transport costs 14 one-dimensional passes per component (10
+inverse, 4 forward).  A task holds the arrays of one time node, so each
+thread's memory is bounded by one node.  Every complex pass whose input is
+not needed again runs in place (numpy's ``out=``).
+The one thread rule: every transform is a ``numpy.fft`` call, which runs on
+the thread that makes it.  Time passes run over the whole array on the
+calling thread; every spatial pass runs inside a node task, and the node
+tasks run on every core.  Worker threads call no public function of the
+package, so a tracer that wraps those sees the calling thread alone.  Every
+value comes from the same operations on any thread, and callers combine
+per-node results in node order, so no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 from .domain import Grid
 from .errors import NotHermitian
@@ -98,7 +103,6 @@ __all__ = [
     "coeff_norm",
 ]
 
-_AXES = (-4, -3, -2, -1)
 _FLOOR = 1e-300
 _IMAG_TOL = 1e-10
 _NOT_FINITE = "field values must be finite"
@@ -143,10 +147,6 @@ class PhysicalField:
     @property
     def components(self) -> int:
         return self.values.shape[0]
-
-    def __add__(self, other: "PhysicalField") -> "PhysicalField":
-        _check_same_grid(self, other)
-        return PhysicalField(self.grid, self.values + other.values)
 
     def __mul__(self, scalar: float) -> "PhysicalField":
         return PhysicalField(self.grid, self.values * float(scalar))
@@ -207,14 +207,30 @@ def _partner(plane: np.ndarray) -> np.ndarray:
 def forward(field: PhysicalField) -> SpectralField:
     """Transform node values to half-spectrum coefficients.
 
-    Nyquist planes are zeroed, and the n1 = 0 plane is made exactly
-    conjugate-symmetric (the transform leaves it so only to rounding).  Every
-    multiplier of the package maps conjugate pairs to conjugate pairs
-    bit for bit, so spectra computed from forward transforms stay exactly
-    symmetric and ``inverse`` finds no defect in them.
+    Each time node runs its spatial passes (``_space_forward``) on its own
+    task, then one time pass runs over the whole array.  Nyquist planes are
+    zeroed, and the n1 = 0 plane is made exactly conjugate-symmetric (the
+    transform leaves it so only to rounding).  Every multiplier of the
+    package maps conjugate pairs to conjugate pairs bit for bit, so spectra
+    computed from forward transforms stay exactly symmetric and ``inverse``
+    finds no defect in them.
     """
-    coeffs = _fft.rfftn(field.values, axes=_AXES, norm="forward", workers=-1)
-    return SpectralField(field.grid, _finish_forward(coeffs, field.grid))
+    grid = field.grid
+    coeffs = np.empty((field.components,) + grid.spectral_shape, dtype=np.complex128)
+
+    def node(t: int) -> None:
+        _space_forward(field.values[:, t : t + 1], coeffs[:, t : t + 1])
+
+    _on_every_core([partial(node, t) for t in range(grid.n_time)])
+    _fft.fft(coeffs, axis=1, norm="forward", out=coeffs)
+    return SpectralField(grid, _finish_forward(coeffs, grid))
+
+
+def _space_forward(nodes: np.ndarray, out: np.ndarray) -> None:
+    """The forward x1, x2 and x3 passes of ``nodes``, a run of time nodes, written into ``out``."""
+    _fft.rfft(nodes, axis=4, norm="forward", out=out)
+    _fft.fft(out, axis=3, norm="forward", out=out)
+    _fft.fft(out, axis=2, norm="forward", out=out)
 
 
 def _finish_forward(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -273,10 +289,11 @@ def _nyquist_free(coeffs: np.ndarray) -> bool:
 def _raised_passes(
     values: np.ndarray, orders: Iterable[int], ixi: np.ndarray, transform: Callable[..., np.ndarray]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(a, transform(ixi**a * values))`` for the ascending ``orders`` along one axis.
+    """Yield ``(a, transform(ixi**a * values, last))`` for the ascending ``orders`` along one axis.
 
     ``values`` is raised from one order to the next in place, one ``*= ixi``
-    per unit of order, and only the last transform may overwrite it.
+    per unit of order, and only the last transform (``last`` true) may write
+    its result over it.
     """
     orders = list(orders)
     done = 0
@@ -284,7 +301,12 @@ def _raised_passes(
         for _ in range(a - done):
             values *= ixi
         done = a
-        yield a, transform(values, overwrite_x=a == orders[-1])
+        yield a, transform(values, a == orders[-1])
+
+
+def _complex_pass(function: Callable[..., np.ndarray], axis: int) -> Callable[[np.ndarray, bool], np.ndarray]:
+    """A complex pass along ``axis`` for ``_raised_passes``: in place on its input's last use."""
+    return lambda values, last: function(values, axis=axis, norm="forward", out=values if last else None)
 
 
 def _gated_tree(
@@ -319,18 +341,28 @@ def _space_tree(
     on one thread.  Each axis visits its orders upwards, raised in place on
     the shared array, so fields come once each, ascending in (a3, a2, a1).
     ``timed`` (any run of time nodes) is raised in place and its last x3
-    pass overwrites it.
+    pass runs in place on it.
     """
-    ifft = partial(_fft.ifft, norm="forward", workers=1)
-    x1_pass = partial(_fft.irfft, n=grid.n_space[0], axis=4, norm="forward", workers=1)
+    x3_pass, x2_pass = _complex_pass(_fft.ifft, 2), _complex_pass(_fft.ifft, 3)
+
+    def x1_pass(values: np.ndarray, last: bool) -> np.ndarray:
+        return _fft.irfft(values, n=grid.n_space[0], axis=4, norm="forward")
+
     # Each ``del`` drops an array before the pass that replaces it is made.
-    for a3, along_x3 in _raised_passes(timed, tree, 1j * grid.xi3, partial(ifft, axis=2)):
-        for a2, along_x2 in _raised_passes(along_x3, tree[a3], 1j * grid.xi2, partial(ifft, axis=3)):
+    for a3, along_x3 in _raised_passes(timed, tree, 1j * grid.xi3, x3_pass):
+        for a2, along_x2 in _raised_passes(along_x3, tree[a3], 1j * grid.xi2, x2_pass):
             for a1, nodes in _raised_passes(along_x2, tree[a3][a2], 1j * grid.xi1, x1_pass):
                 yield (a1, a2, a3), nodes
                 del nodes
             del along_x2
         del along_x3
+
+
+def _time_passed(
+    spec: SpectralField, orders: Sequence[tuple[int, int, int]]
+) -> tuple[dict[int, dict[int, list[int]]], np.ndarray]:
+    """``_gated_tree(spec, orders)`` and the inverse time pass of ``spec.coeffs`` over the whole array."""
+    return _gated_tree(spec, orders), _fft.ifft(spec.coeffs, axis=1, norm="forward")
 
 
 def _per_node(spec: SpectralField, orders: Sequence[tuple[int, int, int]], task: Callable) -> list:
@@ -340,8 +372,7 @@ def _per_node(spec: SpectralField, orders: Sequence[tuple[int, int, int]], task:
     at node t shaped (components, 1, N3, N2, N1), in ``_space_tree``'s order.
     ``_gated_tree`` raises ``NotHermitian`` before any pass; ``spec.coeffs`` is never written.
     """
-    tree = _gated_tree(spec, orders)
-    timed = _fft.ifft(spec.coeffs, axis=1, norm="forward", workers=-1)
+    tree, timed = _time_passed(spec, orders)
 
     def node(t: int):
         return task(t, _space_tree(timed[:, t : t + 1], spec.grid, tree))
@@ -392,17 +423,19 @@ def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralF
 
     With ``u_nodes`` omitted u is v, and its nodes share the transform passes
     of its gradient; B(u, v) is ``_transport(v, inverse(u).values)``.  Raises
-    ``NotHermitian`` where ``_per_node(v, ...)`` does, and ``ValueError``
-    where ``forward`` would find the product not finite.
+    ``NotHermitian`` where ``_gated_tree`` does, and ``ValueError`` where
+    ``forward`` would find the product not finite.
     """
     if v.components != 3:
         raise ValueError("transport expects a 3-component field")
     orders = _UNIT_INDICES if u_nodes is not None else ((0, 0, 0),) + _UNIT_INDICES
-    spectrum = np.empty(v.coeffs.shape, dtype=np.complex128)
-    fft = partial(_fft.fft, norm="forward", workers=1, overwrite_x=True)
+    # Each task reads its time node of ``spectrum`` through the tree, then writes
+    # the node's forward spatial passes over it, so a transport makes one whole array.
+    tree, spectrum = _time_passed(v, orders)
 
-    def transport(t: int, fields) -> None:
+    def transport(t: int) -> None:
         node = slice(t, t + 1)
+        fields = _space_tree(spectrum[:, node], v.grid, tree)
         u = next(fields)[1] if u_nodes is None else u_nodes[:, node]
         total = None
         for alpha, dv_j in fields:
@@ -410,13 +443,10 @@ def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralF
             total = dv_j if total is None else np.add(total, dv_j, out=total)
         if not _all_finite(total):
             raise ValueError(_NOT_FINITE)
-        along_x1 = _fft.rfft(total, axis=4, norm="forward", workers=1)
-        spectrum[:, node] = fft(fft(along_x1, axis=3), axis=2)
+        _space_forward(total, spectrum[:, node])
 
-    _per_node(v, orders, transport)
-    # Not in place: this array lies below the time pass that ``_per_node`` freed, and
-    # reusing it made glibc's default heap fault 17k pages per ``picard-aniso`` solve, not 4k.
-    spectrum = _fft.fft(spectrum, axis=1, norm="forward", workers=-1)
+    _on_every_core([partial(transport, t) for t in range(v.grid.n_time)])
+    _fft.fft(spectrum, axis=1, norm="forward", out=spectrum)
     return SpectralField(v.grid, _finish_forward(spectrum, v.grid))
 
 

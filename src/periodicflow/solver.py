@@ -163,9 +163,14 @@ def solve(
     growth_streak = 0
     converged = False
     prev_diff = 0.0
+    # The array each update overwrites: the iterate it replaces, unless that is the caller's guess.
+    update = u.coeffs if config.initial_guess is None else None
     for _ in range(config.max_iter):
         u_next = picard_step(u, f_hat, params)
-        diff = coeff_norm(u_next - u)
+        # A fresh array per update let glibc's default heap trim and fault in
+        # 2.4 MB again on every other step of a ``picard-aniso`` solve.
+        diff = _lattice_norm(np.subtract(u_next.coeffs, u.coeffs, out=update), grid)
+        update = u_next.coeffs
         norm = coeff_norm(u_next)
         if not (math.isfinite(diff) and math.isfinite(norm)):
             raise Diverging("iterates stopped being finite", tuple(history))

@@ -59,7 +59,7 @@ def wrong_branch_half_derivative(spec):
 
 
 class CountingFFT:
-    """Stands in for ``scipy.fft`` inside ``fourier`` and sums the volume each function transforms along each axis.
+    """Stands in for ``numpy.fft`` inside ``fourier`` and sums the volume each function transforms along each axis.
 
     The volume of a call is the size of its input in units of one field of
     ``components`` components: node values for a real input, a half spectrum
@@ -75,7 +75,7 @@ class CountingFFT:
         self.lock = threading.Lock()
 
     def __getattr__(self, name):
-        function = getattr(scipy.fft, name)
+        function = getattr(np.fft, name)
 
         def counted(x, *args, **kwargs):
             key = name, kwargs.get("axis", kwargs.get("axes"))

@@ -252,14 +252,34 @@ def test_a_header_write_field_never_writes_is_rejected(tmp_path, old, new):
     "old, new, match",
     [
         (b"n_time 4\n", b"n_time four\n", "malformed header value"),
+        (b"n_time 4\n", b"n_time 0_4\n", "malformed header value"),
+        (b"n_time 4\n", b"n_time +4\n", "malformed header value"),
+        (b"n_space 4 4 4\n", b"n_space 4 04 4\n", "malformed header value"),
+        (b"period 1.0\n", b"period 1_0.0\n", "malformed header value"),
         (b"endian little\n", b"endian big\n", "unsupported endianness"),
         (b"box 1.0 1.0 1.0\n", b"box -1.0 1.0 1.0\n", "invalid grid in header"),
     ],
-    ids=["malformed-value", "big-endian", "invalid-grid"],
+    ids=[
+        "malformed-value",
+        "underscore-integer",
+        "signed-integer",
+        "leading-zero",
+        "underscore-float",
+        "big-endian",
+        "invalid-grid",
+    ],
 )
 def test_a_bad_header_value_is_rejected(tmp_path, old, new, match):
     with pytest.raises(FieldFormatError, match=match):
         read_field(edited_field(tmp_path, old, new))
+
+
+def test_a_float_at_another_precision_is_read(tmp_path):
+    """Only integers must read back as written; a float written by another tool may carry any precision."""
+    field = read_field(edited_field(tmp_path, b"period 1.0\n", b"period 1.00\n"))
+    assert field.grid == SMALL
+    field = read_field(edited_field(tmp_path, b"period 1.0\n", b"period 6.28\n"))
+    assert field.grid.period == 6.28
 
 
 def test_a_non_finite_payload_is_rejected(tmp_path):

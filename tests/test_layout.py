@@ -302,6 +302,26 @@ def test_inverse_is_irfftn_bit_for_bit(n, box, seed, components, case):
     assert nodes.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.tuples(*[st.sampled_from((4, 6, 8, 10)) for _ in range(4)]),
+    box=st.tuples(*[st.floats(0.5, 8.0) for _ in range(3)]),
+    seed=st.integers(0, 2**32 - 1),
+    components=st.sampled_from((1, 3)),
+)
+def test_forward_is_rfftn_with_nyquist_planes_zeroed(n, box, seed, components):
+    """``forward``, node tasks then a time pass, equals scipy's multi-axis rfftn less its Nyquist planes to 1e-15."""
+    grid = Grid(box=box, n_space=n[:3], n_time=n[3], period=1.3)
+    values = random_values(grid, seed, components)
+    expected = scipy.fft.rfftn(values, axes=AXES, norm="forward")
+    for axis, nyquist in zip(AXES, (n[3] // 2, n[2] // 2, n[1] // 2, n[0] // 2)):
+        index = [slice(None)] * expected.ndim
+        index[axis] = nyquist
+        expected[tuple(index)] = 0.0
+    coeffs = forward(PhysicalField(grid, values)).coeffs
+    assert np.abs(coeffs - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
 def tree_of(orders):
     return lambda spec: joined(node_fields(spec, orders))
 

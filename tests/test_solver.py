@@ -113,6 +113,16 @@ def test_solution_is_independent_of_initial_guess(grid16, params1):
     assert relative_gap(other.u.coeffs, base.u.coeffs) <= 1e-8
 
 
+def test_solve_leaves_a_spectral_initial_guess_unchanged(grid8, params1):
+    """Each update overwrites an iterate the loop made itself, never the caller's guess."""
+    f, _, _ = trig_problem(grid8, params1)
+    guess = forward(random_smooth(seed=24, amplitude=0.5, cutoff_shell=2, grid=grid8))
+    before = guess.coeffs.copy()
+    sol = solve(f, params1, grid8, SolverConfig(initial_guess=guess))
+    assert sol.iterations > 1
+    assert guess.coeffs.tobytes() == before.tobytes()
+
+
 def test_solution_is_solenoidal(grid16, params1):
     f, _, _ = trig_problem(grid16, params1)
     sol = solve(f, params1, grid16)

@@ -12,6 +12,9 @@ inverse such as ``irfftn`` would copy its whole complex input, and a complex
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "periodicflow").glob("*.py"))
 FFT_MODULES = ("scipy.fft", "scipy.fftpack", "numpy.fft", "np.fft")
 TRANSFORM_LAYER = "fourier.py"
-LAYER_FUNCTIONS = {"rfftn", "ifft", "irfft", "rfft", "fft"}
+LAYER_FUNCTIONS = {"ifft", "irfft", "rfft", "fft"}
 
 
 def is_fft(name: str) -> bool:
@@ -82,7 +85,7 @@ def test_the_check_names_every_fft_function_reached():
         "a = _fft.irfftn(x)\nb = scipy.fft.fftn(x)\nc = np.fft.ifft(x)\nd = _fft.rfftn(x)\n"
     )
     assert fft_functions(source) == {"irfftn", "fftn", "ifft", "irfft2", "rfftn"}
-    assert fft_functions(source) - LAYER_FUNCTIONS == {"irfftn", "fftn", "irfft2"}
+    assert fft_functions(source) - LAYER_FUNCTIONS == {"irfftn", "fftn", "irfft2", "rfftn"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -94,3 +97,14 @@ def test_only_the_transform_layer_uses_fft(path):
         assert fft_functions(source) <= LAYER_FUNCTIONS
     else:
         assert uses == []
+
+
+def test_the_package_and_its_cli_load_no_scipy():
+    """numpy is the one runtime dependency: a fresh interpreter importing the library and its CLI loads no scipy module."""
+    path = os.pathsep.join(filter(None, [str(SOURCES[0].parents[1]), os.environ.get("PYTHONPATH")]))
+    code = "import sys, periodicflow, periodicflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,20 +65,21 @@ def test_transport_is_byte_identical_on_one_two_and_three_threads(n_space, n_tim
 
 
 class FreshOutput:
-    """A ``scipy.fft`` whose every result is a new array, and which fills an input it may overwrite with NaN.
+    """A ``numpy.fft`` that makes every result in a new array from a copy of its input.
 
-    scipy promises no more than that: ``overwrite_x`` lets a transform destroy
-    its input, not return its result there.
+    ``out=`` keeps numpy's promise, the result is written there, but the
+    returned array is the new one: no pass runs in place, and a caller that
+    took the returned array for its input or its ``out`` would go wrong.
     """
 
     def __getattr__(self, name):
-        function = getattr(scipy.fft, name)
+        function = getattr(np.fft, name)
 
-        def fresh(x, *args, overwrite_x=False, **kwargs):
-            out = function(x, *args, **kwargs)
-            if overwrite_x:
-                x[...] = np.nan
-            return out
+        def fresh(x, *args, out=None, **kwargs):
+            result = function(x.copy(), *args, **kwargs)
+            if out is not None:
+                out[...] = result
+            return result
 
         return fresh
 
@@ -147,7 +147,7 @@ def test_transport_raises_what_the_written_out_transport_raises(grid, monkeypatc
 
 
 def test_transport_rejects_a_scalar_field_before_any_pass(grid, monkeypatch):
-    monkeypatch.setattr(fourier, "_per_node", None)  # calling it would fail otherwise
+    monkeypatch.setattr(fourier, "_time_passed", None)  # the first pass; calling it would fail otherwise
     scalar = SpectralField(grid, random_spectrum(grid, 12).coeffs[:1])
     with pytest.raises(ValueError, match="transport expects a 3-component field"):
         _transport(scalar)

@@ -155,6 +155,14 @@ def _read_checked(path: str | None, grid: Grid, components: int, what: str) -> P
 
 
 def _build_forcing(s: argparse.Namespace, grid: Grid, params: Params) -> PhysicalField:
+    for name, holds, rule in (  # settings no forcing can use, rejected before any field is sampled
+        ("amplitude", np.isfinite(s.amplitude), "must be finite"),
+        ("scale", np.isfinite(s.scale), "must be finite"),
+        ("seed", s.seed >= 0, "must be a non-negative integer"),
+        ("cutoff", s.cutoff is None or s.cutoff >= 1, "must be at least 1"),
+    ):
+        if not holds:
+            raise UsageError(f"{s.origin[name]}: {name} {rule}, got {getattr(s, name)!r}")
     if s.forcing_file is not None:
         f = _read_checked(s.forcing_file, grid, 3, "--forcing-file")
     elif s.preset == "random":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, Params
+from .domain import Grid, Params, _check_period
 from .fourier import (
     _FLOOR,
     _UNIT_INDICES,
@@ -158,7 +158,7 @@ def _w21q(
     """
     steady = dict(_space_tree(u.coeffs[:, :1].copy(), grid, _gated_tree(u, _MULTI_INDICES)))
 
-    def node_sums(t: int, fields) -> tuple[np.ndarray, np.ndarray]:
+    def node_sums(t: int, slot: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
         w_sums = np.zeros(len(q_list))
         for alpha, values in fields:
             if alpha == (0, 0, 0):
@@ -168,8 +168,10 @@ def _w21q(
         return u_sums, w_sums
 
     # per-node sums, combined in node order
-    u_sums, w_sums = (sum(parts) for parts in zip(*_per_node(u, _MULTI_INDICES, node_sums)))
-    dt_sums = _per_node(time_derivative(u), ((0, 0, 0),), lambda t, leaf: _power_sums(next(leaf)[1], q_list))
+    u_sums, w_sums = (sum(parts) for parts in zip(*_per_node(u, _MULTI_INDICES, node_sums)[1]))
+    _, dt_sums = _per_node(
+        time_derivative(u), ((0, 0, 0),), lambda t, slot, leaf: _power_sums(next(leaf)[1], q_list)
+    )
     w_sums += sum(dt_sums)
     measure = grid.volume / grid.size
     lq = dict(zip(q_list, _lebesgue(measure, u_sums, q_list).tolist()))
@@ -214,12 +216,12 @@ def _xpres(
     q = np.array(q_list)
     s = 3.0 * q / (3.0 - q)
 
-    def node_sums(t: int, fields) -> tuple[np.ndarray, np.ndarray]:
+    def node_sums(t: int, slot: np.ndarray, fields) -> tuple[np.ndarray, np.ndarray]:
         (_, values), *grad = fields
         grad_p = np.concatenate([component for _, component in grad])
         return _power_sums(values, tuple(s)), _power_sums(grad_p, q_list + r_list)
 
-    sums = _per_node(p, ((0, 0, 0),) + _UNIT_INDICES, node_sums)
+    _, sums = _per_node(p, ((0, 0, 0),) + _UNIT_INDICES, node_sums)
     # one row per time node, summed in node order; inner holds the q-th powers of the per-slice norms
     p_sums, gp_sums = (np.array(parts) for parts in zip(*sums))
     per_slice = grid.volume * grid.n_time / grid.size
@@ -260,6 +262,7 @@ def norms(
 
     u_hat = _checked_spectrum(u, "velocity", 3)
     grid = u_hat.grid
+    _check_period(params, grid)
     lq, w21q, steady = _w21q(u_hat, q_list, grid)
     xoseen = _xoseen(steady, q_list, params.lam, grid)
     xpres = _xpres(_checked_spectrum(p, "pressure", 1, grid), q_list, r_list, grid) if p is not None else {}

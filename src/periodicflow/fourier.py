@@ -44,32 +44,29 @@ every Picard step, cost 10 one-dimensional passes per component instead of
 the 16 of four separate 4-d transforms.  No leaf is a multi-axis real
 transform, which would copy its whole complex input before its last pass.
 
-Node pipeline.  ``_per_node`` runs the tree over the time nodes: the one
-``NotHermitian`` gate (``_gated_tree``) and the time pass over the whole
-array (``_time_passed``), then one task per time node on ``_cores()``
-threads, the caller among them.  A task gets the fields of its node from
-``_space_tree`` (the x3, x2 and x1 passes) and returns what it makes of
-them, in node order.  ``inverse`` writes each node's (0, 0, 0) leaf into its
-output, and ``diagnostics.norms`` reduces each node's fields to partial
-sums.  ``_transport`` runs the same steps itself, because its tasks write
-back into the time-passed array: each forms sum_j u_j d_j v, raises
-``ValueError`` if it is not finite, and writes the forward x1, x2 and x3
-passes of it (``_space_forward``, which ``forward``'s tasks run too) over
-its own node, which the tree no longer needs.  The forward time pass and
-``_finish_forward`` (it zeroes the Nyquist planes and makes the n1 = 0
-plane symmetric) follow, as in ``forward``.  ``diagnostics._w21q`` also
-calls ``_space_tree`` itself, once, on the k = 0 plane, which needs no time
-pass.  A transport costs 14 one-dimensional passes per component (10
-inverse, 4 forward).  A task holds the arrays of one time node, so each
-thread's memory is bounded by one node.  Every complex pass whose input is
-not needed again runs in place (numpy's ``out=``).
+Node pipeline.  ``_per_node`` is the one driver from a spectrum to node
+values: the ``NotHermitian`` gate (``_gated_tree``) and the inverse time pass
+over the whole array, then one task per time node, which gets the node's
+slot of that array and its fields from ``_space_tree`` (the x3, x2 and x1
+passes).  ``inverse`` copies each node's (0, 0, 0) leaf into its output,
+``diagnostics.norms`` reduces each node's fields to partial sums, and the
+transport forms sum_j u_j d_j v, raises ``ValueError`` if that is not
+finite, and writes its forward x1, x2 and x3 passes (``_space_forward``, as
+``forward``'s tasks do) over the slot, so it makes one whole array and
+costs 14 one-dimensional passes per component (10 inverse, 4 forward).
+``_finish_forward``, the tail of every forward transform, runs the forward
+time pass, zeroes the Nyquist planes and makes the n1 = 0 plane
+symmetric.  Only ``diagnostics._w21q`` calls ``_space_tree`` itself, once,
+on the k = 0 plane, which needs no time pass.  Every complex pass whose
+input is not needed again runs in place (numpy's ``out=``).
 The one thread rule: every transform is a ``numpy.fft`` call, which runs on
 the thread that makes it.  Time passes run over the whole array on the
-calling thread; every spatial pass runs inside a node task, and the node
-tasks run on every core.  Worker threads call no public function of the
-package, so a tracer that wraps those sees the calling thread alone.  Every
-value comes from the same operations on any thread, and callers combine
-per-node results in node order, so no result depends on the thread count.
+calling thread, and node tasks on ``_cores()`` threads, the caller among
+them, each holding the arrays of one time node.  Worker threads call no
+public function of the package, so a tracer that wraps those sees the
+calling thread alone.  Every value comes from the same operations on any
+thread, and callers combine per-node results in node order, so no result
+depends on the thread count.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -208,12 +204,12 @@ def forward(field: PhysicalField) -> SpectralField:
     """Transform node values to half-spectrum coefficients.
 
     Each time node runs its spatial passes (``_space_forward``) on its own
-    task, then one time pass runs over the whole array.  Nyquist planes are
-    zeroed, and the n1 = 0 plane is made exactly conjugate-symmetric (the
-    transform leaves it so only to rounding).  Every multiplier of the
-    package maps conjugate pairs to conjugate pairs bit for bit, so spectra
-    computed from forward transforms stay exactly symmetric and ``inverse``
-    finds no defect in them.
+    task; then ``_finish_forward`` runs the time pass, zeroes the Nyquist
+    planes and makes the n1 = 0 plane exactly conjugate-symmetric (the
+    transform leaves it so only to rounding).  Every multiplier of the package
+    maps conjugate pairs to conjugate pairs bit for bit, so spectra computed
+    from forward transforms stay exactly symmetric and ``inverse`` finds no
+    defect in them.
     """
     grid = field.grid
     coeffs = np.empty((field.components,) + grid.spectral_shape, dtype=np.complex128)
@@ -221,9 +217,8 @@ def forward(field: PhysicalField) -> SpectralField:
     def node(t: int) -> None:
         _space_forward(field.values[:, t : t + 1], coeffs[:, t : t + 1])
 
-    _on_every_core([partial(node, t) for t in range(grid.n_time)])
-    _fft.fft(coeffs, axis=1, norm="forward", out=coeffs)
-    return SpectralField(grid, _finish_forward(coeffs, grid))
+    _on_every_core(node, grid.n_time)
+    return _finish_forward(coeffs, grid)
 
 
 def _space_forward(nodes: np.ndarray, out: np.ndarray) -> None:
@@ -233,8 +228,9 @@ def _space_forward(nodes: np.ndarray, out: np.ndarray) -> None:
     _fft.fft(out, axis=2, norm="forward", out=out)
 
 
-def _finish_forward(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero the Nyquist planes of every axis and make the n1 = 0 plane symmetric, in place."""
+def _finish_forward(coeffs: np.ndarray, grid: Grid) -> SpectralField:
+    """``forward``'s tail, in place on ``coeffs``: the time pass, Nyquist planes zeroed, n1 = 0 made symmetric."""
+    _fft.fft(coeffs, axis=1, norm="forward", out=coeffs)
     m, n3, n2, n1h = grid.spectral_shape
     coeffs[:, m // 2] = 0.0
     coeffs[:, :, n3 // 2] = 0.0
@@ -243,7 +239,7 @@ def _finish_forward(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     plane = coeffs[..., 0]
     plane += _partner(plane)
     plane *= 0.5
-    return coeffs
+    return SpectralField(grid, coeffs)
 
 
 def _plane_defect(coeffs: np.ndarray) -> float:
@@ -358,26 +354,22 @@ def _space_tree(
         del along_x3
 
 
-def _time_passed(
-    spec: SpectralField, orders: Sequence[tuple[int, int, int]]
-) -> tuple[dict[int, dict[int, list[int]]], np.ndarray]:
-    """``_gated_tree(spec, orders)`` and the inverse time pass of ``spec.coeffs`` over the whole array."""
-    return _gated_tree(spec, orders), _fft.ifft(spec.coeffs, axis=1, norm="forward")
-
-
-def _per_node(spec: SpectralField, orders: Sequence[tuple[int, int, int]], task: Callable) -> list:
-    """``task(t, fields)`` for each time node t, the results in node order.
+def _per_node(spec: SpectralField, orders: Sequence[tuple[int, int, int]], task: Callable) -> tuple:
+    """``task(t, slot, fields)`` for each time node t; the time-passed spectrum and the results in node order.
 
     ``fields`` yields ``(alpha, nodes)``, the node values of D^alpha ``spec``
-    at node t shaped (components, 1, N3, N2, N1), in ``_space_tree``'s order.
+    at node t shaped (components, 1, N3, N2, N1), in ``_space_tree``'s order;
+    ``slot``, node t of the time-passed spectrum, may be written once they are taken.
     ``_gated_tree`` raises ``NotHermitian`` before any pass; ``spec.coeffs`` is never written.
     """
-    tree, timed = _time_passed(spec, orders)
+    tree = _gated_tree(spec, orders)
+    timed = _fft.ifft(spec.coeffs, axis=1, norm="forward")
 
     def node(t: int):
-        return task(t, _space_tree(timed[:, t : t + 1], spec.grid, tree))
+        slot = timed[:, t : t + 1]
+        return task(t, slot, _space_tree(slot, spec.grid, tree))
 
-    return _on_every_core([partial(node, t) for t in range(spec.grid.n_time)])
+    return timed, _on_every_core(node, spec.grid.n_time)
 
 
 def _cores() -> int:
@@ -387,8 +379,8 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _on_every_core(tasks: Sequence[Callable[[], object]]) -> list:
-    """Run ``tasks`` on ``_cores()`` threads, the caller among them; return the results in order.
+def _on_every_core(task: Callable[[int], object], count: int) -> list:
+    """``task(i)`` for i = 0 .. count - 1 on ``_cores()`` threads, the caller among them; the results in order.
 
     Each thread takes the next untaken task until none is left.  The helper
     threads run in copies of the caller's context, so numpy's error state
@@ -397,8 +389,8 @@ def _on_every_core(tasks: Sequence[Callable[[], object]]) -> list:
     task, with the caller idle, made a ``picard-aniso`` solve 12-16% slower
     on 2 cores.
     """
-    results: list = [None] * len(tasks)
-    untaken = iter(range(len(tasks)))
+    results: list = [None] * count
+    untaken = iter(range(count))
     lock = threading.Lock()
 
     def work():
@@ -407,7 +399,7 @@ def _on_every_core(tasks: Sequence[Callable[[], object]]) -> list:
                 i = next(untaken, None)
             if i is None:
                 return
-            results[i] = tasks[i]()
+            results[i] = task(i)
 
     helpers = _cores() - 1
     with ThreadPoolExecutor(max(helpers, 1)) as pool:
@@ -429,25 +421,20 @@ def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralF
     if v.components != 3:
         raise ValueError("transport expects a 3-component field")
     orders = _UNIT_INDICES if u_nodes is not None else ((0, 0, 0),) + _UNIT_INDICES
-    # Each task reads its time node of ``spectrum`` through the tree, then writes
-    # the node's forward spatial passes over it, so a transport makes one whole array.
-    tree, spectrum = _time_passed(v, orders)
 
-    def transport(t: int) -> None:
-        node = slice(t, t + 1)
-        fields = _space_tree(spectrum[:, node], v.grid, tree)
-        u = next(fields)[1] if u_nodes is None else u_nodes[:, node]
+    # each task writes its forward spatial passes over its used-up slot: one whole array in all
+    def transport(t: int, slot: np.ndarray, fields) -> None:
+        u = next(fields)[1] if u_nodes is None else u_nodes[:, t : t + 1]
         total = None
         for alpha, dv_j in fields:
             dv_j *= u[alpha.index(1)]
             total = dv_j if total is None else np.add(total, dv_j, out=total)
         if not _all_finite(total):
             raise ValueError(_NOT_FINITE)
-        _space_forward(total, spectrum[:, node])
+        _space_forward(total, slot)
 
-    _on_every_core([partial(transport, t) for t in range(v.grid.n_time)])
-    _fft.fft(spectrum, axis=1, norm="forward", out=spectrum)
-    return SpectralField(v.grid, _finish_forward(spectrum, v.grid))
+    spectrum, _ = _per_node(v, orders, transport)
+    return _finish_forward(spectrum, v.grid)
 
 
 def inverse(spec: SpectralField) -> PhysicalField:
@@ -467,9 +454,8 @@ def inverse(spec: SpectralField) -> PhysicalField:
     """
     values = np.empty((spec.components,) + spec.grid.shape)
 
-    def leaf(t: int, fields) -> None:
-        for _, nodes in fields:
-            values[:, t : t + 1] = nodes
+    def leaf(t: int, slot: np.ndarray, fields) -> None:
+        values[:, t : t + 1] = next(fields)[1]
 
     _per_node(spec, ((0, 0, 0),), leaf)
     return PhysicalField(spec.grid, values)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import Grid, Params
+from .domain import Grid, Params, _check_period
 from .errors import MeanModeNonzero
 from .fourier import SpectralField
 
@@ -63,11 +63,12 @@ def helmholtz(spec: SpectralField) -> SpectralField:
 
 
 def _oseen_symbol(grid: Grid, params: Params) -> np.ndarray:
-    """Symbol |xi|^2 + i(omega - lam*xi1) of d/dt - Lap - lam*d/dx1.
+    """Symbol |xi|^2 + i(omega - lam*xi1) of d/dt - Lap - lam*d/dx1; ``ValueError`` off the grid's period.
 
     Vanishes only at the joint zero mode (xi, k) = (0, 0); on the periodic
     lattice every other mode is bounded away from zero.
     """
+    _check_period(params, grid)
     return grid.xi_sq + 1j * (grid.omega - params.lam * grid.xi1)
 
 

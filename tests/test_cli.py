@@ -354,6 +354,12 @@ def test_help_exits_zero(capsys):
         (("norms", *GRID8, "--velocity", "u.field", "--q", ""), None, "--q: q (the norm exponent)"),
         (("norms", *GRID8, "--velocity", "u.field", "--pressure", "p.field", "--r", ","), None,
          "--r: r (the pressure gradient exponent)"),
+        # forcing settings, rejected before any field is sampled
+        (("solve", *GRID8, "--preset", "random", "--seed", "-1"), None, "--seed: seed"),
+        (("solve", *GRID8, "--preset", "random", "--cutoff", "0"), None, "--cutoff: cutoff must be at least 1"),
+        (("solve", *GRID8, "--preset", "trig", "--scale", "nan"), None, "--scale: scale"),
+        (("solve", *GRID8, "--preset", "random", "--amplitude", "inf"), None, "--amplitude: amplitude"),
+        (("solve", *GRID8), "[forcing]\npreset = random\nseed = -1\n", "[forcing] seed: seed"),
     ],
 )
 def test_bad_value_is_one_usage_line_naming_its_setting(tmp_path, capsys, grid8, monkeypatch, argv, config, named):

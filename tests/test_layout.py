@@ -223,7 +223,7 @@ def test_parseval_on_random_even_shapes(n, box, seed):
 
 def node_fields(spec, orders):
     """The ``(alpha, nodes)`` lists that ``_per_node`` hands its tasks, one list per time node."""
-    return _per_node(spec, orders, lambda t, fields: list(fields))
+    return _per_node(spec, orders, lambda t, slot, fields: list(fields))[1]
 
 
 def joined(per_node):

@@ -23,6 +23,8 @@ from periodicflow import (
     manufactured_preset,
     norms,
     oscillatory_part,
+    oseen_apply,
+    oseen_inverse,
     pde_residual,
     picard_step,
     random_smooth,
@@ -270,6 +272,22 @@ def test_period_mismatch_is_rejected(grid8, params1):
     f, _, _ = trig_problem(grid8, params1)
     with pytest.raises(ValueError, match="does not match the grid period"):
         solve(f, Params(lam=1.0, period=0.1), grid8)
+
+
+@pytest.mark.parametrize("entry", ["picard_step", "pde_residual", "norms", "oseen_apply", "oseen_inverse"])
+def test_every_entry_taking_params_rejects_another_period(grid8, params1, entry):
+    """Each works on the grid's period, so another period in params is the error ``solve`` raises."""
+    f, u, p = (forward(field) for field in trig_problem(grid8, params1))
+    calls = {
+        "picard_step": lambda params: picard_step(u, f, params),
+        "pde_residual": lambda params: pde_residual(u, p, f, params),
+        "norms": lambda params: norms(u, params, p=p),
+        "oseen_apply": lambda params: oseen_apply(u, params),
+        "oseen_inverse": lambda params: oseen_inverse(f, params),
+    }
+    calls[entry](params1)
+    with pytest.raises(ValueError, match="^params period 1.0 does not match the grid period"):
+        calls[entry](Params(lam=1.0, period=1.0))
 
 
 def test_solution_stores_the_velocity_once(grid8, params1):

@@ -16,8 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodicflow import Grid, NotHermitian, PhysicalField, SpectralField, convective, forward, inverse
-from periodicflow import fourier, nonlinear
+from periodicflow import (
+    Grid,
+    NotHermitian,
+    Params,
+    PhysicalField,
+    SpectralField,
+    convective,
+    forward,
+    inverse,
+    norms,
+    picard_step,
+    random_smooth,
+)
+from periodicflow import diagnostics, fourier, nonlinear
 from periodicflow.fourier import _UNIT_INDICES, _derivative_factor, _on_every_core, _transport
 
 
@@ -147,7 +159,7 @@ def test_transport_raises_what_the_written_out_transport_raises(grid, monkeypatc
 
 
 def test_transport_rejects_a_scalar_field_before_any_pass(grid, monkeypatch):
-    monkeypatch.setattr(fourier, "_time_passed", None)  # the first pass; calling it would fail otherwise
+    monkeypatch.setattr(fourier, "_gated_tree", None)  # the driver's first step; calling it would fail otherwise
     scalar = SpectralField(grid, random_spectrum(grid, 12).coeffs[:1])
     with pytest.raises(ValueError, match="transport expects a 3-component field"):
         _transport(scalar)
@@ -183,6 +195,39 @@ def test_convective_calls_neither_forward_nor_inverse(grid, monkeypatch):
     _transport(v, u_nodes)
 
 
+def counted(monkeypatch, name):
+    """The calls of ``fourier.<name>``, counted through every module that binds it."""
+    calls = []
+    original = getattr(fourier, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (fourier, diagnostics):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_every_transform_runs_through_one_node_driver_and_one_forward_tail(grid, monkeypatch):
+    """Spectra reach their nodes through ``_per_node`` alone, and every spectrum made from nodes ends in ``_finish_forward``."""
+    u = forward(random_smooth(seed=20, amplitude=1.0, cutoff_shell=2, grid=grid))
+    p = SpectralField(grid, random_spectrum(grid, 21).coeffs[:1])
+    params = Params(lam=1.0, period=grid.period)
+    per_node, finish = counted(monkeypatch, "_per_node"), counted(monkeypatch, "_finish_forward")
+    for action, expected in [
+        (lambda: picard_step(u, u, params), (1, 1)),
+        (lambda: inverse(u), (1, 0)),
+        (lambda: forward(inverse(u)), (1, 1)),
+        (lambda: norms(u, params, p=p), (3, 0)),
+    ]:
+        per_node.clear()
+        finish.clear()
+        action()
+        assert (len(per_node), len(finish)) == expected
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
 def test_threads_follow_the_cpu_affinity_not_the_machine(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -193,13 +238,14 @@ def test_threads_follow_the_cpu_affinity_not_the_machine(monkeypatch):
 def test_every_core_runs_each_task_once_and_raises_the_first_failure(monkeypatch):
     monkeypatch.setattr(fourier, "_cores", lambda: 3)
     before = threading.active_count()
-    assert _on_every_core([lambda i=i: i * i for i in range(40)]) == [i * i for i in range(40)]
+    assert _on_every_core(lambda i: i * i, 40) == [i * i for i in range(40)]
 
-    def failing():
-        raise MemoryError("no room for a node")
+    def failing_at_5(i):
+        if i == 5:
+            raise MemoryError("no room for a node")
 
     with pytest.raises(MemoryError, match="no room for a node"):
-        _on_every_core([lambda: None] * 5 + [failing] + [lambda: None] * 5)
+        _on_every_core(failing_at_5, 11)
     assert threading.active_count() == before
 
 
@@ -209,11 +255,11 @@ def test_every_core_runs_a_task_at_the_same_time(monkeypatch, cores):
     monkeypatch.setattr(fourier, "_cores", lambda: cores)
     meeting = threading.Barrier(cores, timeout=10)
 
-    def meet():
+    def meet(i):
         meeting.wait()
         return threading.get_ident()
 
-    idents = _on_every_core([meet] * cores)
+    idents = _on_every_core(meet, cores)
     assert len(set(idents)) == cores and threading.get_ident() in idents
 
 
@@ -238,7 +284,7 @@ def test_more_threads_than_cores_under_fast_switching(grid, monkeypatch):
     outputs = []
 
     def run():
-        outputs.append(_on_every_core([lambda i=i: ran.append(i) or i for i in range(200)]))
+        outputs.append(_on_every_core(lambda i: ran.append(i) or i, 200))
         outputs.append(_transport(v).coeffs)
 
     interval = sys.getswitchinterval()

@@ -192,11 +192,17 @@ def random_smooth(seed: int, amplitude: float, cutoff_shell: int, grid: Grid) ->
     transformed, restricted to modes with integer radius at most
     ``cutoff_shell``, projected onto divergence-free fields with the
     space-time mean removed, and rescaled so its coefficient 2-norm equals
-    ``amplitude`` exactly linearly.
+    ``amplitude`` exactly linearly.  A negative or fractional seed, a
+    non-finite amplitude or a cutoff below 1 raises ``ValueError`` before
+    anything is sampled.
     """
+    if not (seed >= 0 and seed % 1 == 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     if cutoff_shell < 1:
         raise ValueError("cutoff_shell must be at least 1")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(int(seed)))
     noise = rng.standard_normal(size=(3,) + grid.shape)
     c = forward(PhysicalField(grid, noise))
     keep = grid.mode_radius_sq() <= cutoff_shell * cutoff_shell

@@ -10,7 +10,9 @@ d/dt - Lap - lam d/dx1 on mean-free fields.  A step computes f - B(u), its
 projection and its resolvent in the one array the transport B(u) returns; a
 step from rest skips the transport, since B(0) = 0.  The pressure is recovered
 afterwards as p_hat = -i xi . (f_hat - B_hat(u)) / |xi|^2, the longitudinal
-scale of the same projection.
+scale of the same projection.  The pressure and the momentum residual that
+certifies (u, p) are formed one time node at a time from u's final
+transport, so neither holds a whole-array temporary besides its inputs.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .fourier import (
     _FLOOR,
     PhysicalField,
     SpectralField,
+    _lattice_dot,
     _lattice_norm,
     coeff_norm,
     forward,
-    gradient,
     oscillatory_part,
     time_mean_part,
 )
@@ -207,7 +209,7 @@ def solve(
     ratios = [later / earlier for earlier, later in zip(history, history[1:]) if earlier > 0.0]
     contraction = max(ratios[-3:]) if ratios else 0.0
     transport = convective(u)
-    p = _pressure(f_hat - transport)
+    p = _pressure(f_hat, transport)
     residual = _residual(u, p, f_hat, transport, params)
     return Solution(
         u=u,
@@ -219,20 +221,33 @@ def solve(
     )
 
 
-def recover_pressure(u: SpectralField, f_hat: SpectralField) -> SpectralField:
+def recover_pressure(
+    u: SpectralField | PhysicalField, f_hat: SpectralField | PhysicalField
+) -> SpectralField:
     """Pressure p_hat = -i xi . g_hat / |xi|^2 of the data g = f - (u . grad) u.
 
     The divergence of the momentum equation gives Lap p = div g, and
     xi . g_hat / |xi|^2 is the longitudinal scale of the Helmholtz projection,
     so grad p + P_H g = g holds to rounding by construction.  The
     spatial-mean plane of the pressure is zero at every temporal frequency.
+    Node values of u or f are transformed first.
     """
-    return _pressure(_checked_spectrum(f_hat, "forcing", 3, u.grid) - convective(u))
+    u = _checked_spectrum(u, "velocity", 3)
+    return _pressure(_checked_spectrum(f_hat, "forcing", 3, u.grid), convective(u))
 
 
-def _pressure(rhs: SpectralField) -> SpectralField:
-    """``recover_pressure`` from the data rhs = f - (u . grad) u."""
-    return SpectralField(rhs.grid, -1j * _longitudinal(rhs.coeffs, rhs.grid)[np.newaxis])
+def _pressure(f_hat: SpectralField, transport: SpectralField) -> SpectralField:
+    """``recover_pressure`` with the transport term (u . grad) u given, one time node at a time.
+
+    p[0, t] = -i ``_longitudinal``(f - B) at node t: the same operations per
+    mode as on whole arrays, so the same bits, with no whole-array difference.
+    """
+    grid = f_hat.grid
+    p = np.empty((1,) + grid.spectral_shape, dtype=np.complex128)
+    for t in range(grid.n_time):
+        at = (slice(None), slice(t, t + 1))
+        p[0, t : t + 1] = -1j * _longitudinal(f_hat.coeffs[at] - transport.coeffs[at], grid)
+    return SpectralField(grid, p)
 
 
 def pde_residual(
@@ -261,24 +276,32 @@ def _residual(
     transport: SpectralField,
     params: Params,
 ) -> float:
-    """``pde_residual`` with the transport term (u . grad) u given.
+    """``pde_residual`` with the transport term (u . grad) u given, one time node at a time.
 
-    The terms are added into one array as they are formed, so at most one
-    of them is held besides the sum.
+    At node t the six terms i omega u, |xi|^2 u, -lam i xi1 u, i xi p, the
+    transport and -f are formed on that node alone and added into the node's
+    sum as they come; the squared lattice norm of each term and of the sum
+    runs over the nodes.  No whole-array term is built.
     """
     grid = u.grid
 
-    def terms():
-        yield u.coeffs * (1j * grid.omega)
-        yield u.coeffs * grid.xi_sq
-        yield -params.lam * (1j * grid.xi1) * u.coeffs
-        yield gradient(p).coeffs
-        yield transport.coeffs
-        yield -f_hat.coeffs
+    def terms(t: int):
+        at = (slice(None), slice(t, t + 1))
+        u_t, p_t = u.coeffs[at], p.coeffs[0, t : t + 1]
+        yield u_t * (1j * grid.omega[t])
+        yield u_t * grid.xi_sq
+        yield -params.lam * (1j * grid.xi1) * u_t
+        yield np.stack([p_t * (1j * xi) for xi in grid.xi])
+        yield transport.coeffs[at]
+        yield -f_hat.coeffs[at]
 
-    residual = np.zeros_like(u.coeffs)
-    denom = 0.0
-    for term in terms():
-        residual += term
-        denom = max(denom, _lattice_norm(term, grid))
-    return _lattice_norm(residual, grid) / max(denom, _FLOOR)
+    squares = np.zeros(7)  # the six terms, then their sum
+    for t in range(grid.n_time):
+        total = None
+        for i, term in enumerate(terms(t)):
+            # the first term is a fresh array, so the sum may take it over
+            total = term if total is None else np.add(total, term, out=total)
+            squares[i] += _lattice_dot(term, term, grid)
+        squares[6] += _lattice_dot(total, total, grid)
+    norms = np.sqrt(squares)
+    return float(norms[6] / max(norms[:6].max(), _FLOOR))

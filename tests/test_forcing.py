@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,22 @@ def test_random_smooth_respects_cutoff(grid16):
     assert np.abs(outside).max() <= 1e-14
     with pytest.raises(ValueError):
         random_smooth(seed=11, amplitude=1.0, cutoff_shell=0, grid=grid16)
+
+
+@pytest.mark.parametrize(
+    "setting, value, message",
+    [
+        ("seed", -1, "^seed must be a non-negative integer, got -1"),
+        ("seed", 2.5, "^seed must be a non-negative integer, got 2.5"),
+        ("amplitude", np.inf, "^amplitude must be finite, got inf"),
+        ("amplitude", np.nan, "^amplitude must be finite, got nan"),
+    ],
+)
+def test_random_smooth_rejects_a_bad_setting_before_sampling(grid8, setting, value, message):
+    """Named in the message and raised before any field is sampled, transformed or projected, so with no warning."""
+    settings = dict(seed=3, amplitude=1.0, cutoff_shell=2, grid=grid8)
+    settings[setting] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            random_smooth(**settings)

@@ -62,7 +62,7 @@ USERS = {
     "time_mean_part": module_file("solver"),
     "oscillatory_part": module_file("diagnostics"),
     "time_derivative": module_file("diagnostics"),
-    "gradient": module_file("solver"),
+    "gradient": module_file("forcing"),
     "divergence": module_file("forcing"),
     "coeff_norm": module_file("solver"),
     "helmholtz": module_file("forcing"),

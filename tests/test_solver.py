@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from periodicflow import (
     energy_balance,
     energy_inequality_check,
     forward,
+    gradient,
     inverse,
     manufactured,
     manufactured_preset,
@@ -33,6 +35,8 @@ from periodicflow import (
     time_mean_part,
 )
 from periodicflow import solver
+from periodicflow.multipliers import _longitudinal
+from periodicflow.nonlinear import convective
 
 TWO_PI = 2.0 * np.pi
 
@@ -379,3 +383,75 @@ def test_solve_rejects_a_scalar_initial_guess(grid8, params1, scale):
     guess = PhysicalField(grid8, scale * scalar_forcing(grid8, params1).values)
     with pytest.raises(ValueError, match="initial guess must have 3 components, got 1"):
         solve(f, params1, grid8, SolverConfig(initial_guess=guess))
+
+
+def test_recover_pressure_takes_node_values_of_the_velocity(grid8, params1):
+    f, u, _ = trig_problem(grid8, params1)
+    by_nodes = recover_pressure(u, f)
+    by_spectrum = recover_pressure(forward(u), forward(f))
+    assert by_nodes.coeffs.tobytes() == by_spectrum.coeffs.tobytes()
+
+
+def test_recover_pressure_rejects_a_scalar_velocity(grid8, params1):
+    f, _, _ = trig_problem(grid8, params1)
+    with pytest.raises(ValueError, match="^velocity must have 3 components, got 1"):
+        recover_pressure(scalar_forcing(grid8, params1), f)
+
+
+ANISO = Grid(box=(1.0, 2.0, 3.0), n_space=(8, 6, 4), n_time=6, period=0.7)
+
+
+def whole_array_residual(u, p, f_hat, transport, params):
+    """The momentum residual of (u, p) against f with each of its six terms formed over the whole array."""
+    g = u.grid
+    terms = [
+        u.coeffs * (1j * g.omega),
+        u.coeffs * g.xi_sq,
+        -params.lam * (1j * g.xi1) * u.coeffs,
+        gradient(p).coeffs,
+        transport.coeffs,
+        -f_hat.coeffs,
+    ]
+    residual, *norms = (coeff_norm(SpectralField(g, c)) for c in [sum(terms)] + terms)
+    return residual / max(norms)
+
+
+@pytest.mark.parametrize("grid, lam", [(CUBE, 1.0), (ANISO, -1.5)], ids=["cube", "aniso"])
+def test_the_node_by_node_certificate_matches_whole_array_terms(grid, lam):
+    """On fields far from a solution, where every term counts, the residual and the pressure are the whole-array ones."""
+    params = Params(lam=lam, period=grid.period)
+    u, f, p = random_field(grid, 11), random_field(grid, 12), random_field(grid, 13, components=1)
+    transport = convective(u)
+    expected = whole_array_residual(u, p, f, transport, params)
+    assert expected > 0.1
+    assert abs(solver._residual(u, p, f, transport, params) - expected) <= 1e-13 * expected
+    pressure = -1j * _longitudinal(f.coeffs - transport.coeffs, grid)[np.newaxis]
+    assert solver._pressure(f, transport).coeffs.tobytes() == pressure.tobytes()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def certificate_inputs(grid):
+    u, f, p = random_field(grid, 21), random_field(grid, 22), random_field(grid, 23, components=1)
+    return u, p, f, convective(u)
+
+
+def test_the_residual_builds_no_whole_array_term(grid16, params1):
+    """Six whole-array terms and their sum would each take as much memory as u."""
+    u, p, f, transport = certificate_inputs(grid16)
+    peak = traced_peak(lambda: solver._residual(u, p, f, transport, params1))
+    assert peak < 1.0 * u.coeffs.nbytes
+
+
+def test_the_pressure_builds_no_whole_array_difference(grid16):
+    """The scalar pressure takes a third of u's memory; the difference f - B alone would take as much as u."""
+    u, _, f, transport = certificate_inputs(grid16)
+    peak = traced_peak(lambda: solver._pressure(f, transport))
+    assert peak < 0.75 * u.coeffs.nbytes

@@ -4,10 +4,17 @@ A manufactured pair (u*, p*) is sampled on the grid and the forcing
 
     f = du*/dt - Lap u* - lam d(u*)/dx1 + grad p* + (u* . grad) u*
 
-is assembled from the solver's own operators: ``oseen_apply`` for the first
-three terms, the spectral gradient, and ``fourier._transport`` for the
-last, advected by the samples and not truncated.  Solving with this f must
-return u* whenever the amplitude sits inside the contraction regime.
+is assembled from the solver's own operators: the Oseen symbol
+|xi|^2 + i(omega - lam xi1) for the first three terms, the spectral
+gradient i xi p*, and ``fourier._transport`` for the last, advected by the
+samples and not truncated.  Solving with this f must return u* whenever the
+amplitude sits inside the contraction regime.
+
+Memory.  Besides the spectra of the samples, the transport's array is the
+one whole spectrum the build makes: the linear terms are added into it one
+time node at a time, and the solenoidal defect and the comparisons of the
+periodicity check are taken node by node too.  The spectra of u* and p*
+are dropped before the forcing is inverted.
 """
 
 from __future__ import annotations
@@ -23,14 +30,12 @@ from .fourier import (
     _FLOOR,
     PhysicalField,
     SpectralField,
+    _lattice_norm,
     _transport,
-    coeff_norm,
-    divergence,
     forward,
-    gradient,
     inverse,
 )
-from .multipliers import helmholtz, oseen_apply
+from .multipliers import _project_in_place
 
 __all__ = [
     "manufactured",
@@ -47,13 +52,22 @@ PRESET_NAMES = ("trig", "analytic", "steady")
 _PERIODICITY_TOL = 1e-10
 
 
+def _sup_distance(a: np.ndarray, b: np.ndarray | float) -> float:
+    """max |a - b| over the broadcast of ``a`` and ``b``, formed one leading index at a time."""
+    a, b = np.broadcast_arrays(a, b)
+    if a.ndim == 0:
+        return float(abs(a - b))
+    return max(float(np.abs(x - y).max(initial=0.0)) for x, y in zip(a, b))
+
+
 def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool) -> PhysicalField:
     """Samples of ``fn`` on the nodes, after checking that it is periodic on the box and period.
 
     ``fn`` gets the open coordinate axes, so each function of one coordinate
     runs on that axis alone.  The unshifted evaluation of the check is the
-    sample; each of the four shifted evaluations is compared at every node,
-    because the comparison broadcasts like the result.
+    sample; each of the four shifted evaluations is compared with it at every
+    node, because the comparison broadcasts like the result, one leading
+    index (one time node of a full-size result) at a time.
     """
     coords = grid.coordinate_fields()
 
@@ -61,16 +75,45 @@ def _periodic_samples(fn: Callable, grid: Grid, is_vector: bool) -> PhysicalFiel
         return [np.asarray(c, dtype=np.float64) for c in (value if is_vector else (value,))]
 
     base = arrays(fn(*coords))
-    scale = max(float(np.abs(a).max(initial=0.0)) for a in base)
+    scale = max(_sup_distance(a, 0.0) for a in base)
     for axis, (name, length) in enumerate(zip(("x1", "x2", "x3", "t"), (*grid.box, grid.period))):
         moved = arrays(fn(*(c + length if i == axis else c for i, c in enumerate(coords))))
-        mismatch = max(float(np.abs(a - b).max(initial=0.0)) for a, b in zip(base, moved))
+        mismatch = max(_sup_distance(a, b) for a, b in zip(base, moved))
+        del moved  # before the next evaluation is made, not after
         if mismatch > _PERIODICITY_TOL * max(scale, 1.0):
             raise ValueError(
                 f"analytic field is not periodic in {name}: boundary mismatch "
                 f"{mismatch:.3e} exceeds {_PERIODICITY_TOL:.1e} of scale {scale:.3e}"
             )
     return PhysicalField(grid, np.stack([np.broadcast_to(a, grid.shape) for a in base]))
+
+
+def _relative_divergence(u_hat: SpectralField) -> float:
+    """max |xi . u_hat| over max |u_hat|, both taken one time node at a time."""
+    grid = u_hat.grid
+    scale = defect = 0.0
+    for t in range(grid.n_time):
+        u_t = u_hat.coeffs[:, t : t + 1]
+        scale = max(scale, float(np.abs(u_t).max(initial=0.0)))
+        div_t = u_t[0] * (1j * grid.xi1) + u_t[1] * (1j * grid.xi2) + u_t[2] * (1j * grid.xi3)
+        defect = max(defect, float(np.abs(div_t).max(initial=0.0)))
+    return defect / max(scale, _FLOOR)
+
+
+def _add_linear_terms(out: np.ndarray, u_hat: SpectralField, p_hat: SpectralField, params: Params) -> None:
+    """Add du/dt - Lap u - lam du/dx1 + grad p into ``out``, one time node at a time.
+
+    Node t of ``out`` becomes (u sym + i xi p) + out with sym the Oseen symbol
+    |xi|^2 + i(omega - lam xi1) at node t: the operations of the whole-array
+    sum ``oseen_apply(u) + gradient(p) + out``, in its order, so its bits.
+    """
+    grid = u_hat.grid
+    for t in range(grid.n_time):
+        at = (slice(None), slice(t, t + 1))
+        linear = u_hat.coeffs[at] * (grid.xi_sq + 1j * (grid.omega[t] - params.lam * grid.xi1))
+        p_t = p_hat.coeffs[0, t : t + 1]
+        linear += np.stack([p_t * (1j * xi) for xi in grid.xi])
+        np.add(linear, out[at], out=out[at])
 
 
 def manufactured(
@@ -94,9 +137,7 @@ def manufactured(
     p_field = _periodic_samples(p_star, grid, is_vector=False)
     u_hat = forward(u_field)
     p_hat = forward(p_field)
-
-    scale = float(np.abs(u_hat.coeffs).max(initial=0.0))
-    defect = float(np.abs(divergence(u_hat).coeffs).max(initial=0.0)) / max(scale, _FLOOR)
+    defect = _relative_divergence(u_hat)
     if defect > solenoidal_tol:
         raise NotSolenoidal(
             f"manufactured velocity has relative spectral divergence "
@@ -105,7 +146,9 @@ def manufactured(
         )
 
     # The raw samples advect, not the nodes of their spectrum, which ``forward`` strips of Nyquist content.
-    f_hat = oseen_apply(u_hat, params) + gradient(p_hat) + _transport(u_hat, u_field.values)
+    f_hat = _transport(u_hat, u_field.values)
+    _add_linear_terms(f_hat.coeffs, u_hat, p_hat, params)
+    del u_hat, p_hat
     # Every term of the continuum forcing has zero space-time mean; after
     # sampling, unresolved tails of the transport product can alias a tiny
     # mean back in.  Remove it so the forcing stays inside the solvable class.
@@ -203,14 +246,13 @@ def random_smooth(seed: int, amplitude: float, cutoff_shell: int, grid: Grid) ->
     if cutoff_shell < 1:
         raise ValueError("cutoff_shell must be at least 1")
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    noise = rng.standard_normal(size=(3,) + grid.shape)
-    c = forward(PhysicalField(grid, noise))
-    keep = grid.mode_radius_sq() <= cutoff_shell * cutoff_shell
-
-    coeffs = np.where(keep, c.coeffs, 0.0)
-    coeffs[:, 0, 0, 0, 0] = 0.0
-    sol = helmholtz(SpectralField(grid, coeffs))
-    norm = coeff_norm(sol)
+    # masked, projected and scaled in place: no whole copy of the spectrum is made
+    c = forward(PhysicalField(grid, rng.standard_normal(size=(3,) + grid.shape))).coeffs
+    np.copyto(c, 0.0, where=grid.mode_radius_sq() > cutoff_shell * cutoff_shell)
+    c[:, 0, 0, 0, 0] = 0.0
+    _project_in_place(c, grid)
+    norm = _lattice_norm(c, grid)
     if norm == 0.0:
         raise ValueError("random field vanished after projection; enlarge cutoff_shell")
-    return inverse(SpectralField(grid, sol.coeffs * (float(amplitude) / norm)))
+    c *= float(amplitude) / norm
+    return inverse(SpectralField(grid, c))

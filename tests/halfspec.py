@@ -1,8 +1,9 @@
-"""Test helpers that relate the half-spectrum layout to the full complex lattice, and a pass counter."""
+"""Test helpers that relate the half-spectrum layout to the full complex lattice, a pass counter and a memory probe."""
 
 import collections
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -85,3 +86,13 @@ class CountingFFT:
             return function(x, *args, **kwargs)
 
         return counted
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``; an exception of the call propagates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

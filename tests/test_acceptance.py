@@ -21,6 +21,7 @@ from periodicflow import (
     SpectralField,
     coeff_norm,
     cross_orthogonality,
+    divergence,
     energy_balance,
     forward,
     gradient,
@@ -109,8 +110,10 @@ def test_criterion_02_projection_algebra():
 
     h = helmholtz(u)
     idem = rel_gap(helmholtz(h).coeffs, h.coeffs)
+    solenoidal = float(np.abs(divergence(h).coeffs).max()) / float(np.abs(h.coeffs).max())
 
     x1, x2, x3, t = (np.broadcast_to(c, grid.shape) for c in grid.coordinate_fields())
+    phi = forward(PhysicalField(grid, np.sin(x1) * np.cos(x2) * np.cos(t)))
     # hand gradient of phi = sin(x1) cos(x2) cos(t): band-limited, alias-free
     grad_values = np.stack(
         [
@@ -120,13 +123,15 @@ def test_criterion_02_projection_algebra():
         ]
     )
     g = forward(PhysicalField(grid, grad_values))
+    spectral = rel_gap(gradient(phi).coeffs, g.coeffs)
     annihilation = float(np.abs(helmholtz(g).coeffs).max()) / float(np.abs(g.coeffs).max())
 
-    ok = exact and idem <= 1e-13 and annihilation <= 1e-12
+    ok = exact and idem <= 1e-13 and solenoidal <= 1e-13 and spectral <= 1e-13 and annihilation <= 1e-12
     report(
         "criterion 02 projection algebra",
         ok,
-        f"exact={exact} idempotency {idem:.3e} <= 1e-13, gradient annihilation {annihilation:.3e} <= 1e-12",
+        f"exact={exact} idempotency {idem:.3e} <= 1e-13, divergence of the projection {solenoidal:.3e} <= 1e-13, "
+        f"spectral against hand gradient {spectral:.3e} <= 1e-13, gradient annihilation {annihilation:.3e} <= 1e-12",
     )
 
 

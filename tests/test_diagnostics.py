@@ -194,6 +194,25 @@ def test_cross_orthogonality_of_split_parts(grid8):
         cross_orthogonality(small, forward(zero_field(other)))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(box=(TWO_PI,) * 3, n_space=(8, 8, 8), n_time=8, period=TWO_PI),
+     Grid(box=(2.5, 1.0, 7.0), n_space=(8, 12, 16), n_time=10, period=0.7)],
+    ids=["cube", "aniso"],
+)
+def test_gradient_inner_products_match_the_whole_array_formula(grid):
+    """Weighted by |xi|^2 one time node at a time, the dissipation and the cross term are the whole-array sums."""
+    a, c = random_spectrum(grid, seed=107), random_spectrum(grid, seed=108)
+    b = a + 0.5 * c  # correlated with a, so the cross term is far from a cancellation
+
+    def whole(x, y):
+        return grid.volume * fourier._lattice_dot(x.coeffs, grid.xi_sq * y.coeffs, grid)
+
+    for got, want in [(energy_balance(a, c).dissipation, whole(a, a)), (cross_orthogonality(a, b), whole(a, b))]:
+        assert want > 0.0
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_dissipation_splits_through_cross_term(grid8):
     a = random_spectrum(grid8, seed=105)
     b = random_spectrum(grid8, seed=106)

@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from periodicflow import (
     read_field,
     write_field,
 )
+from halfspec import traced_peak
 
 
 def sample_field(grid, seed=1, components=3):
@@ -39,13 +39,9 @@ def test_reading_a_field_holds_its_payload_once(tmp_path, grid16):
     path = tmp_path / "u.field"
     write_field(path, sample_field(grid16))
     payload = 3 * 16**4 * 8
-    tracemalloc.start()
-    try:
-        field = read_field(path, grid16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert field.values.flags.writeable
+    fields = []
+    peak = traced_peak(lambda: fields.append(read_field(path, grid16)))
+    assert fields[0].values.flags.writeable
     assert peak < 1.1 * payload
 
 
@@ -53,12 +49,7 @@ def test_writing_a_field_copies_no_payload(tmp_path, grid16):
     """The payload goes to the file from the field's own buffer, not through a bytes copy."""
     field = sample_field(grid16)
     payload = 3 * 16**4 * 8
-    tracemalloc.start()
-    try:
-        write_field(tmp_path / "u.field", field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: write_field(tmp_path / "u.field", field))
     assert (tmp_path / "u.field").stat().st_size > payload
     assert peak < 0.1 * payload
 
@@ -111,13 +102,12 @@ def test_a_large_non_field_file_is_rejected_from_a_bounded_header(tmp_path, cont
     """Untrusted input costs a bounded header read, not the size of the file."""
     path = tmp_path / "big.field"
     path.write_bytes(content)
-    tracemalloc.start()
-    try:
+
+    def rejected():
         with pytest.raises(FieldFormatError, match="not a field file"):
             read_field(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(rejected)
     assert peak < 64 * 2**10
 
 

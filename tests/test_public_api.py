@@ -62,11 +62,11 @@ USERS = {
     "time_mean_part": module_file("solver"),
     "oscillatory_part": module_file("diagnostics"),
     "time_derivative": module_file("diagnostics"),
-    "gradient": module_file("forcing"),
-    "divergence": module_file("forcing"),
+    "gradient": "tests/test_acceptance.py",
+    "divergence": "tests/test_acceptance.py",
     "coeff_norm": module_file("solver"),
-    "helmholtz": module_file("forcing"),
-    "oseen_apply": module_file("forcing"),
+    "helmholtz": "benchmarks/workloads.py",
+    "oseen_apply": "tests/test_acceptance.py",
     "oseen_inverse": module_file("solver"),
     "half_time_derivative": module_file("diagnostics"),
     "MultiplierReport": CLI,

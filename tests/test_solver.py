@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from periodicflow import (
     solve,
     time_mean_part,
 )
+from halfspec import traced_peak
 from periodicflow import solver
 from periodicflow.multipliers import _longitudinal
 from periodicflow.nonlinear import convective
@@ -427,15 +427,6 @@ def test_the_node_by_node_certificate_matches_whole_array_terms(grid, lam):
     assert abs(solver._residual(u, p, f, transport, params) - expected) <= 1e-13 * expected
     pressure = -1j * _longitudinal(f.coeffs - transport.coeffs, grid)[np.newaxis]
     assert solver._pressure(f, transport).coeffs.tobytes() == pressure.tobytes()
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def certificate_inputs(grid):

@@ -190,7 +190,6 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 
 
 def _write_iterations(out_dir: Path, update_history: tuple[float, ...]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [f"{i + 1},{d:.12e}" for i, d in enumerate(update_history)]
     _write_csv(out_dir / "iterations.csv", "iteration,update", rows)
 
@@ -208,8 +207,13 @@ def _run_solve(s: argparse.Namespace) -> int:
     solver_config = _validated(s, lambda: SolverConfig(tol=s.tol, max_iter=s.max_iter))
     f = _build_forcing(s, grid, params)
 
+    # The forcing's samples are written first and dropped, so the solve holds
+    # only their spectrum, and a failed run still leaves its forcing.
     out_dir = s.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_field(out_dir / "f.field", f)
     f_hat = forward(f)
+    del f
     try:
         sol = solve(f_hat, params, grid, solver_config)
     except (Diverging, NoConvergence) as exc:
@@ -231,7 +235,6 @@ def _run_solve(s: argparse.Namespace) -> int:
     write_field(out_dir / "w.field", PhysicalField(grid, u_nodes))
     del u_nodes
     write_field(out_dir / "p.field", inverse(sol.p))
-    write_field(out_dir / "f.field", f)
 
     report = norms(u, params, p=sol.p)
     _write_csv(out_dir / "norms.csv", NormReport.csv_header(), report.csv_rows())

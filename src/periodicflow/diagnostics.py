@@ -169,8 +169,10 @@ def _w21q(
 
     # per-node sums, combined in node order
     u_sums, w_sums = (sum(parts) for parts in zip(*_per_node(u, _MULTI_INDICES, node_sums)[1]))
+    # the time derivative is not needed again: it is handed over, and its time pass runs in place
+    du_dt = time_derivative(u)
     _, dt_sums = _per_node(
-        time_derivative(u), ((0, 0, 0),), lambda t, slot, leaf: _power_sums(next(leaf)[1], q_list)
+        du_dt, ((0, 0, 0),), lambda t, slot, leaf: _power_sums(next(leaf)[1], q_list), out=du_dt.coeffs
     )
     w_sums += sum(dt_sums)
     measure = grid.volume / grid.size

@@ -79,7 +79,10 @@ def write_field(path: str | Path, field: PhysicalField) -> None:
     header = "\n".join([MAGIC, *lines, "data", ""])
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
-        handle.write(np.ascontiguousarray(field.values, dtype="<f8"))
+        # one component and time node at a time: a broadcast field is never made whole
+        for component in field.values:
+            for node in component:
+                handle.write(np.ascontiguousarray(node, dtype="<f8"))
 
 
 def read_field(path: str | Path, expected_grid: Grid | None = None) -> PhysicalField:

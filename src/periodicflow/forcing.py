@@ -30,10 +30,10 @@ from .fourier import (
     _FLOOR,
     PhysicalField,
     SpectralField,
+    _inverse,
     _lattice_norm,
     _transport,
     forward,
-    inverse,
 )
 from .multipliers import _project_in_place
 
@@ -136,7 +136,6 @@ def manufactured(
     u_field = _periodic_samples(u_star, grid, is_vector=True)
     p_field = _periodic_samples(p_star, grid, is_vector=False)
     u_hat = forward(u_field)
-    p_hat = forward(p_field)
     defect = _relative_divergence(u_hat)
     if defect > solenoidal_tol:
         raise NotSolenoidal(
@@ -147,13 +146,15 @@ def manufactured(
 
     # The raw samples advect, not the nodes of their spectrum, which ``forward`` strips of Nyquist content.
     f_hat = _transport(u_hat, u_field.values)
+    # p* is transformed after the transport, whose temporaries then have its room
+    p_hat = forward(p_field)
     _add_linear_terms(f_hat.coeffs, u_hat, p_hat, params)
     del u_hat, p_hat
     # Every term of the continuum forcing has zero space-time mean; after
     # sampling, unresolved tails of the transport product can alias a tiny
     # mean back in.  Remove it so the forcing stays inside the solvable class.
     f_hat.coeffs[:, 0, 0, 0, 0] = 0.0
-    return inverse(f_hat), u_field, p_field
+    return _inverse(f_hat, out=f_hat.coeffs), u_field, p_field
 
 
 def manufactured_preset(
@@ -255,4 +256,4 @@ def random_smooth(seed: int, amplitude: float, cutoff_shell: int, grid: Grid) ->
     if norm == 0.0:
         raise ValueError("random field vanished after projection; enlarge cutoff_shell")
     c *= float(amplitude) / norm
-    return inverse(SpectralField(grid, c))
+    return _inverse(SpectralField(grid, c), out=c)

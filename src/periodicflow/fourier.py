@@ -58,7 +58,12 @@ costs 14 one-dimensional passes per component (10 inverse, 4 forward).
 time pass, zeroes the Nyquist planes and makes the n1 = 0 plane
 symmetric.  Only ``diagnostics._w21q`` calls ``_space_tree`` itself, once,
 on the k = 0 plane, which needs no time pass.  Every complex pass whose
-input is not needed again runs in place (numpy's ``out=``).
+input is not needed again runs in place (numpy's ``out=``).  So does the
+time pass of a spectrum its caller drops: ``_per_node``'s ``out`` takes
+``spec.coeffs`` from ``diagnostics._w21q`` (its time derivative) and, through
+``_inverse``, from ``forcing.manufactured`` (the forcing) and
+``forcing.random_smooth`` (the masked spectrum).  Any other input is never
+written, and its time pass makes the one whole array of the call.
 The one thread rule: every transform is a ``numpy.fft`` call, which runs on
 the thread that makes it.  Time passes run over the whole array on the
 calling thread, and node tasks on ``_cores()`` threads, the caller among
@@ -354,16 +359,21 @@ def _space_tree(
         del along_x3
 
 
-def _per_node(spec: SpectralField, orders: Sequence[tuple[int, int, int]], task: Callable) -> tuple:
+def _per_node(
+    spec: SpectralField, orders: Sequence[tuple[int, int, int]], task: Callable, out: np.ndarray | None = None
+) -> tuple:
     """``task(t, slot, fields)`` for each time node t; the time-passed spectrum and the results in node order.
 
     ``fields`` yields ``(alpha, nodes)``, the node values of D^alpha ``spec``
     at node t shaped (components, 1, N3, N2, N1), in ``_space_tree``'s order;
     ``slot``, node t of the time-passed spectrum, may be written once they are taken.
-    ``_gated_tree`` raises ``NotHermitian`` before any pass; ``spec.coeffs`` is never written.
+    The time pass writes into ``out`` as numpy's ``out=`` does: a caller that
+    drops ``spec`` afterwards hands ``spec.coeffs`` over, and the pass runs in
+    place on it.  Without ``out``, ``spec.coeffs`` is never written.
+    ``_gated_tree`` raises ``NotHermitian`` before any pass, so before any write.
     """
     tree = _gated_tree(spec, orders)
-    timed = _fft.ifft(spec.coeffs, axis=1, norm="forward")
+    timed = _fft.ifft(spec.coeffs, axis=1, norm="forward", out=out)
 
     def node(t: int):
         slot = timed[:, t : t + 1]
@@ -452,12 +462,17 @@ def inverse(spec: SpectralField) -> PhysicalField:
         more than 1e-10 times the largest coefficient, which means the
         coefficients are not the spectrum of a real field.
     """
+    return _inverse(spec)
+
+
+def _inverse(spec: SpectralField, out: np.ndarray | None = None) -> PhysicalField:
+    """``inverse``, its time pass written into ``out`` (see ``_per_node``): ``spec.coeffs`` hands the spectrum over."""
     values = np.empty((spec.components,) + spec.grid.shape)
 
     def leaf(t: int, slot: np.ndarray, fields) -> None:
         values[:, t : t + 1] = next(fields)[1]
 
-    _per_node(spec, ((0, 0, 0),), leaf)
+    _per_node(spec, ((0, 0, 0),), leaf, out)
     return PhysicalField(spec.grid, values)
 
 

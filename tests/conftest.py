@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from periodicflow import Grid, Params
+from periodicflow import Grid, Params, fourier
 
 TWO_PI = 2.0 * np.pi
 
@@ -19,3 +19,9 @@ def grid16():
 @pytest.fixture
 def params1():
     return Params(lam=1.0, period=TWO_PI)
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Node tasks on 2 threads on any machine: each thread holds one time node's arrays, so traced peaks grow with the count."""
+    monkeypatch.setattr(fourier, "_cores", lambda: 2)

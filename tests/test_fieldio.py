@@ -54,6 +54,17 @@ def test_writing_a_field_copies_no_payload(tmp_path, grid16):
     assert peak < 0.1 * payload
 
 
+def test_writing_a_broadcast_field_makes_no_whole_copy(tmp_path, grid16):
+    """A field broadcast along time, as ``v.field`` is, goes to the file node by node and reads as its whole array."""
+    steady = sample_field(grid16).values[:, :1]
+    field = PhysicalField(grid16, np.broadcast_to(steady, (3,) + grid16.shape))
+    payload = 3 * 16**4 * 8
+    peak = traced_peak(lambda: write_field(tmp_path / "v.field", field))
+    assert peak < 0.1 * payload
+    write_field(tmp_path / "whole.field", PhysicalField(grid16, np.array(field.values)))
+    assert (tmp_path / "v.field").read_bytes() == (tmp_path / "whole.field").read_bytes()
+
+
 def test_round_trip_preserves_anisotropic_grid(tmp_path):
     grid = Grid(box=(1.0, 2.0, 3.0), n_space=(4, 6, 8), n_time=4, period=0.7)
     u = sample_field(grid, seed=5)

@@ -41,6 +41,7 @@ from periodicflow.diagnostics import _MULTI_INDICES
 from periodicflow.fourier import (
     _UNIT_INDICES,
     _derivative_factor,
+    _inverse,
     _lattice_dot,
     _lattice_norm,
     _per_node,
@@ -425,6 +426,36 @@ def test_derivative_nodes_flag_what_separate_inverses_flag(grid, case, entries, 
     )
     shared = raises_not_hermitian(lambda: node_fields(spec, _MULTI_INDICES))
     assert per_field == shared == flagged
+
+
+def listed(t, slot, fields):
+    return list(fields)
+
+
+@pytest.mark.parametrize("orders", [((0, 0, 0),), _MULTI_INDICES], ids=["leaf", "ten orders"])
+def test_a_handed_over_spectrum_gives_the_fields_of_a_kept_one_bit_for_bit(grid, orders):
+    """With ``out=spec.coeffs`` the time pass runs in place on the caller's spectrum; no field changes a bit."""
+    spec = forward(PhysicalField(grid, random_values(grid, 12)))
+    kept = node_fields(spec, orders)
+    handed = spec.coeffs.copy()
+    timed, given = _per_node(SpectralField(grid, handed), orders, listed, out=handed)
+    assert timed is handed
+    for fields, fields_given in zip(kept, given, strict=True):
+        assert [(alpha, nodes.tobytes()) for alpha, nodes in fields] == [
+            (alpha, nodes.tobytes()) for alpha, nodes in fields_given
+        ]
+    handed = spec.coeffs.copy()
+    assert _inverse(SpectralField(grid, handed), out=handed).values.tobytes() == inverse(spec).values.tobytes()
+
+
+def test_a_handed_over_spectrum_with_a_defect_raises_before_it_is_written(grid):
+    spec = spectrum_with(grid, [((1, 0, 0, 5, 0), 1e-6)])
+    before = spec.coeffs.copy()
+    with pytest.raises(NotHermitian):
+        _per_node(spec, ((0, 0, 0),), listed, out=spec.coeffs)
+    with pytest.raises(NotHermitian):
+        _inverse(spec, out=spec.coeffs)
+    assert spec.coeffs.tobytes() == before.tobytes()
 
 
 RANDOM_GRIDS = dict(

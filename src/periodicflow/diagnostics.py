@@ -19,7 +19,10 @@ from .fourier import (
     _UNIT_INDICES,
     PhysicalField,
     SpectralField,
+    _divergence,
     _gated_tree,
+    _gradient,
+    _gradient_dot,
     _lattice_dot,
     _lattice_norm,
     _per_node,
@@ -27,8 +30,8 @@ from .fourier import (
     oscillatory_part,
     time_derivative,
 )
-from .multipliers import _regularity_factor, half_time_derivative
-from .nonlinear import _tensor_divergence, dealiased_tensor_product
+from .multipliers import _oseen_symbol, _regularity_factor, half_time_derivative
+from .nonlinear import dealiased_tensor_product
 from .solver import _checked_spectrum
 
 __all__ = [
@@ -312,13 +315,6 @@ def energy_balance(
     return EnergyReport(dissipation=dissipation, power_in=power, relative_gap=_relative_gap(dissipation, power))
 
 
-def _gradient_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """Re sum conj(a) |xi|^2 b over the whole lattice, weighted one time node at a time."""
-    return sum(
-        _lattice_dot(a[:, t : t + 1], grid.xi_sq * b[:, t : t + 1], grid) for t in range(grid.n_time)
-    )
-
-
 def _relative_gap(dissipation: float, power: float) -> float:
     """|dissipation - power| relative to the larger of the two: ``EnergyReport.relative_gap``."""
     return abs(dissipation - power) / max(abs(dissipation), abs(power), _FLOOR)
@@ -438,19 +434,16 @@ def regularity_bootstrap_check(sol) -> RegularityReport:
     """
     w: SpectralField = sol.w
     grid = w.grid
-    heat_symbol = grid.xi_sq + 1j * grid.omega
+    heat_symbol = _oseen_symbol(grid, Params(lam=0.0, period=grid.period))
 
     factors = [_regularity_factor(grid, axis) for axis in (1, 2, 3)]
     half_w = half_time_derivative(w).coeffs
-    lhs_mixed = []
-    rhs_mixed = []
-    for axis in (1, 2, 3):
-        lhs_mixed.append(w.coeffs * (1j * grid.omega) * (1j * grid.xi[axis - 1]))
-        rhs_mixed.append(factors[axis - 1] * (heat_symbol * half_w))
-    mismatch_mixed = _rel_mismatch(np.stack(lhs_mixed), np.stack(rhs_mixed), grid)
+    lhs_mixed = _gradient(time_derivative(w).coeffs, grid)
+    rhs_mixed = np.stack([factor * (heat_symbol * half_w) for factor in factors])
+    mismatch_mixed = _rel_mismatch(lhs_mixed, rhs_mixed, grid)
 
     tensor = dealiased_tensor_product(w)
-    osc = oscillatory_part(SpectralField(grid, _tensor_divergence(tensor, grid)))
+    osc = oscillatory_part(SpectralField(grid, np.stack([_divergence(row, grid) for row in tensor])))
     lhs_fact = half_time_derivative(osc).coeffs
     rhs_fact = np.stack([sum(factors[l] * (heat_symbol * tensor[i, l]) for l in range(3)) for i in range(3)])
     mismatch_fact = _rel_mismatch(lhs_fact, rhs_fact, grid)

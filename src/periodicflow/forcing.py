@@ -4,11 +4,12 @@ A manufactured pair (u*, p*) is sampled on the grid and the forcing
 
     f = du*/dt - Lap u* - lam d(u*)/dx1 + grad p* + (u* . grad) u*
 
-is assembled from the solver's own operators: the Oseen symbol
-|xi|^2 + i(omega - lam xi1) for the first three terms, the spectral
-gradient i xi p*, and ``fourier._transport`` for the last, advected by the
-samples and not truncated.  Solving with this f must return u* whenever the
-amplitude sits inside the contraction regime.
+is assembled from the solver's own operators: ``multipliers._oseen_symbol``
+|xi|^2 + i(omega - lam xi1) for the first three terms, ``fourier._gradient``
+i xi p*, and ``fourier._transport`` for the last, advected by the samples and
+not truncated.  The solenoidal check takes ``fourier._divergence``; no symbol
+is formed here.  Solving with this f must return u* whenever the amplitude
+sits inside the contraction regime.
 
 Memory.  Besides the spectra of the samples, the transport's array is the
 one whole spectrum the build makes: the linear terms are added into it one
@@ -30,12 +31,14 @@ from .fourier import (
     _FLOOR,
     PhysicalField,
     SpectralField,
+    _divergence,
+    _gradient,
     _inverse,
     _lattice_norm,
     _transport,
     forward,
 )
-from .multipliers import _project_in_place
+from .multipliers import _oseen_symbol, _project_in_place
 
 __all__ = [
     "manufactured",
@@ -95,8 +98,7 @@ def _relative_divergence(u_hat: SpectralField) -> float:
     for t in range(grid.n_time):
         u_t = u_hat.coeffs[:, t : t + 1]
         scale = max(scale, float(np.abs(u_t).max(initial=0.0)))
-        div_t = u_t[0] * (1j * grid.xi1) + u_t[1] * (1j * grid.xi2) + u_t[2] * (1j * grid.xi3)
-        defect = max(defect, float(np.abs(div_t).max(initial=0.0)))
+        defect = max(defect, float(np.abs(_divergence(u_t, grid)).max(initial=0.0)))
     return defect / max(scale, _FLOOR)
 
 
@@ -104,16 +106,15 @@ def _add_linear_terms(out: np.ndarray, u_hat: SpectralField, p_hat: SpectralFiel
     """Add du/dt - Lap u - lam du/dx1 + grad p into ``out``, one time node at a time.
 
     Node t of ``out`` becomes (u sym + i xi p) + out with sym the Oseen symbol
-    |xi|^2 + i(omega - lam xi1) at node t: the operations of the whole-array
-    sum ``oseen_apply(u) + gradient(p) + out``, in its order, so its bits.
+    at node t: the operations of the whole-array sum
+    ``oseen_apply(u) + _gradient(p) + out``, in its order, so its bits.
     """
     grid = u_hat.grid
     for t in range(grid.n_time):
-        at = (slice(None), slice(t, t + 1))
-        linear = u_hat.coeffs[at] * (grid.xi_sq + 1j * (grid.omega[t] - params.lam * grid.xi1))
-        p_t = p_hat.coeffs[0, t : t + 1]
-        linear += np.stack([p_t * (1j * xi) for xi in grid.xi])
-        np.add(linear, out[at], out=out[at])
+        node = slice(t, t + 1)
+        linear = u_hat.coeffs[:, node] * _oseen_symbol(grid, params, node)
+        linear += _gradient(p_hat.coeffs[0, node], grid)
+        np.add(linear, out[:, node], out=out[:, node])
 
 
 def manufactured(
@@ -128,10 +129,13 @@ def manufactured(
     The callables receive the open coordinate axes x1, x2, x3, t of
     ``grid.coordinate_fields()`` and return arrays or scalars (three of them
     for u*) that broadcast to ``grid.shape``.  Returns (f, u*, p*) sampled on
-    the grid.  Rejects a ``params.period`` other than the grid's, callables
-    that are not periodic on the box and period, and velocity fields whose
-    spectral divergence is not negligible.
+    the grid.  Rejects a NaN ``solenoidal_tol`` (``ValueError``, before
+    anything is sampled), a ``params.period`` other than the grid's,
+    callables that are not periodic on the box and period, and velocity
+    fields whose spectral divergence is not negligible.
     """
+    if math.isnan(solenoidal_tol):
+        raise ValueError("solenoidal_tol must not be NaN, which would pass every divergence")
     _check_period(params, grid)
     u_field = _periodic_samples(u_star, grid, is_vector=True)
     p_field = _periodic_samples(p_star, grid, is_vector=False)
@@ -237,15 +241,15 @@ def random_smooth(seed: int, amplitude: float, cutoff_shell: int, grid: Grid) ->
     ``cutoff_shell``, projected onto divergence-free fields with the
     space-time mean removed, and rescaled so its coefficient 2-norm equals
     ``amplitude`` exactly linearly.  A negative or fractional seed, a
-    non-finite amplitude or a cutoff below 1 raises ``ValueError`` before
-    anything is sampled.
+    non-finite amplitude or a cutoff below 1 or NaN raises ``ValueError``
+    before anything is sampled; an infinite cutoff keeps every mode.
     """
     if not (seed >= 0 and seed % 1 == 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-    if cutoff_shell < 1:
-        raise ValueError("cutoff_shell must be at least 1")
+    if not cutoff_shell >= 1:
+        raise ValueError(f"cutoff_shell must be at least 1, got {cutoff_shell!r}")
     rng = np.random.Generator(np.random.Philox(int(seed)))
     # masked, projected and scaled in place: no whole copy of the spectrum is made
     c = forward(PhysicalField(grid, rng.standard_normal(size=(3,) + grid.shape))).coeffs

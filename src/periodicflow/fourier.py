@@ -28,6 +28,10 @@ multiplier of the package preserves that bit for bit, so computed spectra
 pass with no defect at all.  ``_FLOOR`` (1e-300), the floor under every data
 scale the package divides by, is defined here once.
 
+Symbols.  ``_gradient`` (i xi c), ``_divergence`` (i xi . c) and the
+|xi|^2-weighted ``_gradient_dot`` take any run of time planes; only this
+module and ``multipliers`` (the Oseen symbol) read frequency factors.
+
 Transport.  The nonlinear term keeps its convective form (u . grad) u.  The
 divergence form would need fewer transforms, but the two forms differ by
 aliasing of unresolved tails, and ``pde_residual`` evaluates the convective
@@ -99,8 +103,6 @@ __all__ = [
     "time_mean_part",
     "oscillatory_part",
     "time_derivative",
-    "gradient",
-    "divergence",
     "coeff_norm",
 ]
 
@@ -494,24 +496,14 @@ def time_derivative(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, spec.coeffs * (1j * spec.grid.omega))
 
 
-def gradient(spec: SpectralField) -> SpectralField:
-    """Spatial gradient of a scalar field, returned as a 3-component field."""
-    if spec.components != 1:
-        raise ValueError("gradient expects a scalar field")
-    c = spec.coeffs[0]
-    g = spec.grid
-    out = np.stack([c * (1j * g.xi1), c * (1j * g.xi2), c * (1j * g.xi3)])
-    return SpectralField(g, out)
+def _gradient(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """i xi c, shape (3,) + c.shape: d/dx1, d/dx2 and d/dx3 of every component of ``c``, any run of time planes."""
+    return np.stack([c * (1j * xi) for xi in grid.xi])
 
 
-def divergence(spec: SpectralField) -> SpectralField:
-    """Spatial divergence of a 3-component field, returned as a scalar field."""
-    if spec.components != 3:
-        raise ValueError("divergence expects a 3-component field")
-    c = spec.coeffs
-    g = spec.grid
-    out = c[0] * (1j * g.xi1) + c[1] * (1j * g.xi2) + c[2] * (1j * g.xi3)
-    return SpectralField(g, out[np.newaxis])
+def _divergence(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """i xi . c, shape c.shape[1:], of the 3-component ``c``, any run of time planes."""
+    return c[0] * (1j * grid.xi1) + c[1] * (1j * grid.xi2) + c[2] * (1j * grid.xi3)
 
 
 def _lattice_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
@@ -522,6 +514,13 @@ def _lattice_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     rows = 2 * a.shape[-1]
     parts_a, parts_b = (np.ascontiguousarray(c).view(np.float64).reshape(-1, rows) for c in (a, b))
     return float(np.einsum("ij,ij->j", parts_a, parts_b) @ np.repeat(grid.x1_weight, 2))
+
+
+def _gradient_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """Re sum conj(a) |xi|^2 b over the whole lattice, weighted one time node at a time."""
+    return sum(
+        _lattice_dot(a[:, t : t + 1], grid.xi_sq * b[:, t : t + 1], grid) for t in range(grid.n_time)
+    )
 
 
 def _lattice_norm(coeffs: np.ndarray, grid: Grid) -> float:

@@ -62,14 +62,19 @@ def helmholtz(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, _project_in_place(spec.coeffs.copy(), spec.grid))
 
 
-def _oseen_symbol(grid: Grid, params: Params) -> np.ndarray:
-    """Symbol |xi|^2 + i(omega - lam*xi1) of d/dt - Lap - lam*d/dx1; ``ValueError`` off the grid's period.
+def _oseen_symbol(grid: Grid, params: Params, planes: slice = slice(None)) -> np.ndarray:
+    """Symbol |xi|^2 + i(omega - lam*xi1) of d/dt - Lap - lam*d/dx1 on ``planes``; ``ValueError`` off the grid's period.
 
     Vanishes only at the joint zero mode (xi, k) = (0, 0); on the periodic
     lattice every other mode is bounded away from zero.
     """
     _check_period(params, grid)
-    return grid.xi_sq + 1j * (grid.omega - params.lam * grid.xi1)
+    return grid.xi_sq + 1j * (grid.omega[planes] - params.lam * grid.xi1)
+
+
+def _oseen_terms(grid: Grid, params: Params, planes: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors i omega, |xi|^2 and -lam i xi1 of ``_oseen_symbol`` on the time ``planes``, kept apart."""
+    return 1j * grid.omega[planes], grid.xi_sq, -params.lam * (1j * grid.xi1)
 
 
 def oseen_apply(spec: SpectralField, params: Params) -> SpectralField:
@@ -122,8 +127,7 @@ def half_time_derivative(spec: SpectralField) -> SpectralField:
 def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
     """Regularity multiplier (i*omega)^(1/2) (i*xi_axis) / (|xi|^2 + i*omega) on k != 0, zero on k = 0."""
     osc = (grid.k_modes != 0).reshape(grid.n_time, 1, 1, 1)
-    denom = grid.xi_sq + 1j * grid.omega
-    safe = np.where(osc, denom, 1.0)
+    safe = np.where(osc, _oseen_symbol(grid, Params(lam=0.0, period=grid.period)), 1.0)
     numer = np.sqrt(1j * grid.omega) * (1j * grid.xi[axis - 1])
     return np.where(osc, numer / safe, 0.0)
 

@@ -51,9 +51,3 @@ def dealiased_tensor_product(w: SpectralField) -> np.ndarray:
             out[i, j] = coeffs
             out[j, i] = coeffs
     return out
-
-
-def _tensor_divergence(tensor: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of the divergence sum_l d/dx_l T_il of a (3, 3) tensor spectrum."""
-    ixi = (1j * grid.xi1, 1j * grid.xi2, 1j * grid.xi3)
-    return np.stack([sum(ixi[l] * tensor[i, l] for l in range(3)) for i in range(3)])

@@ -13,6 +13,8 @@ afterwards as p_hat = -i xi . (f_hat - B_hat(u)) / |xi|^2, the longitudinal
 scale of the same projection.  The pressure and the momentum residual that
 certifies (u, p) are formed one time node at a time from u's final
 transport, so neither holds a whole-array temporary besides its inputs.
+No frequency factor is read here: the residual's Oseen terms and gradient
+come from ``multipliers`` and ``fourier``, as the resolvent's symbol does.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .fourier import (
     _FLOOR,
     PhysicalField,
     SpectralField,
+    _gradient,
     _lattice_dot,
     _lattice_norm,
     coeff_norm,
@@ -35,7 +38,7 @@ from .fourier import (
     oscillatory_part,
     time_mean_part,
 )
-from .multipliers import _longitudinal, _project_in_place, _resolve_in_place
+from .multipliers import _longitudinal, _oseen_terms, _project_in_place, _resolve_in_place
 from .nonlinear import convective
 
 __all__ = [
@@ -279,21 +282,23 @@ def _residual(
     """``pde_residual`` with the transport term (u . grad) u given, one time node at a time.
 
     At node t the six terms i omega u, |xi|^2 u, -lam i xi1 u, i xi p, the
-    transport and -f are formed on that node alone and added into the node's
-    sum as they come; the squared lattice norm of each term and of the sum
-    runs over the nodes.  No whole-array term is built.
+    transport and -f are formed on that node alone, from the factors of
+    ``multipliers._oseen_terms`` and ``fourier._gradient``, and added into the
+    node's sum as they come; the squared lattice norm of each term and of the
+    sum runs over the nodes.  No whole-array term is built.
     """
     grid = u.grid
 
     def terms(t: int):
-        at = (slice(None), slice(t, t + 1))
-        u_t, p_t = u.coeffs[at], p.coeffs[0, t : t + 1]
-        yield u_t * (1j * grid.omega[t])
-        yield u_t * grid.xi_sq
-        yield -params.lam * (1j * grid.xi1) * u_t
-        yield np.stack([p_t * (1j * xi) for xi in grid.xi])
-        yield transport.coeffs[at]
-        yield -f_hat.coeffs[at]
+        node = slice(t, t + 1)
+        u_t = u.coeffs[:, node]
+        time, laplacian, drift = _oseen_terms(grid, params, node)
+        yield u_t * time
+        yield u_t * laplacian
+        yield drift * u_t
+        yield _gradient(p.coeffs[0, node], grid)
+        yield transport.coeffs[:, node]
+        yield -f_hat.coeffs[:, node]
 
     squares = np.zeros(7)  # the six terms, then their sum
     for t in range(grid.n_time):

@@ -21,10 +21,8 @@ from periodicflow import (
     SpectralField,
     coeff_norm,
     cross_orthogonality,
-    divergence,
     energy_balance,
     forward,
-    gradient,
     half_time_derivative,
     helmholtz,
     inverse,
@@ -41,6 +39,7 @@ from periodicflow import (
     time_derivative,
     time_mean_part,
 )
+from periodicflow.fourier import _divergence, _gradient
 from halfspec import full_spectrum, wrong_branch_half_derivative
 
 TWO_PI = 2.0 * math.pi
@@ -110,7 +109,7 @@ def test_criterion_02_projection_algebra():
 
     h = helmholtz(u)
     idem = rel_gap(helmholtz(h).coeffs, h.coeffs)
-    solenoidal = float(np.abs(divergence(h).coeffs).max()) / float(np.abs(h.coeffs).max())
+    solenoidal = float(np.abs(_divergence(h.coeffs, grid)).max()) / float(np.abs(h.coeffs).max())
 
     x1, x2, x3, t = (np.broadcast_to(c, grid.shape) for c in grid.coordinate_fields())
     phi = forward(PhysicalField(grid, np.sin(x1) * np.cos(x2) * np.cos(t)))
@@ -123,7 +122,7 @@ def test_criterion_02_projection_algebra():
         ]
     )
     g = forward(PhysicalField(grid, grad_values))
-    spectral = rel_gap(gradient(phi).coeffs, g.coeffs)
+    spectral = rel_gap(_gradient(phi.coeffs[0], grid), g.coeffs)
     annihilation = float(np.abs(helmholtz(g).coeffs).max()) / float(np.abs(g.coeffs).max())
 
     ok = exact and idem <= 1e-13 and solenoidal <= 1e-13 and spectral <= 1e-13 and annihilation <= 1e-12

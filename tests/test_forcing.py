@@ -12,9 +12,7 @@ from periodicflow import (
     PhysicalField,
     SpectralField,
     coeff_norm,
-    divergence,
     forward,
-    gradient,
     helmholtz,
     inverse,
     manufactured,
@@ -24,7 +22,7 @@ from periodicflow import (
     random_smooth,
 )
 from halfspec import traced_peak
-from periodicflow.fourier import _transport
+from periodicflow.fourier import _divergence, _gradient, _transport
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,7 +30,7 @@ TWO_PI = 2.0 * np.pi
 def divergence_defect(u_field):
     spec = forward(u_field)
     scale = max(np.abs(spec.coeffs).max(), 1e-300)
-    return np.abs(divergence(spec).coeffs).max() / scale
+    return np.abs(_divergence(spec.coeffs, spec.grid)).max() / scale
 
 
 def test_zero_pair_forces_nothing(grid8, params1):
@@ -250,6 +248,16 @@ def test_manufactured_solenoidal_threshold(grid8, params1, ratio, raises):
         manufactured(u_star, p_star, params1, grid8)
 
 
+def test_manufactured_rejects_a_nan_solenoidal_tol_before_sampling(grid8, params1):
+    """A NaN tolerance compares false with every defect, so it would pass any velocity field."""
+
+    def never_sampled(*coords):
+        raise AssertionError("sampled before the tolerance was checked")
+
+    with pytest.raises(ValueError, match="^solenoidal_tol must not be NaN"):
+        manufactured(never_sampled, never_sampled, params1, grid8, solenoidal_tol=np.nan)
+
+
 def test_manufactured_rejects_a_period_other_than_the_grids(grid8):
     u_star, p_star = manufactured_preset("trig", amplitude=0.05, grid=grid8)
     with pytest.raises(ValueError, match="does not match the grid period"):
@@ -274,15 +282,16 @@ def test_manufactured_forcing_has_no_joint_mean(grid16, params1):
 def whole_array_forcing(u, p, params):
     """The forcing of the samples u*, p* with every term formed over the whole array, mean mode zeroed."""
     u_hat, p_hat = forward(u), forward(p)
-    f_hat = oseen_apply(u_hat, params) + gradient(p_hat) + _transport(u_hat, u.values)
+    grad_p = SpectralField(u.grid, _gradient(p_hat.coeffs[0], u.grid))
+    f_hat = oseen_apply(u_hat, params) + grad_p + _transport(u_hat, u.values)
     f_hat.coeffs[:, 0, 0, 0, 0] = 0.0
     return inverse(f_hat)
 
 
 @pytest.mark.parametrize(
     "grid, lam",
-    [(Grid(box=(TWO_PI,) * 3, n_space=(16, 16, 16), n_time=16, period=TWO_PI), 1.0), (ANISO, -1.5)],
-    ids=["cube", "aniso"],
+    [(Grid(box=(TWO_PI,) * 3, n_space=(16, 16, 16), n_time=16, period=TWO_PI), 1.0), (ANISO, -1.5), (ANISO, 0.0)],
+    ids=["cube", "aniso", "aniso-driftless"],
 )
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_node_by_node_forcing_is_the_whole_array_sum_bit_for_bit(grid, lam, name):
@@ -333,6 +342,12 @@ def test_random_smooth_inverts_its_spectrum_in_place(grid16, two_threads):
     assert peak < 2.5 * spectrum_nbytes
 
 
+def test_random_smooth_takes_an_infinite_cutoff_as_no_restriction(grid8):
+    unrestricted = random_smooth(seed=5, amplitude=1.0, cutoff_shell=np.inf, grid=grid8)
+    widest = random_smooth(seed=5, amplitude=1.0, cutoff_shell=100, grid=grid8)
+    assert unrestricted.values.tobytes() == widest.values.tobytes()
+
+
 def test_random_smooth_is_deterministic(grid8):
     a = random_smooth(seed=42, amplitude=0.3, cutoff_shell=2, grid=grid8)
     b = random_smooth(seed=42, amplitude=0.3, cutoff_shell=2, grid=grid8)
@@ -371,6 +386,8 @@ def test_random_smooth_respects_cutoff(grid16):
         ("seed", 2.5, "^seed must be a non-negative integer, got 2.5"),
         ("amplitude", np.inf, "^amplitude must be finite, got inf"),
         ("amplitude", np.nan, "^amplitude must be finite, got nan"),
+        # a NaN cutoff compares false with every radius, so it would keep the full band
+        ("cutoff_shell", np.nan, "^cutoff_shell must be at least 1, got nan"),
     ],
 )
 def test_random_smooth_rejects_a_bad_setting_before_sampling(grid8, setting, value, message):

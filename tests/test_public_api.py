@@ -62,12 +62,10 @@ USERS = {
     "time_mean_part": module_file("solver"),
     "oscillatory_part": module_file("diagnostics"),
     "time_derivative": module_file("diagnostics"),
-    "gradient": "tests/test_acceptance.py",
-    "divergence": "tests/test_acceptance.py",
     "coeff_norm": module_file("solver"),
     "helmholtz": "benchmarks/workloads.py",
     "oseen_apply": "tests/test_acceptance.py",
-    "oseen_inverse": module_file("solver"),
+    "oseen_inverse": "benchmarks/workloads.py",
     "half_time_derivative": module_file("diagnostics"),
     "MultiplierReport": CLI,
     "marcinkiewicz_probe": CLI,

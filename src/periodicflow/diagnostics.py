@@ -24,14 +24,13 @@ from .fourier import (
     _gradient,
     _gradient_dot,
     _lattice_dot,
-    _lattice_norm,
     _per_node,
+    _relative_sum,
     _space_tree,
-    oscillatory_part,
     time_derivative,
 )
-from .multipliers import _oseen_symbol, _regularity_factor, half_time_derivative
-from .nonlinear import dealiased_tensor_product
+from .multipliers import _oseen_symbol, _oseen_terms, _regularity_factors, half_time_derivative
+from .nonlinear import _tensor_product
 from .solver import _checked_spectrum
 
 __all__ = [
@@ -414,11 +413,6 @@ class RegularityReport:
     multiplier_sup: float
 
 
-def _rel_mismatch(lhs: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
-    scale = max(_lattice_norm(lhs, grid), _lattice_norm(rhs, grid), _FLOOR)
-    return _lattice_norm(lhs - rhs, grid) / scale
-
-
 def regularity_bootstrap_check(sol) -> RegularityReport:
     """Verify the multiplier identities that trade half time derivatives for space.
 
@@ -431,26 +425,35 @@ def regularity_bootstrap_check(sol) -> RegularityReport:
     dealiased tensor w_i w_l.  Both identities are diagonal, so with the
     principal branch they hold to rounding; a wrong branch breaks them at
     order one on negative frequencies.
+
+    Both sides are formed node by node, each mismatch as the ``_relative_sum`` of lhs and -rhs.
+    Only the half time derivatives of w and Div(w (x) w) run on whole arrays, through this
+    module's binding of ``half_time_derivative``.  Identity two's right side reaches
+    (i omega)^(1/2) through ``_regularity_factors`` alone, so a wrong branch bound here breaks it.
     """
     w: SpectralField = sol.w
     grid = w.grid
-    heat_symbol = _oseen_symbol(grid, Params(lam=0.0, period=grid.period))
-
-    factors = [_regularity_factor(grid, axis) for axis in (1, 2, 3)]
+    heat = Params(lam=0.0, period=grid.period)
     half_w = half_time_derivative(w).coeffs
-    lhs_mixed = _gradient(time_derivative(w).coeffs, grid)
-    rhs_mixed = np.stack([factor * (heat_symbol * half_w) for factor in factors])
-    mismatch_mixed = _rel_mismatch(lhs_mixed, rhs_mixed, grid)
+    sups = []
 
-    tensor = dealiased_tensor_product(w)
-    osc = oscillatory_part(SpectralField(grid, np.stack([_divergence(row, grid) for row in tensor])))
-    lhs_fact = half_time_derivative(osc).coeffs
-    rhs_fact = np.stack([sum(factors[l] * (heat_symbol * tensor[i, l]) for l in range(3)) for i in range(3)])
-    mismatch_fact = _rel_mismatch(lhs_fact, rhs_fact, grid)
+    def mixed(t: int):
+        node = slice(t, t + 1)
+        factors = _regularity_factors(grid, node)
+        sups.append(float(np.abs(factors).max()))
+        yield _gradient(w.coeffs[:, node] * _oseen_terms(grid, heat, node)[0], grid)
+        yield -(factors[:, np.newaxis] * (_oseen_symbol(grid, heat, node) * half_w[:, node]))
 
-    sup = max(float(np.abs(factor).max()) for factor in factors)
-    return RegularityReport(
-        mixed_derivative_mismatch=mismatch_mixed,
-        factorization_mismatch=mismatch_fact,
-        multiplier_sup=sup,
-    )
+    mismatch_mixed = _relative_sum(mixed, grid)
+    del half_w
+    tensor = _tensor_product(w)
+    div = np.stack([_divergence(row, grid) for row in tensor])  # the half derivative drops its mean, k = 0
+    half_div = half_time_derivative(SpectralField(grid, div)).coeffs
+
+    def factorization(t: int):
+        node = slice(t, t + 1)
+        factors, heat_symbol = _regularity_factors(grid, node), _oseen_symbol(grid, heat, node)
+        yield -sum(factors[l] * (heat_symbol * tensor[:, l, node]) for l in range(3))  # fresh: the sum takes it over
+        yield half_div[:, node]
+
+    return RegularityReport(mismatch_mixed, _relative_sum(factorization, grid), max(sups))

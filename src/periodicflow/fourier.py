@@ -50,32 +50,32 @@ transform, which would copy its whole complex input before its last pass.
 
 Node pipeline.  ``_per_node`` is the one driver from a spectrum to node
 values: the ``NotHermitian`` gate (``_gated_tree``) and the inverse time pass
-over the whole array, then one task per time node, which gets the node's
-slot of that array and its fields from ``_space_tree`` (the x3, x2 and x1
+over the whole array, then one task per time node, which gets the node's slot
+of that array and its fields from ``_space_tree`` (the x3, x2 and x1
 passes).  ``inverse`` copies each node's (0, 0, 0) leaf into its output,
 ``diagnostics.norms`` reduces each node's fields to partial sums, and the
-transport forms sum_j u_j d_j v, raises ``ValueError`` if that is not
-finite, and writes its forward x1, x2 and x3 passes (``_space_forward``, as
-``forward``'s tasks do) over the slot, so it makes one whole array and
-costs 14 one-dimensional passes per component (10 inverse, 4 forward).
+transport forms sum_j u_j d_j v, raises ``ValueError`` if that is not finite,
+and writes its forward x1, x2 and x3 passes (``_space_forward``, as
+``forward``'s tasks do) over the slot, so it makes one whole array and costs
+14 one-dimensional passes per component (10 inverse, 4 forward).
+``nonlinear._tensor_product`` forms the regularity check's w_i w_j so too.
 ``_finish_forward``, the tail of every forward transform, runs the forward
 time pass, zeroes the Nyquist planes and makes the n1 = 0 plane
-symmetric.  Only ``diagnostics._w21q`` calls ``_space_tree`` itself, once,
-on the k = 0 plane, which needs no time pass.  Every complex pass whose
-input is not needed again runs in place (numpy's ``out=``).  So does the
-time pass of a spectrum its caller drops: ``_per_node``'s ``out`` takes
-``spec.coeffs`` from ``diagnostics._w21q`` (its time derivative) and, through
-``_inverse``, from ``forcing.manufactured`` (the forcing) and
-``forcing.random_smooth`` (the masked spectrum).  Any other input is never
-written, and its time pass makes the one whole array of the call.
-The one thread rule: every transform is a ``numpy.fft`` call, which runs on
-the thread that makes it.  Time passes run over the whole array on the
-calling thread, and node tasks on ``_cores()`` threads, the caller among
-them, each holding the arrays of one time node.  Worker threads call no
-public function of the package, so a tracer that wraps those sees the
-calling thread alone.  Every value comes from the same operations on any
-thread, and callers combine per-node results in node order, so no result
-depends on the thread count.
+symmetric.  Only ``diagnostics._w21q`` calls ``_space_tree`` itself, once, on
+the k = 0 plane, which needs no time pass.  Every complex pass whose input is
+not needed again runs in place (numpy's ``out=``).  So does the time pass of
+a spectrum its caller drops: ``_per_node``'s ``out`` takes ``spec.coeffs``
+from ``diagnostics._w21q`` (its time derivative) and, through ``_inverse``,
+from ``forcing.manufactured`` (the forcing) and ``forcing.random_smooth``
+(the masked spectrum).  Any other input is never written, and its time pass
+makes the one whole array of the call.  The one thread rule: every transform
+is a ``numpy.fft`` call, which runs on the thread that makes it.  Time passes
+run over the whole array on the calling thread, and node tasks on
+``_cores()`` threads, the caller among them, each holding the arrays of one
+time node.  Worker threads call no public function of the package, so a
+tracer that wraps those sees the calling thread alone.  Every value comes
+from the same operations on any thread, and callers combine per-node results
+in node order, so no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -526,6 +526,19 @@ def _gradient_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
 def _lattice_norm(coeffs: np.ndarray, grid: Grid) -> float:
     """2-norm of ``coeffs`` over the whole lattice."""
     return math.sqrt(_lattice_dot(coeffs, coeffs, grid))
+
+
+def _relative_sum(terms: Callable[[int], Iterable[np.ndarray]], grid: Grid) -> float:
+    """|sum of the terms| / max |term| in lattice 2-norms; ``terms(t)`` yields node t's, a fresh array first."""
+    squares = 0.0  # each term's squared norm, then the sum's, over the nodes so far
+    for t in range(grid.n_time):
+        total, node = None, []
+        for term in terms(t):
+            total = term if total is None else np.add(total, term, out=total)
+            node.append(_lattice_dot(term, term, grid))
+        squares = squares + np.array(node + [_lattice_dot(total, total, grid)])
+    norms = np.sqrt(squares)
+    return float(norms[-1] / max(norms[:-1].max(), _FLOOR))
 
 
 def coeff_norm(spec: SpectralField) -> float:

@@ -124,12 +124,12 @@ def half_time_derivative(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, spec.coeffs * np.sqrt(1j * spec.grid.omega))
 
 
-def _regularity_factor(grid: Grid, axis: int) -> np.ndarray:
-    """Regularity multiplier (i*omega)^(1/2) (i*xi_axis) / (|xi|^2 + i*omega) on k != 0, zero on k = 0."""
-    osc = (grid.k_modes != 0).reshape(grid.n_time, 1, 1, 1)
-    safe = np.where(osc, _oseen_symbol(grid, Params(lam=0.0, period=grid.period)), 1.0)
-    numer = np.sqrt(1j * grid.omega) * (1j * grid.xi[axis - 1])
-    return np.where(osc, numer / safe, 0.0)
+def _regularity_factors(grid: Grid, planes: slice = slice(None)) -> np.ndarray:
+    """The regularity multipliers (i*omega)^(1/2) (i*xi_j) / (|xi|^2 + i*omega) on ``planes``, zero on k = 0."""
+    osc = (grid.k_modes[planes] != 0).reshape(-1, 1, 1, 1)
+    safe = np.where(osc, _oseen_symbol(grid, Params(lam=0.0, period=grid.period), planes), 1.0)
+    root = np.sqrt(1j * grid.omega[planes])
+    return np.stack([np.where(osc, root * (1j * xi) / safe, 0.0) for xi in grid.xi])
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Grid
-from .fourier import PhysicalField, SpectralField, _transport, forward, inverse
+from .fourier import _NOT_FINITE, SpectralField, _all_finite, _finish_forward, _per_node, _space_forward, _transport
 
-__all__ = [
-    "convective",
-    "dealiased_tensor_product",
-]
+__all__ = ["convective"]
 
 
 def _dealias_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -39,15 +36,19 @@ def convective(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, _dealias_in_place(_transport(u).coeffs, u.grid))
 
 
-def dealiased_tensor_product(w: SpectralField) -> np.ndarray:
-    """Coefficients of the dealiased outer product w_i w_j, shape (3, 3) + grid.spectral_shape."""
-    g = w.grid
-    w_phys = inverse(w).values
-    out = np.empty((3, 3) + g.spectral_shape, dtype=np.complex128)
-    for i in range(3):
-        for j in range(i, 3):
-            prod = forward(PhysicalField(g, w_phys[i] * w_phys[j])).coeffs
-            coeffs = _dealias_in_place(prod, g)[0]
-            out[i, j] = coeffs
-            out[j, i] = coeffs
+def _tensor_product(w: SpectralField) -> np.ndarray:
+    """Dealiased w_i w_j, shape (3, 3) + grid.spectral_shape; row i is ``nodes[i] * nodes``, checked finite."""
+    out = np.empty((3, 3) + w.grid.spectral_shape, dtype=np.complex128)
+
+    def rows(t: int, slot: np.ndarray, fields) -> None:
+        nodes = next(fields)[1]
+        for i in range(3):
+            row = nodes[i] * nodes
+            if not _all_finite(row):
+                raise ValueError(_NOT_FINITE)
+            _space_forward(row, out[i, :, t : t + 1])
+
+    _per_node(w, ((0, 0, 0),), rows)
+    for row in out:
+        _dealias_in_place(_finish_forward(row, w.grid).coeffs, w.grid)
     return out

@@ -31,8 +31,8 @@ from .fourier import (
     PhysicalField,
     SpectralField,
     _gradient,
-    _lattice_dot,
     _lattice_norm,
+    _relative_sum,
     coeff_norm,
     forward,
     oscillatory_part,
@@ -279,13 +279,10 @@ def _residual(
     transport: SpectralField,
     params: Params,
 ) -> float:
-    """``pde_residual`` with the transport term (u . grad) u given, one time node at a time.
+    """``pde_residual`` with the transport term (u . grad) u given: ``fourier._relative_sum`` of its terms.
 
-    At node t the six terms i omega u, |xi|^2 u, -lam i xi1 u, i xi p, the
-    transport and -f are formed on that node alone, from the factors of
-    ``multipliers._oseen_terms`` and ``fourier._gradient``, and added into the
-    node's sum as they come; the squared lattice norm of each term and of the
-    sum runs over the nodes.  No whole-array term is built.
+    The six terms i omega u, |xi|^2 u, -lam i xi1 u, i xi p, the transport and -f are formed one
+    time node at a time, from ``multipliers._oseen_terms`` and ``fourier._gradient``.
     """
     grid = u.grid
 
@@ -300,13 +297,4 @@ def _residual(
         yield transport.coeffs[:, node]
         yield -f_hat.coeffs[:, node]
 
-    squares = np.zeros(7)  # the six terms, then their sum
-    for t in range(grid.n_time):
-        total = None
-        for i, term in enumerate(terms(t)):
-            # the first term is a fresh array, so the sum may take it over
-            total = term if total is None else np.add(total, term, out=total)
-            squares[i] += _lattice_dot(term, term, grid)
-        squares[6] += _lattice_dot(total, total, grid)
-    norms = np.sqrt(squares)
-    return float(norms[6] / max(norms[:6].max(), _FLOOR))
+    return _relative_sum(terms, grid)

@@ -21,7 +21,7 @@ from periodicflow import (
     time_derivative,
 )
 from periodicflow.fourier import _divergence, _gradient, _plane_defect
-from periodicflow.multipliers import _oseen_symbol, _regularity_factor
+from periodicflow.multipliers import _oseen_symbol, _regularity_factors
 from halfspec import wrong_branch_half_derivative
 
 # Hand values below assume the 2*pi box and 2*pi period of the grid8/grid16
@@ -198,7 +198,7 @@ def test_half_derivative_commutes_with_helmholtz(grid8):
 
 
 def test_regularity_multiplier_hand_value(grid8):
-    factor = _regularity_factor(grid8, axis=1)
+    factor = _regularity_factors(grid8)[0]
     expected = np.exp(1j * math.pi / 4.0) * 1j / (1.0 + 1.0j)
     assert factor[1, 0, 0, 1] == pytest.approx(expected, abs=1e-14)  # k = 1, xi = (1, 0, 0)
 
@@ -206,15 +206,30 @@ def test_regularity_multiplier_hand_value(grid8):
 def test_regularity_multiplier_zero_on_time_mean(grid8):
     u = random_spectrum(grid8, seed=66)
     for axis in (1, 2, 3):
-        out = u.coeffs * _regularity_factor(grid8, axis=axis)
+        out = u.coeffs * _regularity_factors(grid8)[axis - 1]
         assert np.abs(out[:, 0]).max() == 0.0
 
 
 def test_regularity_multiplier_bound_is_finite(grid16):
     for axis in (1, 2, 3):
-        bound = np.abs(_regularity_factor(grid16, axis)).max()
+        bound = np.abs(_regularity_factors(grid16)[axis - 1]).max()
         assert math.isfinite(bound)
         assert bound > 0.0
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(box=(1.0, 2.0, 3.0), n_space=(8, 6, 4), n_time=6, period=0.7),
+        Grid(box=(2.0 * math.pi,) * 3, n_space=(8, 8, 8), n_time=8, period=2.0 * math.pi),
+    ],
+    ids=["aniso", "cube8"],
+)
+def test_regularity_factors_of_one_plane_are_that_plane_of_the_whole(grid):
+    whole = _regularity_factors(grid)
+    assert whole.shape == (3,) + grid.spectral_shape
+    for t in range(grid.n_time):
+        assert _regularity_factors(grid, slice(t, t + 1)).tobytes() == whole[:, t : t + 1].tobytes()
 
 
 def test_probe_constant_symbol(params1):

@@ -1,18 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from periodicflow import (
+    Grid,
     PhysicalField,
     SpectralField,
     coeff_norm,
     convective,
-    dealiased_tensor_product,
     forward,
     inverse,
     random_smooth,
 )
+from periodicflow import fourier
 from periodicflow.fourier import _divergence, _lattice_dot, _plane_defect, _transport
-from periodicflow.nonlinear import _dealias_in_place
+from periodicflow.nonlinear import _dealias_in_place, _tensor_product
+
+TWO_PI = 2.0 * math.pi
+ANISO = Grid(box=(TWO_PI, 3.0, 5.0), n_space=(12, 8, 6), n_time=10, period=7.0)
+CUBE16 = Grid(box=(TWO_PI,) * 3, n_space=(16, 16, 16), n_time=16, period=TWO_PI)
 
 
 def smooth_solenoidal(grid, seed, amplitude=1.0):
@@ -87,13 +94,13 @@ def test_divergence_form_matches_convective_form(grid16):
     # uses) agrees with the convective transport to rounding.
     u = smooth_solenoidal(grid16, seed=76)
     conv = convective(u).coeffs
-    divf = np.stack([_divergence(row, grid16) for row in dealiased_tensor_product(u)])
+    divf = np.stack([_divergence(row, grid16) for row in _tensor_product(u)])
     scale = max(np.abs(conv).max(), 1e-300)
     assert np.abs(conv - divf).max() <= 1e-10 * scale
 
 
 def test_divergence_form_mean_mode_is_exactly_zero(grid8):
-    out = np.stack([_divergence(row, grid8) for row in dealiased_tensor_product(smooth_solenoidal(grid8, seed=78))])
+    out = np.stack([_divergence(row, grid8) for row in _tensor_product(smooth_solenoidal(grid8, seed=78))])
     assert np.abs(out[:, 0, 0, 0, 0]).max() == 0.0
 
 
@@ -124,11 +131,42 @@ def test_dealias_removes_outer_band(grid8):
 
 def test_tensor_product_is_symmetric(grid8):
     w = smooth_solenoidal(grid8, seed=80)
-    tensor = dealiased_tensor_product(w)
+    tensor = _tensor_product(w)
     assert tensor.shape == (3, 3) + grid8.spectral_shape
     for i in range(3):
         for j in range(3):
             assert np.array_equal(tensor[i, j], tensor[j, i])
+
+
+def written_out_tensor(w):
+    """w_i w_j written out: one ``inverse``, each product on the nodes, its own ``forward``, then the 2/3 band."""
+    grid = w.grid
+    nodes = inverse(w).values
+    out = np.empty((3, 3) + grid.spectral_shape, dtype=np.complex128)
+    for i in range(3):
+        for j in range(3):
+            out[i, j] = _dealias_in_place(forward(PhysicalField(grid, nodes[i] * nodes[j])).coeffs, grid)[0]
+    return out
+
+
+@pytest.mark.parametrize("grid", [ANISO, CUBE16], ids=["aniso", "cube16"])
+def test_tensor_product_is_the_written_out_product_bit_for_bit(grid, monkeypatch):
+    """Full-band nodes, so every product and every pass counts; the bytes hold on 1, 2 and 3 threads."""
+    w = forward(PhysicalField(grid, np.random.default_rng(83).standard_normal((3,) + grid.shape)))
+    expected = written_out_tensor(w).tobytes()
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fourier, "_cores", lambda: cores)
+        assert _tensor_product(w).tobytes() == expected
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_tensor_product_raises_where_forward_would(grid8, monkeypatch, cores):
+    monkeypatch.setattr(fourier, "_cores", lambda: cores)
+    w = SpectralField(grid8, 1e160 * smooth_solenoidal(grid8, seed=84).coeffs)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="field values must be finite"):
+        written_out_tensor(w)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="field values must be finite"):
+        _tensor_product(w)
 
 
 def energy_injection(u):

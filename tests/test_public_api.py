@@ -60,7 +60,7 @@ USERS = {
     "forward": CLI,
     "inverse": CLI,
     "time_mean_part": module_file("solver"),
-    "oscillatory_part": module_file("diagnostics"),
+    "oscillatory_part": module_file("solver"),
     "time_derivative": module_file("diagnostics"),
     "coeff_norm": module_file("solver"),
     "helmholtz": "benchmarks/workloads.py",
@@ -71,7 +71,6 @@ USERS = {
     "marcinkiewicz_probe": CLI,
     "PROBE_SYMBOLS": CLI,
     "convective": module_file("solver"),
-    "dealiased_tensor_product": module_file("diagnostics"),
     "SolverConfig": CLI,
     "Solution": "return type of solve",
     "picard_step": "benchmarks/workloads.py",

@@ -9,6 +9,7 @@ raises, on the same inputs, and it must leave no thread behind.
 import os
 import sys
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -26,8 +27,10 @@ from periodicflow import (
     forward,
     inverse,
     norms,
+    oscillatory_part,
     picard_step,
     random_smooth,
+    regularity_bootstrap_check,
 )
 from periodicflow import diagnostics, fourier, nonlinear
 from periodicflow.fourier import _UNIT_INDICES, _derivative_factor, _on_every_core, _transport
@@ -179,20 +182,34 @@ def test_transport_leaves_no_thread_behind(grid, monkeypatch, cores):
     assert threading.active_count() == before
 
 
-def test_convective_calls_neither_forward_nor_inverse(grid, monkeypatch):
-    """Worker threads must not enter a traced function: the benchmark tracer keeps one span stack."""
+def refuse_transforms(monkeypatch):
+    """Make ``forward`` and ``inverse`` fail through every module that binds them, with node tasks on 3 threads."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the transport called forward or inverse")
+        raise AssertionError("forward or inverse was called")
 
+    for module in (fourier, nonlinear, diagnostics):
+        for name in ("forward", "inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(fourier, "_cores", lambda: 3)
+
+
+def test_convective_calls_neither_forward_nor_inverse(grid, monkeypatch):
+    """Worker threads must not enter a traced function: the benchmark tracer keeps one span stack."""
     v = random_spectrum(grid, 14)
     u_nodes = np.random.default_rng(15).standard_normal((3,) + grid.shape)
-    for module in (fourier, nonlinear):
-        monkeypatch.setattr(module, "forward", refuse)
-        monkeypatch.setattr(module, "inverse", refuse)
-    monkeypatch.setattr(fourier, "_cores", lambda: 3)
+    refuse_transforms(monkeypatch)
     convective(v)
     _transport(v, u_nodes)
+
+
+def test_the_regularity_check_calls_neither_forward_nor_inverse(grid, monkeypatch):
+    """The tensor w_i w_j runs on the node pipeline too, so no worker thread enters a traced function."""
+    sol = SimpleNamespace(w=oscillatory_part(forward(random_smooth(seed=22, amplitude=1.0, cutoff_shell=2, grid=grid))))
+    refuse_transforms(monkeypatch)
+    report = regularity_bootstrap_check(sol)
+    assert max(report.mixed_derivative_mismatch, report.factorization_mismatch) <= 1e-12
 
 
 def counted(monkeypatch, name):
@@ -204,7 +221,7 @@ def counted(monkeypatch, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in (fourier, diagnostics):
+    for module in (fourier, nonlinear, diagnostics):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counting)
     return calls
@@ -215,12 +232,14 @@ def test_every_transform_runs_through_one_node_driver_and_one_forward_tail(grid,
     u = forward(random_smooth(seed=20, amplitude=1.0, cutoff_shell=2, grid=grid))
     p = SpectralField(grid, random_spectrum(grid, 21).coeffs[:1])
     params = Params(lam=1.0, period=grid.period)
+    sol = SimpleNamespace(w=oscillatory_part(u))  # the regularity check reads the oscillatory part alone
     per_node, finish = counted(monkeypatch, "_per_node"), counted(monkeypatch, "_finish_forward")
     for action, expected in [
         (lambda: picard_step(u, u, params), (1, 1)),
         (lambda: inverse(u), (1, 0)),
         (lambda: forward(inverse(u)), (1, 1)),
         (lambda: norms(u, params, p=p), (3, 0)),
+        (lambda: regularity_bootstrap_check(sol), (1, 3)),
     ]:
         per_node.clear()
         finish.clear()

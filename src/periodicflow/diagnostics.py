@@ -29,8 +29,8 @@ from .fourier import (
     _space_tree,
     time_derivative,
 )
-from .multipliers import _oseen_symbol, _oseen_terms, _regularity_factors, half_time_derivative
-from .nonlinear import _tensor_product
+from .multipliers import _half_time_factor, _oseen_symbol, _oseen_terms, _regularity_factors
+from .nonlinear import _ROWS, _tensor_product
 from .solver import _checked_spectrum
 
 __all__ = [
@@ -426,34 +426,30 @@ def regularity_bootstrap_check(sol) -> RegularityReport:
     principal branch they hold to rounding; a wrong branch breaks them at
     order one on negative frequencies.
 
-    Both sides are formed node by node, each mismatch as the ``_relative_sum`` of lhs and -rhs.
-    Only the half time derivatives of w and Div(w (x) w) run on whole arrays, through this
-    module's binding of ``half_time_derivative``.  Identity two's right side reaches
-    (i omega)^(1/2) through ``_regularity_factors`` alone, so a wrong branch bound here breaks it.
+    Every term, the half time derivatives of w and Div(w (x) w) among them, is formed one time
+    node at a time; each mismatch is the ``_relative_sum`` of lhs and -rhs.  The half derivatives
+    take (i omega)^(1/2) from this module's binding of ``_half_time_factor`` and the multipliers
+    through ``_regularity_factors`` alone, so a wrong branch bound here breaks both identities.
     """
     w: SpectralField = sol.w
     grid = w.grid
     heat = Params(lam=0.0, period=grid.period)
-    half_w = half_time_derivative(w).coeffs
     sups = []
 
-    def mixed(t: int):
-        node = slice(t, t + 1)
+    def mixed(node: slice):
         factors = _regularity_factors(grid, node)
         sups.append(float(np.abs(factors).max()))
+        half_w = w.coeffs[:, node] * _half_time_factor(grid, node)
         yield _gradient(w.coeffs[:, node] * _oseen_terms(grid, heat, node)[0], grid)
-        yield -(factors[:, np.newaxis] * (_oseen_symbol(grid, heat, node) * half_w[:, node]))
+        yield -(factors[:, np.newaxis] * (_oseen_symbol(grid, heat, node) * half_w))
 
     mismatch_mixed = _relative_sum(mixed, grid)
-    del half_w
     tensor = _tensor_product(w)
-    div = np.stack([_divergence(row, grid) for row in tensor])  # the half derivative drops its mean, k = 0
-    half_div = half_time_derivative(SpectralField(grid, div)).coeffs
 
-    def factorization(t: int):
-        node = slice(t, t + 1)
+    def factorization(node: slice):
+        rows = [tensor[list(row), node] for row in _ROWS]  # row l of the symmetric tensor is also its column l
         factors, heat_symbol = _regularity_factors(grid, node), _oseen_symbol(grid, heat, node)
-        yield -sum(factors[l] * (heat_symbol * tensor[:, l, node]) for l in range(3))  # fresh: the sum takes it over
-        yield half_div[:, node]
+        yield -sum(factors[l] * (heat_symbol * rows[l]) for l in range(3))  # fresh: the sum takes it over
+        yield np.stack([_divergence(row, grid) for row in rows]) * _half_time_factor(grid, node)  # drops k = 0
 
     return RegularityReport(mismatch_mixed, _relative_sum(factorization, grid), max(sups))

@@ -33,10 +33,10 @@ from .fourier import (
     SpectralField,
     _divergence,
     _gradient,
-    _inverse,
     _lattice_norm,
     _transport,
     forward,
+    inverse,
 )
 from .multipliers import _oseen_symbol, _project_in_place
 
@@ -158,7 +158,7 @@ def manufactured(
     # sampling, unresolved tails of the transport product can alias a tiny
     # mean back in.  Remove it so the forcing stays inside the solvable class.
     f_hat.coeffs[:, 0, 0, 0, 0] = 0.0
-    return _inverse(f_hat, out=f_hat.coeffs), u_field, p_field
+    return inverse(f_hat, out=f_hat.coeffs), u_field, p_field
 
 
 def manufactured_preset(
@@ -260,4 +260,4 @@ def random_smooth(seed: int, amplitude: float, cutoff_shell: int, grid: Grid) ->
     if norm == 0.0:
         raise ValueError("random field vanished after projection; enlarge cutoff_shell")
     c *= float(amplitude) / norm
-    return _inverse(SpectralField(grid, c), out=c)
+    return inverse(SpectralField(grid, c), out=c)

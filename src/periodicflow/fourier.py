@@ -58,24 +58,25 @@ transport forms sum_j u_j d_j v, raises ``ValueError`` if that is not finite,
 and writes its forward x1, x2 and x3 passes (``_space_forward``, as
 ``forward``'s tasks do) over the slot, so it makes one whole array and costs
 14 one-dimensional passes per component (10 inverse, 4 forward).
-``nonlinear._tensor_product`` forms the regularity check's w_i w_j so too.
-``_finish_forward``, the tail of every forward transform, runs the forward
-time pass, zeroes the Nyquist planes and makes the n1 = 0 plane
-symmetric.  Only ``diagnostics._w21q`` calls ``_space_tree`` itself, once, on
-the k = 0 plane, which needs no time pass.  Every complex pass whose input is
-not needed again runs in place (numpy's ``out=``).  So does the time pass of
-a spectrum its caller drops: ``_per_node``'s ``out`` takes ``spec.coeffs``
-from ``diagnostics._w21q`` (its time derivative) and, through ``_inverse``,
-from ``forcing.manufactured`` (the forcing) and ``forcing.random_smooth``
-(the masked spectrum).  Any other input is never written, and its time pass
-makes the one whole array of the call.  The one thread rule: every transform
-is a ``numpy.fft`` call, which runs on the thread that makes it.  Time passes
-run over the whole array on the calling thread, and node tasks on
-``_cores()`` threads, the caller among them, each holding the arrays of one
-time node.  Worker threads call no public function of the package, so a
-tracer that wraps those sees the calling thread alone.  Every value comes
-from the same operations on any thread, and callers combine per-node results
-in node order, so no result depends on the thread count.
+``nonlinear._tensor_product`` forms the regularity check's six distinct
+products w_i w_j so too, in one array with one tail.  ``_finish_forward``,
+the tail of every forward transform, runs the forward time pass, zeroes the
+Nyquist planes and makes the n1 = 0 plane symmetric.  Only
+``diagnostics._w21q`` calls ``_space_tree`` itself, once, on the k = 0 plane,
+which needs no time pass.  Every complex pass whose input is not needed again
+runs in place (numpy's ``out=``).  So does the time pass of a spectrum its
+caller drops: ``_per_node``'s ``out`` takes ``spec.coeffs`` from
+``diagnostics._w21q`` (its time derivative) and, through ``inverse``'s
+``out``, from ``forcing.manufactured`` (the forcing) and
+``forcing.random_smooth`` (the masked spectrum).  Any other input is never
+written, and its time pass makes the one whole array of the call.  The one
+thread rule: every transform is a ``numpy.fft`` call, which runs on the
+thread that makes it.  Time passes run over the whole array on the calling
+thread, and node tasks on ``_cores()`` threads, the caller among them, each
+holding the arrays of one time node.  Worker threads call no public function
+of the package, so a tracer that wraps those sees the calling thread alone.
+Every value comes from the same operations on any thread, and callers combine
+per-node results in node order, so no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def forward(field: PhysicalField) -> SpectralField:
         _space_forward(field.values[:, t : t + 1], coeffs[:, t : t + 1])
 
     _on_every_core(node, grid.n_time)
-    return _finish_forward(coeffs, grid)
+    return SpectralField(grid, _finish_forward(coeffs, grid))
 
 
 def _space_forward(nodes: np.ndarray, out: np.ndarray) -> None:
@@ -235,8 +236,8 @@ def _space_forward(nodes: np.ndarray, out: np.ndarray) -> None:
     _fft.fft(out, axis=2, norm="forward", out=out)
 
 
-def _finish_forward(coeffs: np.ndarray, grid: Grid) -> SpectralField:
-    """``forward``'s tail, in place on ``coeffs``: the time pass, Nyquist planes zeroed, n1 = 0 made symmetric."""
+def _finish_forward(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """``forward``'s tail, in place: the time pass, Nyquist planes zeroed, n1 = 0 made symmetric; returns ``coeffs``."""
     _fft.fft(coeffs, axis=1, norm="forward", out=coeffs)
     m, n3, n2, n1h = grid.spectral_shape
     coeffs[:, m // 2] = 0.0
@@ -246,7 +247,7 @@ def _finish_forward(coeffs: np.ndarray, grid: Grid) -> SpectralField:
     plane = coeffs[..., 0]
     plane += _partner(plane)
     plane *= 0.5
-    return SpectralField(grid, coeffs)
+    return coeffs
 
 
 def _plane_defect(coeffs: np.ndarray) -> float:
@@ -446,16 +447,17 @@ def _transport(v: SpectralField, u_nodes: np.ndarray | None = None) -> SpectralF
         _space_forward(total, slot)
 
     spectrum, _ = _per_node(v, orders, transport)
-    return _finish_forward(spectrum, v.grid)
+    return SpectralField(v.grid, _finish_forward(spectrum, v.grid))
 
 
-def inverse(spec: SpectralField) -> PhysicalField:
+def inverse(spec: SpectralField, out: np.ndarray | None = None) -> PhysicalField:
     """Transform half-spectrum coefficients back to real node values.
 
     Each node task of ``_per_node`` writes its (0, 0, 0) leaf: one pass
-    over each axis.  The rectangle rule is exact for trigonometric
-    polynomials, so the time mean of the returned nodes is the node field of
-    the k = 0 plane alone, which ``diagnostics.norms`` uses.
+    over each axis, the time pass into ``out`` as ``_per_node``'s does.
+    The rectangle rule is exact for trigonometric polynomials, so the time
+    mean of the returned nodes is the node field of the k = 0 plane alone,
+    which ``diagnostics.norms`` uses.
 
     Raises
     ------
@@ -464,11 +466,6 @@ def inverse(spec: SpectralField) -> PhysicalField:
         more than 1e-10 times the largest coefficient, which means the
         coefficients are not the spectrum of a real field.
     """
-    return _inverse(spec)
-
-
-def _inverse(spec: SpectralField, out: np.ndarray | None = None) -> PhysicalField:
-    """``inverse``, its time pass written into ``out`` (see ``_per_node``): ``spec.coeffs`` hands the spectrum over."""
     values = np.empty((spec.components,) + spec.grid.shape)
 
     def leaf(t: int, slot: np.ndarray, fields) -> None:
@@ -528,12 +525,12 @@ def _lattice_norm(coeffs: np.ndarray, grid: Grid) -> float:
     return math.sqrt(_lattice_dot(coeffs, coeffs, grid))
 
 
-def _relative_sum(terms: Callable[[int], Iterable[np.ndarray]], grid: Grid) -> float:
-    """|sum of the terms| / max |term| in lattice 2-norms; ``terms(t)`` yields node t's, a fresh array first."""
+def _relative_sum(terms: Callable[[slice], Iterable[np.ndarray]], grid: Grid) -> float:
+    """|sum of terms| / max |term|, lattice 2-norms; ``terms(slice(t, t + 1))`` yields node t's, a fresh array first."""
     squares = 0.0  # each term's squared norm, then the sum's, over the nodes so far
     for t in range(grid.n_time):
         total, node = None, []
-        for term in terms(t):
+        for term in terms(slice(t, t + 1)):
             total = term if total is None else np.add(total, term, out=total)
             node.append(_lattice_dot(term, term, grid))
         squares = squares + np.array(node + [_lattice_dot(total, total, grid)])

@@ -121,14 +121,19 @@ def half_time_derivative(spec: SpectralField) -> SpectralField:
     full time derivative.  The principal branch pairs e^{+i pi/4} with k > 0
     and e^{-i pi/4} with k < 0, preserving conjugate symmetry.
     """
-    return SpectralField(spec.grid, spec.coeffs * np.sqrt(1j * spec.grid.omega))
+    return SpectralField(spec.grid, spec.coeffs * _half_time_factor(spec.grid))
+
+
+def _half_time_factor(grid: Grid, planes: slice = slice(None)) -> np.ndarray:
+    """The principal root (i*omega)^(1/2) on ``planes``: the one place its branch is chosen."""
+    return np.sqrt(1j * grid.omega[planes])
 
 
 def _regularity_factors(grid: Grid, planes: slice = slice(None)) -> np.ndarray:
     """The regularity multipliers (i*omega)^(1/2) (i*xi_j) / (|xi|^2 + i*omega) on ``planes``, zero on k = 0."""
     osc = (grid.k_modes[planes] != 0).reshape(-1, 1, 1, 1)
     safe = np.where(osc, _oseen_symbol(grid, Params(lam=0.0, period=grid.period), planes), 1.0)
-    root = np.sqrt(1j * grid.omega[planes])
+    root = _half_time_factor(grid, planes)
     return np.stack([np.where(osc, root * (1j * xi) / safe, 0.0) for xi in grid.xi])
 
 

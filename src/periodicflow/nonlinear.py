@@ -15,6 +15,11 @@ from .fourier import _NOT_FINITE, SpectralField, _all_finite, _finish_forward, _
 
 __all__ = ["convective"]
 
+# The six distinct products w_i w_j (i <= j) of ``_tensor_product``; ``_ROWS[i][j]`` indexes
+# the pair (min(i, j), max(i, j)), so row i of the symmetric tensor is also its column i.
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
 
 def _dealias_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Zero the modes outside the 2/3 band of every axis, by slicing, in place."""
@@ -37,18 +42,15 @@ def convective(u: SpectralField) -> SpectralField:
 
 
 def _tensor_product(w: SpectralField) -> np.ndarray:
-    """Dealiased w_i w_j, shape (3, 3) + grid.spectral_shape; row i is ``nodes[i] * nodes``, checked finite."""
-    out = np.empty((3, 3) + w.grid.spectral_shape, dtype=np.complex128)
+    """Dealiased w_i w_j for the ``_PAIRS`` (i, j), shape (6,) + grid.spectral_shape, checked finite."""
+    out = np.empty((len(_PAIRS),) + w.grid.spectral_shape, dtype=np.complex128)
 
-    def rows(t: int, slot: np.ndarray, fields) -> None:
+    def products(t: int, slot: np.ndarray, fields) -> None:
         nodes = next(fields)[1]
-        for i in range(3):
-            row = nodes[i] * nodes
-            if not _all_finite(row):
-                raise ValueError(_NOT_FINITE)
-            _space_forward(row, out[i, :, t : t + 1])
+        pairs = np.stack([nodes[i] * nodes[j] for i, j in _PAIRS])
+        if not _all_finite(pairs):
+            raise ValueError(_NOT_FINITE)
+        _space_forward(pairs, out[:, t : t + 1])
 
-    _per_node(w, ((0, 0, 0),), rows)
-    for row in out:
-        _dealias_in_place(_finish_forward(row, w.grid).coeffs, w.grid)
-    return out
+    _per_node(w, ((0, 0, 0),), products)
+    return _dealias_in_place(_finish_forward(out, w.grid), w.grid)

@@ -286,8 +286,7 @@ def _residual(
     """
     grid = u.grid
 
-    def terms(t: int):
-        node = slice(t, t + 1)
+    def terms(node: slice):
         u_t = u.coeffs[:, node]
         time, laplacian, drift = _oseen_terms(grid, params, node)
         yield u_t * time

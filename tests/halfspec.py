@@ -49,14 +49,18 @@ def spectral_zeros(grid, components=3):
     return np.zeros((components,) + grid.spectral_shape, dtype=np.complex128)
 
 
-def wrong_branch_half_derivative(spec):
-    """Negative control for ``half_time_derivative``: the root of (i*omega) in the upper half plane.
+def wrong_branch_half_factor(grid, planes=slice(None)):
+    """Negative control for ``multipliers._half_time_factor``: the root of (i*omega) in the upper half plane.
 
     On k < 0 this picks e^{+i pi/4} instead of the principal e^{-i pi/4}, so
     conjugate pairs stop mapping to conjugate pairs.
     """
-    factor = np.exp(1j * math.pi / 4.0) * np.sqrt(np.abs(spec.grid.omega))
-    return SpectralField(spec.grid, spec.coeffs * factor)
+    return np.exp(1j * math.pi / 4.0) * np.sqrt(np.abs(grid.omega[planes]))
+
+
+def wrong_branch_half_derivative(spec):
+    """Negative control for ``half_time_derivative``, built on ``wrong_branch_half_factor``."""
+    return SpectralField(spec.grid, spec.coeffs * wrong_branch_half_factor(spec.grid))
 
 
 class CountingFFT:

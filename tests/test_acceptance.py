@@ -40,7 +40,7 @@ from periodicflow import (
     time_mean_part,
 )
 from periodicflow.fourier import _divergence, _gradient
-from halfspec import full_spectrum, wrong_branch_half_derivative
+from halfspec import full_spectrum, wrong_branch_half_factor
 
 TWO_PI = 2.0 * math.pi
 AMPLITUDE = 1e-2
@@ -311,7 +311,7 @@ def test_criterion_10_regularity_identities(trig_run, monkeypatch):
     _, _, _, _, sol = trig_run
     good = regularity_bootstrap_check(sol)
     monkeypatch.setattr(
-        "periodicflow.diagnostics.half_time_derivative", wrong_branch_half_derivative
+        "periodicflow.diagnostics._half_time_factor", wrong_branch_half_factor
     )
     bad = regularity_bootstrap_check(sol)
     good_worst = max(good.mixed_derivative_mismatch, good.factorization_mismatch)

@@ -30,7 +30,7 @@ from periodicflow import (
 )
 from periodicflow import fourier
 from periodicflow.diagnostics import _lebesgue, _power_sums
-from halfspec import CountingFFT, traced_peak, wrong_branch_half_derivative
+from halfspec import CountingFFT, traced_peak, wrong_branch_half_factor
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,7 +265,7 @@ def test_regularity_identities_on_converged_solution(trig_solution, monkeypatch)
     assert good.mixed_derivative_mismatch <= 1e-9
     assert good.factorization_mismatch <= 1e-9
     monkeypatch.setattr(
-        "periodicflow.diagnostics.half_time_derivative", wrong_branch_half_derivative
+        "periodicflow.diagnostics._half_time_factor", wrong_branch_half_factor
     )
     bad = regularity_bootstrap_check(sol)
     assert bad.mixed_derivative_mismatch >= 1e-2
@@ -275,14 +275,15 @@ def test_regularity_identities_on_converged_solution(trig_solution, monkeypatch)
 def test_the_regularity_check_forms_its_identities_node_by_node(trig_solution, two_threads):
     """Both sides of both identities are formed one time node at a time.
 
-    At 16^4 the traced peak is 6.3 times the velocity spectrum: the tensor's
-    three spectra, Div(w (x) w) and its half derivative, and w itself, which
-    ``Solution.w`` builds on access.  With whole-array sides and the tensor
-    from one ``inverse`` and six ``forward`` calls it was 16.3.
+    At 16^4 the traced peak is 4.6 times the velocity spectrum: the tensor's
+    six distinct products (two spectra), the time pass of w in ``_per_node``,
+    and w itself, which ``Solution.w`` builds on access.  With whole-array
+    half derivatives and nine products it was 6.3; with whole-array sides and
+    the tensor from one ``inverse`` and six ``forward`` calls it was 16.3.
     """
     sol, _ = trig_solution
     peak = traced_peak(lambda: regularity_bootstrap_check(sol))
-    assert peak < 10.0 * sol.u.coeffs.nbytes
+    assert peak < 5.5 * sol.u.coeffs.nbytes
 
 
 def test_norm_report_csv(grid8, params1):

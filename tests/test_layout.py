@@ -41,7 +41,6 @@ from periodicflow.fourier import (
     _derivative_factor,
     _divergence,
     _gradient,
-    _inverse,
     _lattice_dot,
     _lattice_norm,
     _per_node,
@@ -445,7 +444,7 @@ def test_a_handed_over_spectrum_gives_the_fields_of_a_kept_one_bit_for_bit(grid,
             (alpha, nodes.tobytes()) for alpha, nodes in fields_given
         ]
     handed = spec.coeffs.copy()
-    assert _inverse(SpectralField(grid, handed), out=handed).values.tobytes() == inverse(spec).values.tobytes()
+    assert inverse(SpectralField(grid, handed), out=handed).values.tobytes() == inverse(spec).values.tobytes()
 
 
 def test_a_handed_over_spectrum_with_a_defect_raises_before_it_is_written(grid):
@@ -454,7 +453,7 @@ def test_a_handed_over_spectrum_with_a_defect_raises_before_it_is_written(grid):
     with pytest.raises(NotHermitian):
         _per_node(spec, ((0, 0, 0),), listed, out=spec.coeffs)
     with pytest.raises(NotHermitian):
-        _inverse(spec, out=spec.coeffs)
+        inverse(spec, out=spec.coeffs)
     assert spec.coeffs.tobytes() == before.tobytes()
 
 

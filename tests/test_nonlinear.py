@@ -15,7 +15,7 @@ from periodicflow import (
 )
 from periodicflow import fourier
 from periodicflow.fourier import _divergence, _lattice_dot, _plane_defect, _transport
-from periodicflow.nonlinear import _dealias_in_place, _tensor_product
+from periodicflow.nonlinear import _PAIRS, _ROWS, _dealias_in_place, _tensor_product
 
 TWO_PI = 2.0 * math.pi
 ANISO = Grid(box=(TWO_PI, 3.0, 5.0), n_space=(12, 8, 6), n_time=10, period=7.0)
@@ -94,13 +94,15 @@ def test_divergence_form_matches_convective_form(grid16):
     # uses) agrees with the convective transport to rounding.
     u = smooth_solenoidal(grid16, seed=76)
     conv = convective(u).coeffs
-    divf = np.stack([_divergence(row, grid16) for row in _tensor_product(u)])
+    tensor = _tensor_product(u)
+    divf = np.stack([_divergence(tensor[list(row)], grid16) for row in _ROWS])
     scale = max(np.abs(conv).max(), 1e-300)
     assert np.abs(conv - divf).max() <= 1e-10 * scale
 
 
 def test_divergence_form_mean_mode_is_exactly_zero(grid8):
-    out = np.stack([_divergence(row, grid8) for row in _tensor_product(smooth_solenoidal(grid8, seed=78))])
+    tensor = _tensor_product(smooth_solenoidal(grid8, seed=78))
+    out = np.stack([_divergence(tensor[list(row)], grid8) for row in _ROWS])
     assert np.abs(out[:, 0, 0, 0, 0]).max() == 0.0
 
 
@@ -129,23 +131,19 @@ def test_dealias_removes_outer_band(grid8):
     assert np.abs(_dealias_in_place(coeffs.copy(), grid8)).sum() == 1.0
 
 
-def test_tensor_product_is_symmetric(grid8):
-    w = smooth_solenoidal(grid8, seed=80)
-    tensor = _tensor_product(w)
-    assert tensor.shape == (3, 3) + grid8.spectral_shape
+def test_each_row_picks_the_pair_of_its_two_indices():
+    """Row i of the symmetric tensor holds w_i w_j at j, stored once as the pair sorted((i, j))."""
     for i in range(3):
-        for j in range(3):
-            assert np.array_equal(tensor[i, j], tensor[j, i])
+        assert [_PAIRS[k] for k in _ROWS[i]] == [tuple(sorted((i, j))) for j in range(3)]
 
 
 def written_out_tensor(w):
-    """w_i w_j written out: one ``inverse``, each product on the nodes, its own ``forward``, then the 2/3 band."""
+    """The ``_PAIRS`` products written out: one ``inverse``, each product its own ``forward``, then the 2/3 band."""
     grid = w.grid
     nodes = inverse(w).values
-    out = np.empty((3, 3) + grid.spectral_shape, dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = _dealias_in_place(forward(PhysicalField(grid, nodes[i] * nodes[j])).coeffs, grid)[0]
+    out = np.empty((len(_PAIRS),) + grid.spectral_shape, dtype=np.complex128)
+    for k, (i, j) in enumerate(_PAIRS):
+        out[k] = _dealias_in_place(forward(PhysicalField(grid, nodes[i] * nodes[j])).coeffs, grid)[0]
     return out
 
 

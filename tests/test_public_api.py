@@ -66,7 +66,7 @@ USERS = {
     "helmholtz": "benchmarks/workloads.py",
     "oseen_apply": "tests/test_acceptance.py",
     "oseen_inverse": "benchmarks/workloads.py",
-    "half_time_derivative": module_file("diagnostics"),
+    "half_time_derivative": "tests/test_acceptance.py",
     "MultiplierReport": CLI,
     "marcinkiewicz_probe": CLI,
     "PROBE_SYMBOLS": CLI,

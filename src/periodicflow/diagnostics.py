@@ -42,7 +42,6 @@ __all__ = [
     "norms",
     "energy_balance",
     "cross_orthogonality",
-    "energy_inequality_check",
     "spectrum_decay",
     "regularity_bootstrap_check",
 ]
@@ -283,7 +282,7 @@ def norms(
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Dissipation against forcing power over one period."""
+    """Dissipation against forcing power over one period, and ``relative_gap``, the one gap between them."""
 
     dissipation: float
     power_in: float
@@ -304,19 +303,16 @@ def energy_balance(
 
     For a solution of the momentum equation the two agree; time derivative,
     drift and transport inject nothing, and the pressure never acts on a
-    divergence-free field.
+    divergence-free field.  The report's ``relative_gap`` is the one gap:
+    |dissipation - power_in| over the larger of the two magnitudes.
     """
     u_hat = _checked_spectrum(u, "velocity", 3)
     f_hat = _checked_spectrum(f, "forcing", 3, u_hat.grid)
     grid = u_hat.grid
     dissipation = grid.volume * _gradient_dot(u_hat.coeffs, u_hat.coeffs, grid)
     power = grid.volume * _lattice_dot(f_hat.coeffs, u_hat.coeffs, grid)
-    return EnergyReport(dissipation=dissipation, power_in=power, relative_gap=_relative_gap(dissipation, power))
-
-
-def _relative_gap(dissipation: float, power: float) -> float:
-    """|dissipation - power| relative to the larger of the two: ``EnergyReport.relative_gap``."""
-    return abs(dissipation - power) / max(abs(dissipation), abs(power), _FLOOR)
+    gap = abs(dissipation - power) / max(abs(dissipation), abs(power), _FLOOR)
+    return EnergyReport(dissipation=dissipation, power_in=power, relative_gap=gap)
 
 
 def cross_orthogonality(v: SpectralField, w: SpectralField) -> float:
@@ -329,21 +325,6 @@ def cross_orthogonality(v: SpectralField, w: SpectralField) -> float:
     w = _checked_spectrum(w, "oscillatory part", 3, v.grid)
     grid = v.grid
     return grid.volume * _gradient_dot(v.coeffs, w.coeffs, grid)
-
-
-def energy_inequality_check(
-    u: SpectralField | PhysicalField,
-    f: SpectralField | PhysicalField,
-    tol: float = 1e-9,
-) -> tuple[float, float, bool]:
-    """Dissipation bounded by forcing power, with tolerance scaled to the data.
-
-    Returns (lhs, rhs, holds) with lhs the dissipation and rhs the power.
-    """
-    report = energy_balance(u, f)
-    scale = max(abs(report.dissipation), abs(report.power_in), _FLOOR)
-    holds = report.dissipation <= report.power_in + tol * scale
-    return report.dissipation, report.power_in, holds
 
 
 @dataclass(frozen=True)

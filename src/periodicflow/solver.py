@@ -162,20 +162,17 @@ def solve(
     if config.initial_guess is None:
         u = SpectralField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
     else:
-        u = _checked_spectrum(config.initial_guess, "initial guess", 3, grid)
+        # Copied once, so that every iterate the loop overwrites is this solve's own array.
+        u = SpectralField(grid, _checked_spectrum(config.initial_guess, "initial guess", 3, grid).coeffs.copy())
 
     history: list[float] = []
     growth_streak = 0
-    converged = False
     prev_diff = 0.0
-    # The array each update overwrites: the iterate it replaces, unless that is the caller's guess.
-    update = u.coeffs if config.initial_guess is None else None
     for _ in range(config.max_iter):
         u_next = picard_step(u, f_hat, params)
-        # A fresh array per update let glibc's default heap trim and fault in
-        # 2.4 MB again on every other step of a ``picard-aniso`` solve.
-        diff = _lattice_norm(np.subtract(u_next.coeffs, u.coeffs, out=update), grid)
-        update = u_next.coeffs
+        # Into the spent iterate: a fresh array per update let glibc's default heap
+        # trim and fault in 2.4 MB again on every other step of a ``picard-aniso`` solve.
+        diff = _lattice_norm(np.subtract(u_next.coeffs, u.coeffs, out=u.coeffs), grid)
         norm = coeff_norm(u_next)
         if not (math.isfinite(diff) and math.isfinite(norm)):
             raise Diverging("iterates stopped being finite", tuple(history))
@@ -201,9 +198,8 @@ def solve(
                 tuple(history),
             )
         if delta < config.tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NoConvergence(
             f"no convergence to {config.tol:.1e} within {config.max_iter} iterations",
             tuple(history),

@@ -10,6 +10,7 @@ from periodicflow import (
     Diverging,
     Params,
     PhysicalField,
+    energy_balance,
     forward,
     inverse,
     manufactured,
@@ -137,6 +138,18 @@ def test_allocation_failure_is_one_line_and_exit_two(tmp_path, capsys, monkeypat
     assert err == "error=Memory detail=Unable to allocate 4.01 GiB for an array\n"
 
 
+def test_an_unmapped_exception_propagates(tmp_path, capsys, monkeypatch):
+    """A type outside ``_EXITS`` is a defect, not an input error: ``main`` re-raises it with its traceback."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("not an input error")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    assert not any(isinstance(RuntimeError("x"), types) for types, _, _ in cli._EXITS)
+    with pytest.raises(RuntimeError, match="not an input error"):
+        solve_into(tmp_path / "out")
+    assert capsys.readouterr().err == ""
+
+
 def test_mean_mode_forcing_exits_five(tmp_path, capsys, grid8):
     forcing = tmp_path / "constant.field"
     write_field(forcing, PhysicalField(grid8, np.full((3,) + grid8.shape, 0.1)))
@@ -252,6 +265,26 @@ def test_verify_rejects_wrong_fields(tmp_path, capsys):
         str(tmp_path / "verdict.csv"),
     )
     assert code == 1
+    capsys.readouterr()
+
+
+def test_verify_energy_rows_read_the_energy_report(tmp_path, capsys):
+    """``energy_inequality`` is dissipation - power_in, judged True on the solver's fields; ``energy_gap`` is the gap."""
+    out = tmp_path / "run"
+    assert solve_into(out) == 0
+    u = read_field(out / "u.field")
+    f_hat = forward(read_field(out / "f.field"))
+    write_field(tmp_path / "u2.field", PhysicalField(u.grid, 2.0 * u.values))
+    # doubling the field quadruples the dissipation but only doubles the power
+    for velocity, passed in ((out / "u.field", "True"), (tmp_path / "u2.field", "False")):
+        verdict = tmp_path / "verdict.csv"
+        code = run("verify", *GRID8, "--preset", "trig", "--velocity", str(velocity),
+                   "--pressure", str(out / "p.field"), "--out", str(verdict))
+        rows = {line.split(",", 1)[0]: line.split(",")[1:] for line in verdict.read_text().splitlines()}
+        energy = energy_balance(read_field(velocity), f_hat)
+        assert rows["energy_inequality"] == [f"{energy.dissipation - energy.power_in:.12e}", "1.000e-06", passed]
+        assert rows["energy_gap"] == [f"{energy.relative_gap:.12e}", "", ""]
+        assert code == (0 if passed == "True" else 1)
     capsys.readouterr()
 
 

@@ -15,7 +15,6 @@ from periodicflow import (
     coeff_norm,
     cross_orthogonality,
     energy_balance,
-    energy_inequality_check,
     forward,
     inverse,
     manufactured,
@@ -162,21 +161,6 @@ def test_energy_balance_on_converged_solution(trig_solution):
     report = energy_balance(sol.u, f_hat)
     assert report.dissipation > 0.0
     assert report.relative_gap <= 1e-6
-
-
-def test_energy_inequality_check_interface(grid8, trig_solution):
-    zero = forward(zero_field(grid8))
-    lhs, rhs, holds = energy_inequality_check(zero, zero)
-    assert (lhs, rhs, holds) == (0.0, 0.0, True)
-
-    sol, f_hat = trig_solution
-    lhs, rhs, holds = energy_inequality_check(sol.u, f_hat)
-    assert holds
-    assert lhs == pytest.approx(rhs, rel=1e-6)
-    # doubling the field quadruples dissipation but only doubles the power
-    lhs2, rhs2, holds2 = energy_inequality_check(sol.u * 2.0, f_hat)
-    assert not holds2
-    assert lhs2 > rhs2
 
 
 def test_cross_orthogonality_of_split_parts(grid8):
@@ -344,7 +328,7 @@ def test_norms_transform_count_does_not_grow_with_exponents(grid8, params1, monk
         assert sum(counter.volume.values()) == 3 * (20 + 19 * plane + 4) + 10
 
 
-@pytest.mark.parametrize("check", [energy_balance, energy_inequality_check], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("check", [energy_balance], ids=lambda f: f.__name__)
 def test_energy_checks_reject_a_scalar_forcing(trig_solution, check):
     sol, f_hat = trig_solution
     scalar = SpectralField(f_hat.grid, f_hat.coeffs[:1])
@@ -352,7 +336,7 @@ def test_energy_checks_reject_a_scalar_forcing(trig_solution, check):
         check(sol.u, scalar)
 
 
-@pytest.mark.parametrize("check", [energy_balance, energy_inequality_check], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("check", [energy_balance], ids=lambda f: f.__name__)
 def test_energy_checks_reject_a_scalar_velocity(trig_solution, check):
     sol, f_hat = trig_solution
     scalar = SpectralField(f_hat.grid, sol.u.coeffs[:1])

@@ -66,6 +66,16 @@ def test_grid_rejects_non_integral_resolutions(n_space, n_time, name):
         Grid(box=(1, 1, 1), n_space=n_space, n_time=n_time, period=1.0)
 
 
+@pytest.mark.parametrize(
+    "box, n_space",
+    [((1, 1), (8, 8, 8)), ((1, 1, 1, 1), (8, 8, 8)), ((1, 1, 1), (8, 8)), ((1, 1, 1), (8, 8, 8, 8))],
+)
+def test_grid_rejects_other_than_three_spatial_entries(box, n_space):
+    """Only a library call reaches this check: the CLI counts its entries first."""
+    with pytest.raises(ValueError, match="^box and n_space must have three entries$"):
+        Grid(box=box, n_space=n_space, n_time=8, period=1.0)
+
+
 def test_grid_takes_integral_floats_as_ints():
     grid = Grid(box=(1, 1, 1), n_space=(8.0, 8, 6.0), n_time=4.0, period=1.0)
     assert grid == Grid(box=(1, 1, 1), n_space=(8, 8, 6), n_time=4, period=1.0)

@@ -3,6 +3,8 @@
 A helper that only tests call is production code that exists for a test; this
 check finds one with the standard ``ast`` module.  A name counts as used when
 a statement other than its own definition reads it, in any package module.
+The command line reads ``diagnostics`` through its public names only: a
+number the CLI prints is one the library reports.
 """
 
 import ast
@@ -56,3 +58,31 @@ def test_the_check_finds_an_unused_private_name():
 
 def test_every_private_name_has_a_user_in_the_package():
     assert unused_private_names({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def private_names_read_from(source: str, module: str) -> list[str]:
+    """Private names ``source`` imports from the package module ``module`` or reads as its attributes."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"periodicflow.{module}"):
+            names.extend(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module:
+            if node.attr.startswith("_"):
+                names.append(node.attr)
+    return names
+
+
+def test_the_check_finds_a_private_name_read_from_a_module():
+    source = (
+        "from .diagnostics import EnergyReport, _gap\n"
+        "from periodicflow.diagnostics import _scale\n"
+        "from . import diagnostics\n"
+        "from .fourier import _FLOOR\n"
+        "value = diagnostics._floor + diagnostics.norms(_FLOOR)\n"
+    )
+    assert private_names_read_from(source, "diagnostics") == ["_gap", "_scale", "_floor"]
+
+
+def test_the_cli_reads_diagnostics_through_public_names_only():
+    cli = next(path for path in SOURCES if path.stem == "cli")
+    assert private_names_read_from(cli.read_text(), "diagnostics") == []

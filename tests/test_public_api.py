@@ -35,7 +35,6 @@ USERS = {
     "norms": CLI,
     "energy_balance": CLI,
     "cross_orthogonality": "tests/test_acceptance.py",
-    "energy_inequality_check": CLI,
     "spectrum_decay": CLI,
     "regularity_bootstrap_check": "tests/test_acceptance.py",
     "Params": CLI,

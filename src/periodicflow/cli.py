@@ -19,14 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (
-    EnergyReport,
-    NormReport,
-    SpectrumTable,
-    energy_balance,
-    norms,
-    spectrum_decay,
-)
+from .diagnostics import NormReport, energy_balance, norms, spectrum_decay
 from .domain import Grid, Params
 from .errors import (
     Diverging,
@@ -38,7 +31,7 @@ from .errors import (
 from .fieldio import load_config, read_field, write_field
 from .forcing import PRESET_NAMES, manufactured, manufactured_preset, random_smooth
 from .fourier import PhysicalField, forward, inverse
-from .multipliers import PROBE_SYMBOLS, MultiplierReport, marcinkiewicz_probe
+from .multipliers import PROBE_SYMBOLS, marcinkiewicz_probe
 from .nonlinear import _band_radius
 from .solver import SolverConfig, pde_residual, solve
 
@@ -183,21 +176,35 @@ def _build_forcing(s: argparse.Namespace, grid: Grid, params: Params) -> Physica
     return f
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
+def _report(out: str | Path | None, header: str, rows: list[str]) -> None:
+    """The CSV table ``header`` and ``rows``, written to the file ``out`` if given, else to stdout."""
+    text = "\n".join([header, *rows]) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text, end="")
 
 
 def _write_iterations(out_dir: Path, update_history: tuple[float, ...]) -> None:
     rows = [f"{i + 1},{d:.12e}" for i, d in enumerate(update_history)]
-    _write_csv(out_dir / "iterations.csv", "iteration,update", rows)
+    _report(out_dir / "iterations.csv", "iteration,update", rows)
 
 
-def _report(out: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+_NORMS_HEADER = (
+    "q,r,lambda,driftless,lq_u,w21q_w,oseen_amplitude,oseen_gradient,oseen_drift,oseen_hessian,oseen_total,xpres_p"
+)
+
+
+def _norm_rows(report: NormReport, params: Params) -> list[str]:
+    """One row per (q, r) of the pressure norms; without them one per q, with r and xpres_p nan."""
+    pairs = sorted(report.xpres.items()) or [((q, np.nan), np.nan) for q in sorted(report.lq)]
+    rows = []
+    for (q, r), xpres in pairs:
+        terms = report.xoseen[q]
+        values = (report.lq[q], report.w21q[q], terms.amplitude, terms.gradient, terms.drift, terms.hessian,
+                  terms.total, xpres)
+        rows.append(f"{q:g},{r:g},{params.lam:g},{params.driftless}," + ",".join(f"{v:.12e}" for v in values))
+    return rows
 
 
 def _run_solve(s: argparse.Namespace) -> int:
@@ -234,11 +241,12 @@ def _run_solve(s: argparse.Namespace) -> int:
     del u_nodes
     write_field(out_dir / "p.field", inverse(sol.p))
 
-    report = norms(u, params, p=sol.p)
-    _write_csv(out_dir / "norms.csv", NormReport.csv_header(), report.csv_rows())
-    _write_csv(out_dir / "energy.csv", EnergyReport.csv_header(), energy.csv_rows())
+    _report(out_dir / "norms.csv", _NORMS_HEADER, _norm_rows(norms(u, params, p=sol.p), params))
+    _report(out_dir / "energy.csv", "dissipation,power_in,relative_gap",
+            [f"{energy.dissipation:.12e},{energy.power_in:.12e},{energy.relative_gap:.12e}"])
     table = spectrum_decay(u)
-    _write_csv(out_dir / "spectrum.csv", SpectrumTable.csv_header(), table.csv_rows())
+    rows = [f"{shell},{m:.12e}" for shell, m in zip(table.shells, table.max_abs)]
+    _report(out_dir / "spectrum.csv", "shell,max_abs", rows)
 
     print(f"converged iterations={sol.iterations} contraction={sol.contraction_estimate:.3e}")
     print(f"pde_residual={sol.pde_residual:.3e} energy_gap={energy.relative_gap:.3e}")
@@ -275,7 +283,7 @@ def _run_verify(s: argparse.Namespace) -> int:
         rows.append(f"norm_oseen[q={q:g}],{report.xoseen[q].total:.12e},,")
     for (q, r), value in sorted(report.xpres.items()):
         rows.append(f"norm_pressure[q={q:g} r={r:g}],{value:.12e},,")
-    _report(s.out, ["check,value,threshold,passed"] + rows)
+    _report(s.out, "check,value,threshold,passed", rows)
     all_pass = residual <= s.residual_tol and holds
     return 0 if all_pass else 1
 
@@ -283,9 +291,10 @@ def _run_verify(s: argparse.Namespace) -> int:
 def _run_probe(s: argparse.Namespace) -> int:
     params = _validated(s, lambda: Params(lam=s.lam, period=s.period))
     s.origin["resolution"] = "--resolution"
-    rows = [_validated(s, lambda: marcinkiewicz_probe(name, params, resolution=s.resolution)).csv_row()
-            for name in s.symbols or PROBE_SYMBOLS]
-    _report(s.out, [MultiplierReport.csv_header()] + rows)
+    reports = [_validated(s, lambda: marcinkiewicz_probe(name, params, resolution=s.resolution))
+               for name in s.symbols or PROBE_SYMBOLS]
+    rows = [f"{r.name},{r.max_abs:.12e},{r.marcinkiewicz_sup:.12e},{r.sample_count}" for r in reports]
+    _report(s.out, "symbol,max_abs,marcinkiewicz_sup,sample_count", rows)
     return 0
 
 
@@ -296,7 +305,7 @@ def _run_norms(s: argparse.Namespace) -> int:
     q_list, r_list = _parse_numbers(s.q, "--q"), _parse_numbers(s.r, "--r")
     s.origin.update(q="--q", r="--r")
     report = _validated(s, lambda: norms(u_hat, params, p=p_hat, q_list=q_list, r_list=r_list))
-    _report(s.out, [NormReport.csv_header()] + report.csv_rows())
+    _report(s.out, _NORMS_HEADER, _norm_rows(report, params))
     return 0
 
 

@@ -94,36 +94,10 @@ class NormReport:
     derivative fields of u.
     """
 
-    lam: float
-    driftless: bool
     lq: dict[float, float]
     w21q: dict[float, float]
     xoseen: dict[float, OseenTerms]
     xpres: dict[tuple[float, float], float]
-
-    @staticmethod
-    def csv_header() -> str:
-        return (
-            "q,r,lambda,driftless,lq_u,w21q_w,"
-            "oseen_amplitude,oseen_gradient,oseen_drift,oseen_hessian,oseen_total,xpres_p"
-        )
-
-    def csv_rows(self) -> list[str]:
-        pairs: list[tuple[float, float, float]]
-        if self.xpres:
-            pairs = [(q, r, value) for (q, r), value in sorted(self.xpres.items())]
-        else:
-            pairs = [(q, float("nan"), float("nan")) for q in sorted(self.lq)]
-        rows = []
-        for q, r, xp in pairs:
-            terms = self.xoseen[q]
-            rows.append(
-                f"{q:g},{r:g},{self.lam:g},{self.driftless},"
-                f"{self.lq[q]:.12e},{self.w21q[q]:.12e},"
-                f"{terms.amplitude:.12e},{terms.gradient:.12e},{terms.drift:.12e},"
-                f"{terms.hessian:.12e},{terms.total:.12e},{xp:.12e}"
-            )
-        return rows
 
 
 def _power_sums(values: np.ndarray, exponents: tuple[float, ...]) -> np.ndarray:
@@ -244,24 +218,23 @@ def norms(
     """Evaluate every norm family for each requested exponent.
 
     At least one q is needed, and each must lie in (1, 2) because the
-    steady-part family is evaluated for all of them; with a pressure, at
-    least one r is needed, and each must lie in (1, inf).  ``u`` must have 3
-    components and ``p`` 1; without a pressure the xpres entries are left
-    empty.  Every field is transformed once per call, however many exponents
-    are requested, and the derivative fields of one spectrum share their
-    transform passes.
+    steady-part family is evaluated for all of them.  At least one r is
+    needed, and each must lie in (1, inf), with or without a pressure.
+    ``u`` must have 3 components and ``p`` 1; without a pressure the xpres
+    entries are left empty.  Every field is transformed once per call,
+    however many exponents are requested, and the derivative fields of one
+    spectrum share their transform passes.
     """
     if not q_list:
         raise ValueError("q (the norm exponent) needs at least one value")
     for q in q_list:
         if not 1.0 < q < 2.0:
             raise ValueError(f"q (the norm exponent) must lie in the open interval (1, 2), got {q}")
-    if p is not None:
-        if not r_list:
-            raise ValueError("r (the pressure gradient exponent) needs at least one value")
-        for r in r_list:
-            if not (1.0 < r and math.isfinite(r)):
-                raise ValueError(f"r (the pressure gradient exponent) must lie in (1, inf), got {r}")
+    if not r_list:
+        raise ValueError("r (the pressure gradient exponent) needs at least one value")
+    for r in r_list:
+        if not (1.0 < r and math.isfinite(r)):
+            raise ValueError(f"r (the pressure gradient exponent) must lie in (1, inf), got {r}")
 
     u_hat = _checked_spectrum(u, "velocity", 3)
     grid = u_hat.grid
@@ -270,14 +243,7 @@ def norms(
     xoseen = _xoseen(steady, q_list, params.lam, grid)
     xpres = _xpres(_checked_spectrum(p, "pressure", 1, grid), q_list, r_list, grid) if p is not None else {}
 
-    return NormReport(
-        lam=params.lam,
-        driftless=params.driftless,
-        lq=lq,
-        w21q=w21q,
-        xoseen=xoseen,
-        xpres=xpres,
-    )
+    return NormReport(lq=lq, w21q=w21q, xoseen=xoseen, xpres=xpres)
 
 
 @dataclass(frozen=True)
@@ -287,13 +253,6 @@ class EnergyReport:
     dissipation: float
     power_in: float
     relative_gap: float
-
-    @staticmethod
-    def csv_header() -> str:
-        return "dissipation,power_in,relative_gap"
-
-    def csv_rows(self) -> list[str]:
-        return [f"{self.dissipation:.12e},{self.power_in:.12e},{self.relative_gap:.12e}"]
 
 
 def energy_balance(
@@ -334,21 +293,6 @@ class SpectrumTable:
     shells: np.ndarray
     max_abs: np.ndarray
     monotone_from_peak: bool
-
-    @staticmethod
-    def csv_header() -> str:
-        return "shell,max_abs"
-
-    def csv_rows(self) -> list[str]:
-        return [f"{int(s)},{m:.12e}" for s, m in zip(self.shells, self.max_abs)]
-
-    @property
-    def top_shell_max(self) -> float:
-        return float(self.max_abs[-1])
-
-    @property
-    def peak(self) -> float:
-        return float(self.max_abs.max(initial=0.0))
 
 
 def spectrum_decay(spec: SpectralField) -> SpectrumTable:

@@ -156,13 +156,6 @@ class MultiplierReport:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{label} must be finite and nonnegative, got {value!r}")
 
-    @staticmethod
-    def csv_header() -> str:
-        return "symbol,max_abs,marcinkiewicz_sup,sample_count"
-
-    def csv_row(self) -> str:
-        return f"{self.name},{self.max_abs:.12e},{self.marcinkiewicz_sup:.12e},{self.sample_count}"
-
 
 def _smooth_cutoff(s: np.ndarray) -> np.ndarray:
     """One on [-1/2, 1/2], zero outside [-1, 1], order-5 polynomial smoothstep between."""

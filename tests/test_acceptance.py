@@ -244,7 +244,7 @@ def test_criterion_08_spectral_convergence(params):
 
     _, sol32 = analytic_solution_error(32, params)
     table = spectrum_decay(sol32.u)
-    top_rel = table.top_shell_max / max(table.peak, 1e-300)
+    top_rel = table.max_abs[-1] / max(table.max_abs.max(), 1e-300)
 
     ok = ratio >= 100.0 and top_rel <= 1e-10
     report(

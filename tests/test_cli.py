@@ -7,6 +7,7 @@ import pytest
 
 import periodicflow.cli as cli
 from periodicflow import (
+    PROBE_SYMBOLS,
     Diverging,
     Params,
     PhysicalField,
@@ -16,6 +17,7 @@ from periodicflow import (
     manufactured,
     manufactured_preset,
     read_field,
+    spectrum_decay,
     time_mean_part,
     write_field,
 )
@@ -395,6 +397,50 @@ def test_norms_rejects_out_of_range_exponent(tmp_path, capsys):
     assert "error=Usage" in capsys.readouterr().err
 
 
+NORMS_HEADER = (
+    "q,r,lambda,driftless,lq_u,w21q_w,oseen_amplitude,oseen_gradient,oseen_drift,oseen_hessian,oseen_total,xpres_p"
+)
+
+
+def test_the_cli_renders_every_csv_table(tmp_path, capsys):
+    """The solve's table headers, a driftless norms row, the table shapes, and ``--out`` writing what stdout prints."""
+    out = tmp_path / "run"
+    assert solve_into(out, "--lambda", "0") == 0
+    norms_csv, energy_csv, spectrum_csv = ((out / f"{name}.csv").read_text().splitlines()
+                                           for name in ("norms", "energy", "spectrum"))
+    assert norms_csv[0] == NORMS_HEADER
+    assert energy_csv[0] == "dissipation,power_in,relative_gap"
+    assert spectrum_csv[0] == "shell,max_abs"
+    assert ",0,True," in norms_csv[1]  # lambda and driftless come from the run's params
+    assert len(spectrum_csv) - 1 == len(spectrum_decay(forward(read_field(out / "u.field"))).shells)
+
+    fields = ("--velocity", str(out / "u.field"), "--pressure", str(out / "p.field"))
+    commands = {
+        "verify": ("verify", *GRID8, "--lambda", "0", "--preset", "trig", *fields),
+        "norms": ("norms", *GRID8, "--lambda", "0", *fields, "--q", "1.2,1.5", "--r", "4,6"),
+        "norms without a pressure": ("norms", *GRID8, "--lambda", "0", *fields[:2], "--q", "1.2,1.5"),
+        "probe": ("probe", "--resolution", "4"),
+    }
+    capsys.readouterr()
+    printed = {}
+    for name, argv in commands.items():
+        assert run(*argv) == 0, name
+        printed[name] = capsys.readouterr().out
+        path = tmp_path / f"{name}.csv"
+        assert run(*argv, "--out", str(path)) == 0, name
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == printed[name].encode(), name
+
+    for name, rows in (("norms", 4), ("norms without a pressure", 2)):
+        header, *lines = printed[name].splitlines()
+        assert header == NORMS_HEADER
+        assert len(lines) == rows  # one row per (q, r) with a pressure, one per q without
+        assert all(line.count(",") == header.count(",") for line in lines)
+    header, *lines = printed["probe"].splitlines()
+    assert [line.split(",")[0] for line in lines] == list(PROBE_SYMBOLS)
+    assert all(line.count(",") == header.count(",") for line in lines)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -464,6 +510,9 @@ def test_help_exits_zero(capsys):
         (("solve", *GRID8, "--preset", "trig", "--scale", "nan"), None, "--scale: scale"),
         (("solve", *GRID8, "--preset", "random", "--amplitude", "inf"), None, "--amplitude: amplitude"),
         (("solve", *GRID8), "[forcing]\npreset = random\nseed = -1\n", "[forcing] seed: seed"),
+        # r is checked without a pressure too
+        (("norms", *GRID8, "--velocity", "u.field", "--r", "1"), None, "--r: r (the pressure gradient exponent)"),
+        (("norms", *GRID8, "--velocity", "u.field", "--r", ""), None, "--r: r (the pressure gradient exponent)"),
     ],
 )
 def test_bad_value_is_one_usage_line_naming_its_setting(tmp_path, capsys, grid8, monkeypatch, argv, config, named):

@@ -266,6 +266,3 @@ def test_multiplier_report_validation():
         MultiplierReport(name="x", max_abs=float("nan"), marcinkiewicz_sup=1.0, sample_count=16)
     with pytest.raises(ValueError):
         MultiplierReport(name="x", max_abs=1.0, marcinkiewicz_sup=-2.0, sample_count=16)
-    report = MultiplierReport(name="x", max_abs=1.0, marcinkiewicz_sup=2.0, sample_count=16)
-    assert report.csv_row().startswith("x,")
-    assert MultiplierReport.csv_header().count(",") == report.csv_row().count(",")

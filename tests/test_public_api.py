@@ -29,8 +29,8 @@ def module_file(name):
 USERS = {
     "OseenTerms": "return type of norms",
     "NormReport": CLI,
-    "EnergyReport": CLI,
-    "SpectrumTable": CLI,
+    "EnergyReport": "return type of energy_balance",
+    "SpectrumTable": "return type of spectrum_decay",
     "RegularityReport": "return type of regularity_bootstrap_check",
     "norms": CLI,
     "energy_balance": CLI,
@@ -66,7 +66,7 @@ USERS = {
     "oseen_apply": "tests/test_acceptance.py",
     "oseen_inverse": "benchmarks/workloads.py",
     "half_time_derivative": "tests/test_acceptance.py",
-    "MultiplierReport": CLI,
+    "MultiplierReport": "return type of marcinkiewicz_probe",
     "marcinkiewicz_probe": CLI,
     "PROBE_SYMBOLS": CLI,
     "convective": module_file("solver"),

@@ -245,7 +245,7 @@ def _run_solve(s: argparse.Namespace) -> int:
     _report(out_dir / "energy.csv", "dissipation,power_in,relative_gap",
             [f"{energy.dissipation:.12e},{energy.power_in:.12e},{energy.relative_gap:.12e}"])
     table = spectrum_decay(u)
-    rows = [f"{shell},{m:.12e}" for shell, m in zip(table.shells, table.max_abs)]
+    rows = [f"{shell},{m:.12e}" for shell, m in enumerate(table.max_abs)]
     _report(out_dir / "spectrum.csv", "shell,max_abs", rows)
 
     print(f"converged iterations={sol.iterations} contraction={sol.contraction_estimate:.3e}")

@@ -27,9 +27,8 @@ from .fourier import (
     _per_node,
     _relative_sum,
     _space_tree,
-    time_derivative,
 )
-from .multipliers import _half_time_factor, _oseen_symbol, _oseen_terms, _regularity_factors
+from .multipliers import _half_time_factor, _oseen_symbol, _oseen_terms, _regularity_factors, time_derivative
 from .nonlinear import _ROWS, _tensor_product
 from .solver import _checked_spectrum
 
@@ -288,9 +287,8 @@ def cross_orthogonality(v: SpectralField, w: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Shell-wise coefficient magnitudes over the integer dual lattice."""
+    """Shell-wise coefficient magnitudes over the integer dual lattice: ``max_abs[s]`` on shell s."""
 
-    shells: np.ndarray
     max_abs: np.ndarray
     monotone_from_peak: bool
 
@@ -315,18 +313,13 @@ def spectrum_decay(spec: SpectralField) -> SpectrumTable:
     )
     keep = np.ix_(*(np.flatnonzero(2 * np.abs(modes) != n) for modes, n in axes))
     radii = np.rint(np.sqrt(grid.mode_radius_sq()[keep])).astype(np.int64).ravel()
-    n_shells = int(radii.max()) + 1
-    maxima = np.zeros(n_shells)
+    maxima = np.zeros(int(radii.max()) + 1)
     np.maximum.at(maxima, radii, mag[keep].ravel())
     peak_idx = int(np.argmax(maxima))
     floor = maxima[peak_idx] * 1e-14
     tail = np.maximum(maxima[peak_idx:], floor)
     monotone = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + 1e-12) + 1e-300))
-    return SpectrumTable(
-        shells=np.arange(n_shells),
-        max_abs=maxima,
-        monotone_from_peak=monotone,
-    )
+    return SpectrumTable(max_abs=maxima, monotone_from_peak=monotone)
 
 
 @dataclass(frozen=True)

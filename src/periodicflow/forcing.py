@@ -33,8 +33,8 @@ from .fourier import (
     SpectralField,
     _divergence,
     _gradient,
-    _lattice_norm,
     _transport,
+    coeff_norm,
     forward,
     inverse,
 )
@@ -256,7 +256,7 @@ def random_smooth(seed: int, amplitude: float, cutoff_shell: int, grid: Grid) ->
     np.copyto(c, 0.0, where=grid.mode_radius_sq() > cutoff_shell * cutoff_shell)
     c[:, 0, 0, 0, 0] = 0.0
     _project_in_place(c, grid)
-    norm = _lattice_norm(c, grid)
+    norm = coeff_norm(SpectralField(grid, c))
     if norm == 0.0:
         raise ValueError("random field vanished after projection; enlarge cutoff_shell")
     c *= float(amplitude) / norm

@@ -30,7 +30,8 @@ scale the package divides by, is defined here once.
 
 Symbols.  ``_gradient`` (i xi c), ``_divergence`` (i xi . c) and the
 |xi|^2-weighted ``_gradient_dot`` take any run of time planes; only this
-module and ``multipliers`` (the Oseen symbol) read frequency factors.
+module and ``multipliers`` read space frequency factors, and only
+``multipliers`` (i omega, the Oseen symbol) reads the time frequency.
 
 Transport.  The nonlinear term keeps its convective form (u . grad) u.  The
 divergence form would need fewer transforms, but the two forms differ by
@@ -103,7 +104,6 @@ __all__ = [
     "inverse",
     "time_mean_part",
     "oscillatory_part",
-    "time_derivative",
     "coeff_norm",
 ]
 
@@ -489,10 +489,6 @@ def oscillatory_part(spec: SpectralField) -> SpectralField:
     return SpectralField(spec.grid, out)
 
 
-def time_derivative(spec: SpectralField) -> SpectralField:
-    return SpectralField(spec.grid, spec.coeffs * (1j * spec.grid.omega))
-
-
 def _gradient(c: np.ndarray, grid: Grid) -> np.ndarray:
     """i xi c, shape (3,) + c.shape: d/dx1, d/dx2 and d/dx3 of every component of ``c``, any run of time planes."""
     return np.stack([c * (1j * xi) for xi in grid.xi])
@@ -520,11 +516,6 @@ def _gradient_dot(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     )
 
 
-def _lattice_norm(coeffs: np.ndarray, grid: Grid) -> float:
-    """2-norm of ``coeffs`` over the whole lattice."""
-    return math.sqrt(_lattice_dot(coeffs, coeffs, grid))
-
-
 def _relative_sum(terms: Callable[[slice], Iterable[np.ndarray]], grid: Grid) -> float:
     """|sum of terms| / max |term|, lattice 2-norms; ``terms(slice(t, t + 1))`` yields node t's, a fresh array first."""
     squares = 0.0  # each term's squared norm, then the sum's, over the nodes so far
@@ -540,4 +531,4 @@ def _relative_sum(terms: Callable[[slice], Iterable[np.ndarray]], grid: Grid) ->
 
 def coeff_norm(spec: SpectralField) -> float:
     """2-norm of the coefficients over the whole lattice (the grid rms by Parseval)."""
-    return _lattice_norm(spec.coeffs, spec.grid)
+    return math.sqrt(_lattice_dot(spec.coeffs, spec.coeffs, spec.grid))

@@ -1,7 +1,8 @@
-"""Diagonal Fourier multipliers: projections, the drift resolvent, fractional time derivatives.
+"""Diagonal Fourier multipliers: projections, the drift resolvent, time derivatives.
 
 Every operator here acts mode-by-mode on spectral coefficients.  All symbols
-satisfy m(-xi, -k) = conj(m(xi, k)), so real fields stay real.
+satisfy m(-xi, -k) = conj(m(xi, k)), so real fields stay real.  Only this
+module reads omega, and ``marcinkiewicz_probe`` samples its kernels off the lattice.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -21,6 +23,7 @@ __all__ = [
     "helmholtz",
     "oseen_apply",
     "oseen_inverse",
+    "time_derivative",
     "half_time_derivative",
     "MultiplierReport",
     "marcinkiewicz_probe",
@@ -69,11 +72,13 @@ def _oseen_symbol(grid: Grid, params: Params, planes: slice = slice(None)) -> np
     lattice every other mode is bounded away from zero.
     """
     _check_period(params, grid)
-    return grid.xi_sq + 1j * (grid.omega[planes] - params.lam * grid.xi1)
+    time, laplacian, drift = _oseen_terms(grid, params, planes)
+    # time + drift spans (time, x1) alone, so the sum makes one whole array, not two
+    return laplacian + (time + drift)
 
 
 def _oseen_terms(grid: Grid, params: Params, planes: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors i omega, |xi|^2 and -lam i xi1 of ``_oseen_symbol`` on the time ``planes``, kept apart."""
+    """The terms i omega, |xi|^2 and -lam i xi1 of the Oseen symbol on ``planes``; ``_oseen_symbol`` sums them."""
     return 1j * grid.omega[planes], grid.xi_sq, -params.lam * (1j * grid.xi1)
 
 
@@ -114,6 +119,11 @@ def oseen_inverse(spec: SpectralField, params: Params) -> SpectralField:
     return SpectralField(spec.grid, _resolve_in_place(spec.coeffs.copy(), spec.grid, params))
 
 
+def time_derivative(spec: SpectralField) -> SpectralField:
+    """Time derivative: multiply by i*omega."""
+    return SpectralField(spec.grid, spec.coeffs * (1j * spec.grid.omega))
+
+
 def half_time_derivative(spec: SpectralField) -> SpectralField:
     """Half-order time derivative: multiply by the principal root of (i*omega).
 
@@ -131,7 +141,7 @@ def _half_time_factor(grid: Grid, planes: slice = slice(None)) -> np.ndarray:
 
 def _regularity_factors(grid: Grid, planes: slice = slice(None)) -> np.ndarray:
     """The regularity multipliers (i*omega)^(1/2) (i*xi_j) / (|xi|^2 + i*omega) on ``planes``, zero on k = 0."""
-    osc = (grid.k_modes[planes] != 0).reshape(-1, 1, 1, 1)
+    osc = grid.omega[planes] != 0
     safe = np.where(osc, _oseen_symbol(grid, Params(lam=0.0, period=grid.period), planes), 1.0)
     root = _half_time_factor(grid, planes)
     return np.stack([np.where(osc, root * (1j * xi) / safe, 0.0) for xi in grid.xi])
@@ -164,28 +174,32 @@ def _smooth_cutoff(s: np.ndarray) -> np.ndarray:
 
 
 def _probe_symbols(params: Params) -> dict[str, Callable[..., np.ndarray]]:
-    """Symbols of ``marcinkiewicz_probe`` by name, as functions m(xi, eta) with xi = (x1, x2, x3)."""
+    """Symbols of ``marcinkiewicz_probe`` by name: this module's kernels as functions m(xi, eta), xi = (x1, x2, x3)."""
     scale = params.period / (2.0 * math.pi)
 
-    def xi_sq(xi):
-        return xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
+    def points(xi, eta):
+        """A stand-in grid whose frequency factors are the sample points, xi_sq by the operations ``Grid`` uses."""
+        xi_sq = xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
+        return SimpleNamespace(xi=xi, xi1=xi[0], xi2=xi[1], xi3=xi[2], xi_sq=xi_sq, omega=eta, period=params.period)
 
-    def helmholtz_entry(i, j):
-        return lambda xi, eta: ((1.0 if i == j else 0.0) - xi[i - 1] * xi[j - 1] / xi_sq(xi)) + 0.0 * eta
+    def projected(grid, j):
+        # the projection writes in place, so the unit vector spans every sample point
+        unit = np.zeros((3,) + np.broadcast(grid.xi_sq, grid.omega).shape, dtype=np.complex128)
+        unit[j] = 1.0
+        return _project_in_place(unit, grid)[0]
 
-    def regularity(axis):
+    def regularity(grid, j):
         # 1 - cutoff is 0 for |eta| <= pi / period and 1 from the lowest lattice frequency 2 pi / period on
-        return lambda xi, eta: (1.0 - _smooth_cutoff(eta * scale)) * np.sqrt(1j * eta) * xi[axis - 1] / (
-            xi_sq(xi) + 1j * eta
-        )
+        return (1.0 - _smooth_cutoff(grid.omega * scale)) * _regularity_factors(grid)[j]
 
-    return {
-        "one": lambda xi, eta: np.ones(np.broadcast(*xi, eta).shape, dtype=np.complex128),
-        "helmholtz": helmholtz_entry(1, 1),
-        "helmholtz_offdiag": helmholtz_entry(1, 2),
-        **{f"m_{axis}": regularity(axis) for axis in (1, 2, 3)},
-        "oseen_tp": lambda xi, eta: xi_sq(xi) / (xi_sq(xi) + 1j * (eta - params.lam * xi[0])),
+    kernels = {
+        "one": lambda grid: np.ones(np.broadcast(grid.xi_sq, grid.omega).shape, dtype=np.complex128),
+        "helmholtz": lambda grid: projected(grid, 0),
+        "helmholtz_offdiag": lambda grid: projected(grid, 1),
+        **{f"m_{j + 1}": lambda grid, j=j: regularity(grid, j) for j in range(3)},
+        "oseen_tp": lambda grid: grid.xi_sq / _oseen_symbol(grid, params),
     }
+    return {name: lambda xi, eta, kernel=kernel: kernel(points(xi, eta)) for name, kernel in kernels.items()}
 
 
 PROBE_SYMBOLS = tuple(_probe_symbols(Params(lam=0.0, period=1.0)))
@@ -226,7 +240,7 @@ def marcinkiewicz_probe(symbol: str, params: Params, resolution: int = 8) -> Mul
     m = symbols[symbol]
     half = np.logspace(-2.0, 2.0, resolution)
     pts = np.concatenate([-half[::-1], half])
-    coords = np.meshgrid(pts, pts, pts, pts, indexing="ij")
+    coords = np.meshgrid(pts, pts, pts, pts, indexing="ij", sparse=True)
     base = m(coords[:3], coords[3])
     max_abs = float(np.abs(base).max())
     sup = max_abs

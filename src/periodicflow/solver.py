@@ -31,7 +31,6 @@ from .fourier import (
     PhysicalField,
     SpectralField,
     _gradient,
-    _lattice_norm,
     _relative_sum,
     coeff_norm,
     forward,
@@ -172,7 +171,7 @@ def solve(
         u_next = picard_step(u, f_hat, params)
         # Into the spent iterate: a fresh array per update let glibc's default heap
         # trim and fault in 2.4 MB again on every other step of a ``picard-aniso`` solve.
-        diff = _lattice_norm(np.subtract(u_next.coeffs, u.coeffs, out=u.coeffs), grid)
+        diff = coeff_norm(SpectralField(grid, np.subtract(u_next.coeffs, u.coeffs, out=u.coeffs)))
         norm = coeff_norm(u_next)
         if not (math.isfinite(diff) and math.isfinite(norm)):
             raise Diverging("iterates stopped being finite", tuple(history))

@@ -412,7 +412,7 @@ def test_the_cli_renders_every_csv_table(tmp_path, capsys):
     assert energy_csv[0] == "dissipation,power_in,relative_gap"
     assert spectrum_csv[0] == "shell,max_abs"
     assert ",0,True," in norms_csv[1]  # lambda and driftless come from the run's params
-    assert len(spectrum_csv) - 1 == len(spectrum_decay(forward(read_field(out / "u.field"))).shells)
+    assert len(spectrum_csv) - 1 == len(spectrum_decay(forward(read_field(out / "u.field"))).max_abs)
 
     fields = ("--velocity", str(out / "u.field"), "--pressure", str(out / "p.field"))
     commands = {

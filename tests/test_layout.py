@@ -42,7 +42,6 @@ from periodicflow.fourier import (
     _divergence,
     _gradient,
     _lattice_dot,
-    _lattice_norm,
     _per_node,
 )
 from periodicflow.multipliers import _oseen_symbol
@@ -212,7 +211,7 @@ def test_parseval_on_random_even_shapes(n, box, seed):
     assert total == pytest.approx(float(np.sum(np.abs(full) ** 2)), rel=1e-12)
     # the one-pass norm is within 1e-15 of the exactly rounded sum; a sum plane
     # by plane misses that by up to 1.4e-15, so the two are compared to 3e-15
-    one_pass = _lattice_norm(spec.coeffs, grid)
+    one_pass = coeff_norm(spec)
     abs_sq = np.square(spec.coeffs.real) + np.square(spec.coeffs.imag)
     exact = math.sqrt(math.fsum((abs_sq * grid.x1_weight).ravel()))
     assert abs(one_pass - exact) <= 1e-15 * exact

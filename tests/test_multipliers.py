@@ -21,7 +21,7 @@ from periodicflow import (
     time_derivative,
 )
 from periodicflow.fourier import _divergence, _gradient, _plane_defect
-from periodicflow.multipliers import _oseen_symbol, _regularity_factors
+from periodicflow.multipliers import _oseen_symbol, _probe_symbols, _project_in_place, _regularity_factors
 from halfspec import wrong_branch_half_derivative
 
 # Hand values below assume the 2*pi box and 2*pi period of the grid8/grid16
@@ -259,6 +259,36 @@ def test_probe_rejects_bad_input(params1):
     with pytest.raises(ValueError):
         marcinkiewicz_probe("one", params1, resolution=1)
     assert "oseen_tp" in PROBE_SYMBOLS
+
+
+AGREEMENT_GRID = Grid(box=(2.0 * math.pi, 3.0, 5.0), n_space=(8, 6, 4), n_time=10, period=7.0)
+
+
+def lattice_kernel(name, grid, params):
+    """The lattice operator behind probe symbol ``name``, as the solver applies it."""
+    if name.startswith("helmholtz"):
+        unit = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+        unit[0 if name == "helmholtz" else 1] = 1.0
+        return _project_in_place(unit, grid)[0]
+    if name.startswith("m_"):
+        return _regularity_factors(grid)[int(name[2:]) - 1]
+    return grid.xi_sq / _oseen_symbol(grid, params)  # 0 / 0 at the mean mode
+
+
+@pytest.mark.parametrize("name", ["helmholtz", "helmholtz_offdiag", "m_1", "m_2", "m_3", "oseen_tp"])
+def test_probe_symbols_are_the_lattice_kernels_on_the_lattice(name):
+    """On the lattice the probe's symbol is the operator the solver applies, to the bit.
+
+    Signed zeros count, and so does the NaN of 0 / 0 at the mean mode of ``oseen_tp``.
+    """
+    grid = AGREEMENT_GRID
+    params = Params(lam=-1.5, period=grid.period)
+    with np.errstate(invalid="ignore"):
+        sampled = _probe_symbols(params)[name]((grid.xi1, grid.xi2, grid.xi3), grid.omega)
+        kernel = lattice_kernel(name, grid, params)
+    assert sampled.shape == grid.spectral_shape
+    assert np.array_equal(sampled, kernel, equal_nan=name == "oseen_tp")
+    assert sampled.tobytes() == kernel.tobytes()
 
 
 def test_multiplier_report_validation():
